@@ -5,7 +5,8 @@ Reports are canonical JSON (schema "ftvn/1", every number in decimal and
 hexfloat); identical (input, seed) pairs produce byte-identical reports.
 Wall time goes to stderr only, so it never perturbs report bytes.
 
-Exit codes: 0 success, 1 usage/IO error, 2 property failure, 3 infeasible.
+Exit codes: 0 success, 1 usage/IO error, 2 property or solver failure,
+3 infeasible.
 """
 
 from __future__ import annotations

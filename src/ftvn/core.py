@@ -132,7 +132,6 @@ class FtvnInstance:
     lam: Callable[[np.ndarray], np.ndarray]
     a3_witness: Callable[[np.ndarray, np.ndarray], np.ndarray]
     inner_v: Callable[[np.ndarray, np.ndarray], float] = lambda x, y: float(np.dot(x, y))
-    inner_w: Callable[[np.ndarray, np.ndarray], float] = lambda p, q: float(np.dot(p, q))
     witness_is_exact: bool = True
     family: str = ""
     image_contains: Callable[[np.ndarray, float], bool] = lambda q, tol: True
@@ -152,12 +151,6 @@ class FtvnInstance:
             raise DimensionMismatch(f"{self.name}: element has length {v.size}, expected {self.dim_v}")
         return ElementV(v, tag=self.name)
 
-    def point(self, coords) -> SpecPoint:
-        v = as_vec(coords)
-        if v.size != self.dim_w:
-            raise DimensionMismatch(f"{self.name}: point has length {v.size}, expected {self.dim_w}")
-        return SpecPoint(v)
-
     def check_element(self, x) -> np.ndarray:
         tag = getattr(x, "tag", "")
         if tag and tag != self.name:
@@ -167,11 +160,9 @@ class FtvnInstance:
             raise DimensionMismatch(f"{self.name}: element has length {v.size}, expected {self.dim_v}")
         return v
 
-    def check_point(self, q) -> np.ndarray:
-        v = as_vec(q)
-        if v.size != self.dim_w:
-            raise DimensionMismatch(f"{self.name}: point has length {v.size}, expected {self.dim_w}")
-        return v
+    def inner_w(self, p, q) -> float:
+        """The inner product of W: always the dot product."""
+        return float(np.dot(p, q))
 
     def norm_v(self, x) -> float:
         v = as_vec(x)

@@ -109,7 +109,8 @@ class JordanAlgebra:
                  decompose: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
                  sample: Callable[[np.random.Generator], np.ndarray],
                  orbit_rows: Callable[[np.ndarray, np.random.Generator], np.ndarray],
-                 project: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+                 project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                 parts: tuple = ()):
         self.kind = kind
         self.name = name
         self.rank = rank
@@ -121,6 +122,7 @@ class JordanAlgebra:
         self._sample = sample
         self._orbit_rows = orbit_rows
         self._project = project if project is not None else (lambda x: x)
+        self.parts = parts  # the factor algebras of a product, in order; () otherwise
         self.instance = self._build_instance()
 
     # -- algebra structure -------------------------------------------------
@@ -377,6 +379,7 @@ def product_algebra(parts: list[JordanAlgebra]) -> JordanAlgebra:
         sample=sample,
         orbit_rows=orbit_rows,
         project=project,
+        parts=tuple(parts),
     )
 
 

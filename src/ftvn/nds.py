@@ -8,9 +8,10 @@
 * ``z-counterexample`` -- sort-descending restricted to the plane spanned by
                           (3,2,1) and (-1,0,0) inside R^3.  Norm preservation
                           and the trace-type inequality survive restriction
-                          but the witness axiom does not; its witness is a
-                          dense angular grid search that reports the best
-                          feasible point it can find.
+                          but the witness axiom does not; its witness is
+                          the best of the finitely many feasible points,
+                          found by enumerating the permutations of the
+                          target, so the A3 gap it reports is exact.
 """
 
 from __future__ import annotations
@@ -160,28 +161,23 @@ def rotation_instance() -> FtvnInstance:
 # ---------------------------------------------------------------------------
 # restricted-subspace pseudo-instance (A1/A2 hold, A3 fails)
 
-Z_GRID_POINTS = 100_000
-
-
 @dataclass(frozen=True)
 class ZWitnessSearch:
-    """Outcome of the angular grid search for one (c, q) target."""
+    """Outcome of the witness search for one (c, q) target."""
 
-    x: np.ndarray          # best feasible point found (exact eigenvalues)
+    x: np.ndarray          # feasible point maximizing <c, x> (exact eigenvalues)
     gap: float             # <lam c, q> - <c, x>; positive = A3 shortfall
-    slack: float           # Lipschitz slack of the grid certificate
 
 
 class SubspacePseudoInstance:
     """Sort-descending restricted to a 2-d subspace of R^3.
 
-    The feasible set {x in Z : lam(x) = q} is finite; the witness walks a
-    dense grid of directions, snaps each near-feasible direction to the exact
-    permuted target, and returns the best inner product among them.
+    The feasible set {x in Z : lam(x) = q} is finite (the permutations of q
+    lying in the plane), so the witness enumerates it and returns the exact
+    argmax of <c, x>; the reported gap is exact.
     """
 
-    def __init__(self, spanning=((3.0, 2.0, 1.0), (-1.0, 0.0, 0.0)),
-                 grid_points: int = Z_GRID_POINTS):
+    def __init__(self, spanning=((3.0, 2.0, 1.0), (-1.0, 0.0, 0.0))):
         p = np.asarray(spanning[0], dtype=float)
         q = np.asarray(spanning[1], dtype=float)
         b1 = p / np.linalg.norm(p)
@@ -189,9 +185,6 @@ class SubspacePseudoInstance:
         b2 /= np.linalg.norm(b2)
         self.basis = np.vstack([b1, b2])
         self.normal = np.cross(b1, b2)
-        theta = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
-        self._circle = np.outer(np.cos(theta), b1) + np.outer(np.sin(theta), b2)
-        self._arc = 2.0 * np.pi / grid_points
         self.name = "z-counterexample"
         self.instance = self._build_instance()
 
@@ -217,32 +210,13 @@ class SubspacePseudoInstance:
         q = np.asarray(q, dtype=float)
         if q.size != 3 or not is_sorted_desc(q):
             raise WitnessError("z-counterexample: target is not a sorted vector")
-        r = float(np.linalg.norm(q))
-        if r == 0.0:
-            return ZWitnessSearch(x=np.zeros(3), gap=0.0, slack=0.0)
-        pts = r * self._circle
-        feas_err = np.linalg.norm(-np.sort(-pts, axis=1) - q, axis=1)
-        near = np.flatnonzero(feas_err <= max(1e-3 * (1.0 + r), 4.0 * r * self._arc))
-        best_x = None
-        best_val = -math.inf
-        if near.size:
-            # snap each near-feasible direction to the exact permuted target;
-            # only the sort order matters, and there are at most 6 of those
-            orders = np.unique(np.argsort(-pts[near], axis=1), axis=0)
-            for order in orders:
-                cand = np.empty(3)
-                cand[order] = q
-                if not self.contains(cand, 1e-9):
-                    continue
-                val = float(np.dot(c, cand))
-                if val > best_val:
-                    best_val = val
-                    best_x = cand
-        if best_x is None:
+        pts = self.feasible_points(q)
+        if pts.shape[0] == 0:
             raise WitnessError("z-counterexample: target not in the restricted image")
-        gap = float(np.dot(sort_desc(c), q)) - best_val
-        slack = float(np.linalg.norm(c)) * r * self._arc
-        return ZWitnessSearch(x=best_x, gap=gap, slack=slack)
+        vals = pts @ c
+        i = int(np.argmax(vals))
+        gap = float(np.dot(sort_desc(c), q)) - float(vals[i])
+        return ZWitnessSearch(x=pts[i], gap=gap)
 
     def _a3_witness(self, c: np.ndarray, q: np.ndarray) -> np.ndarray:
         return self.witness_search(c, q).x

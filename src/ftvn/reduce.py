@@ -3,7 +3,7 @@
 Optimizing L(f, Phi) over a spectral set E = lam^-1(Q) in V is equivalent to
 optimizing L(f-image, phi) over lam(E) in W, provided L is strictly increasing
 in its first argument.  This module builds the W-side problem, dispatches it
-to an appropriate solver (exhaustive scan, dense simplex LP, Dykstra
+to an appropriate solver (exhaustive scan, HiGHS dual-simplex LP, Dykstra
 projection, projected multistart descent, grid scan), lifts the W-side
 optimizer back to V through the instance's A3 witness, and certifies the lift
 by a commutation check:
@@ -250,21 +250,15 @@ def _cone_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _polyhedron_matrices(spec: OrderedPolyhedron) -> tuple[np.ndarray, np.ndarray]:
-    n = spec.dim
-    a_rows = [np.asarray(a, dtype=float) for a, _ in spec.halfspaces]
-    b_rows = [float(b) for _, b in spec.halfspaces]
-    cone_a, cone_b = _cone_rows(n)
-    a = np.vstack([np.array(a_rows), cone_a]) if a_rows else cone_a
-    b = np.concatenate([np.array(b_rows), cone_b]) if b_rows else cone_b
-    return a, b
+    cone_a, cone_b = _cone_rows(spec.dim)
+    normals = np.array([a for a, _ in spec.halfspaces])
+    offsets = np.array([b for _, b in spec.halfspaces])
+    return np.vstack([normals, cone_a]), np.concatenate([offsets, cone_b])
 
 
 def _solve_polyhedron(inst, objective, spec, phi, combiner, sense, tol, seed, ws, F):
     a_ub, b_ub = _polyhedron_matrices(spec)
     n = spec.dim
-    feas = solve_lp(np.zeros(n), a_ub, b_ub)
-    if feas.status == "infeasible":
-        return _infeasible_report(sense, {"method": "lp_phase1", "iterations": feas.iterations})
     affine = phi.affine_parts(n)
 
     if (combiner.kind == "sum" and affine is not None
@@ -272,6 +266,8 @@ def _solve_polyhedron(inst, objective, spec, phi, combiner, sense, tol, seed, ws
         coeffs, const = affine
         lp = solve_lp(ws.w_vec + coeffs, a_ub, b_ub, maximize=(sense == "max"))
         trace = {"method": "lp_simplex", "iterations": lp.iterations}
+        if lp.status == "infeasible":
+            return _infeasible_report(sense, trace)
         if lp.status == "unbounded":
             value = math.inf if sense == "max" else -math.inf
             return SolveReport(sense=sense, optimal_value=value, optimizer_w=None,
@@ -292,6 +288,10 @@ def _solve_polyhedron(inst, objective, spec, phi, combiner, sense, tol, seed, ws
         for wc, alpha, _ in ws.pieces_w:
             lp = solve_lp(wc + coeffs, a_ub, b_ub, maximize=True)
             total_it += lp.iterations
+            # infeasibility belongs to the set, so the first piece's LP settles it
+            if lp.status == "infeasible":
+                return _infeasible_report(sense, {"method": "lp_per_piece",
+                                                  "iterations": total_it})
             if lp.status == "unbounded":
                 return SolveReport(sense=sense, optimal_value=math.inf, optimizer_w=None,
                                    optimizer_v=None, commutation=None, commutes_with=None,
@@ -305,6 +305,10 @@ def _solve_polyhedron(inst, objective, spec, phi, combiner, sense, tol, seed, ws
         return _finish(inst, objective, ws, best[1], best[0], True, trace, phi,
                        combiner.fn, sense)
 
+    # the remaining routes project onto the set, so they need it nonempty first
+    feas = solve_lp(np.zeros(n), a_ub, b_ub)
+    if feas.status == "infeasible":
+        return _infeasible_report(sense, {"method": "lp_phase1", "iterations": feas.iterations})
     projectors = ordered_polyhedron_projectors(spec.halfspaces, n)
 
     if (combiner.kind == "sum" and phi.kind == "zero"

@@ -62,17 +62,10 @@ def element_from_json(inst: FtvnInstance, obj) -> np.ndarray:
         if not isinstance(alg, JordanAlgebra) or alg.kind != "product":
             raise ValueError("product element for a non-product instance")
         coords = np.concatenate([element_from_json(part.instance, part_obj)
-                                 for part, part_obj in zip(alg_parts(alg), obj["parts"])])
+                                 for part, part_obj in zip(alg.parts, obj["parts"])])
     else:
         raise KeyError(f"unknown element kind {kind!r}")
     return inst.check_element(coords)
-
-
-def alg_parts(alg: JordanAlgebra):
-    # a product algebra's parts are recoverable from its name
-    names = alg.name.removeprefix("product:").split("+")
-    from .eja import algebra_from_name
-    return [algebra_from_name(n) for n in names]
 
 
 def element_to_json(inst: FtvnInstance, coords) -> dict:
@@ -88,7 +81,7 @@ def element_to_json(inst: FtvnInstance, coords) -> dict:
         if backend.kind == "product":
             parts = []
             offset = 0
-            for part in alg_parts(backend):
+            for part in backend.parts:
                 parts.append(element_to_json(part.instance,
                                              coords[offset:offset + part.dim_v]))
                 offset += part.dim_v

@@ -1,9 +1,9 @@
 """Small dense solvers used by the reduction engine.
 
 All of these operate on the W-side (low-dimensional sorted-eigenvalue
-coordinates), so robustness matters more than scale: the LP is a two-phase
-dense simplex with Bland's rule, cone projection is pool-adjacent-violators,
-polyhedron projection is Dykstra alternation.
+coordinates), so robustness matters more than scale: the LP is one HiGHS
+dual-simplex call (scipy's ``linprog``), cone projection is
+pool-adjacent-violators, polyhedron projection is Dykstra alternation.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.optimize import linprog
+
+from .core import FtvnError
 
 DYKSTRA_MAX_SWEEPS = 10_000
 DYKSTRA_TOL = 1e-10
@@ -88,7 +91,7 @@ def ordered_polyhedron_projectors(halfspaces, n: int):
 
 
 # ---------------------------------------------------------------------------
-# dense two-phase primal simplex, Bland's rule
+# LP: HiGHS dual simplex
 
 @dataclass(frozen=True)
 class LpResult:
@@ -98,110 +101,33 @@ class LpResult:
     iterations: int
 
 
-_PIVOT_EPS = 1e-11
-
-
-def _simplex_iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-                     max_iter: int = 20_000) -> tuple[str, int]:
-    # tableau: rows = constraints (A | b); reduced costs recomputed per step.
-    m, ncols = tableau.shape
-    n = ncols - 1
-    it = 0
-    for it in range(1, max_iter + 1):
-        cb = cost[basis]
-        reduced = cost - cb @ tableau[:, :n]
-        entering = -1
-        for j in range(n):  # Bland: smallest eligible index
-            if reduced[j] < -_PIVOT_EPS:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal", it
-        col = tableau[:, entering]
-        best_ratio = math.inf
-        leave = -1
-        for i in range(m):
-            if col[i] > _PIVOT_EPS:
-                ratio = tableau[i, n] / col[i]
-                if ratio < best_ratio - 1e-12 or (abs(ratio - best_ratio) <= 1e-12
-                                                  and (leave < 0 or basis[i] < basis[leave])):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
-            return "unbounded", it
-        pivot = tableau[leave, entering]
-        tableau[leave] /= pivot
-        for i in range(m):
-            if i != leave and abs(tableau[i, entering]) > 0.0:
-                tableau[i] -= tableau[i, entering] * tableau[leave]
-        basis[leave] = entering
-    return "maxiter", it
+_LP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
              maximize: bool = False) -> LpResult:
     """min (or max) c.q subject to a_ub @ q <= b_ub, q free.
 
-    Free variables are split into positive parts; a two-phase simplex with
-    Bland's rule keeps the iteration finite and deterministic.
+    One HiGHS dual-simplex call: the optimum it returns is a basic solution
+    (a vertex whenever the feasible set has one) and the same input always
+    gives the same point.  A HiGHS outcome other than optimal, infeasible or
+    unbounded raises :class:`FtvnError` carrying HiGHS's message.
     """
     c = np.asarray(c, dtype=float)
-    a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
-    b_ub = np.asarray(b_ub, dtype=float)
-    if maximize:
-        c = -c
-    m, n = a_ub.shape
-    # standard form: [A, -A, I] z = b, z >= 0
-    a_std = np.hstack([a_ub, -a_ub, np.eye(m)])
-    b_std = b_ub.copy()
-    neg = b_std < 0
-    a_std[neg] *= -1.0
-    b_std[neg] *= -1.0
-    n_std = a_std.shape[1]
-
-    # phase 1
-    tableau = np.hstack([a_std, np.eye(m), b_std[:, None]])
-    basis = np.arange(n_std, n_std + m)
-    cost1 = np.concatenate([np.zeros(n_std), np.ones(m)])
-    status, it1 = _simplex_iterate(tableau, basis, cost1)
-    if status == "maxiter":
-        raise RuntimeError("simplex phase 1 exceeded iteration cap")
-    feas_val = float(cost1[basis] @ tableau[:, -1])
-    if feas_val > 1e-8:
-        return LpResult("infeasible", None, math.nan, it1)
-    # drive artificials out of the basis where possible
-    for i in range(m):
-        if basis[i] >= n_std:
-            row = tableau[i, :n_std]
-            j = next((jj for jj in range(n_std) if abs(row[jj]) > _PIVOT_EPS), -1)
-            if j >= 0:
-                pivot = tableau[i, j]
-                tableau[i] /= pivot
-                for k in range(m):
-                    if k != i:
-                        tableau[k] -= tableau[k, j] * tableau[i]
-                basis[i] = j
-
-    # phase 2 on the original columns
-    keep = np.concatenate([np.arange(n_std), [tableau.shape[1] - 1]])
-    tableau2 = tableau[:, keep].copy()
-    cost2 = np.concatenate([c, -c, np.zeros(m)])
-    if np.any(basis >= n_std):  # degenerate all-zero rows: drop them
-        rows = [i for i in range(m) if basis[i] < n_std]
-        tableau2 = tableau2[rows]
-        basis = basis[rows]
-    status, it2 = _simplex_iterate(tableau2, basis, cost2)
-    if status == "maxiter":
-        raise RuntimeError("simplex phase 2 exceeded iteration cap")
+    sign = -1.0 if maximize else 1.0
+    # presolve off: on some unbounded LPs over a nonempty ordered polyhedron
+    # HiGHS's presolve reports "infeasible" (one such case is in the tests)
+    res = linprog(sign * c, A_ub=np.atleast_2d(np.asarray(a_ub, dtype=float)),
+                  b_ub=np.asarray(b_ub, dtype=float), bounds=(None, None),
+                  method="highs-ds", options={"presolve": False})
+    status = _LP_STATUS.get(res.status)
+    if status is None:
+        raise FtvnError(f"LP solve failed: {res.message}")
+    if status == "infeasible":
+        return LpResult(status, None, math.nan, res.nit)
     if status == "unbounded":
-        return LpResult("unbounded", None, -math.inf if not maximize else math.inf, it1 + it2)
-    z = np.zeros(n_std)
-    z[basis] = tableau2[:, -1]
-    q = z[:n] - z[n:2 * n]
-    value = float(np.dot(c, q))
-    if maximize:
-        value = -value
-    return LpResult("optimal", q, value, it1 + it2)
+        return LpResult(status, None, -sign * math.inf, res.nit)
+    return LpResult(status, res.x, sign * float(res.fun), res.nit)
 
 
 # ---------------------------------------------------------------------------

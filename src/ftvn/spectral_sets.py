@@ -37,6 +37,9 @@ class OrderedPolyhedron:
 
     def __post_init__(self):
         hs = tuple((np.asarray(n, dtype=float), float(b)) for n, b in self.halfspaces)
+        if not hs:
+            raise ValueError("a polyhedron needs at least one halfspace; "
+                             "its dimension is read from the normals")
         object.__setattr__(self, "halfspaces", hs)
 
     @property

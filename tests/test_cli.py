@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+import ftvn.solvers
 from ftvn import get_instance
 from ftvn.cli import main
 from ftvn.eja import sym_coords
@@ -158,17 +160,22 @@ def test_cli_solve_orbit_problem(tmp_path, capsys):
 
 
 def test_cli_solve_infeasible_exit3(tmp_path, capsys):
-    problem = {
-        "instance": "rn:2",
-        "objective": {"kind": "linear", "c": {"kind": "rn", "data": [1, 0]}},
-        "set": {"kind": "finite", "points": [[0, 1]]},
-        "sense": "max"}
-    path = tmp_path / "infeasible.json"
-    path.write_text(json.dumps(problem))
-    code, doc = _run(capsys, ["solve", str(path)])
-    assert code == 3
-    assert doc["report"]["infeasible"] is True
-    assert doc["report"]["optimal_value"]["dec"] == "-inf"
+    for q_set in [
+            {"kind": "finite", "points": [[0, 1]]},
+            # q1 <= -1 and q2 >= 1 contradict q1 >= q2: the LP route finds it empty
+            {"kind": "polyhedron", "halfspaces": [{"normal": [1, 0], "offset": -1},
+                                                  {"normal": [0, -1], "offset": -1}]}]:
+        problem = {
+            "instance": "rn:2",
+            "objective": {"kind": "linear", "c": {"kind": "rn", "data": [1, 0]}},
+            "set": q_set,
+            "sense": "max"}
+        path = tmp_path / "infeasible.json"
+        path.write_text(json.dumps(problem))
+        code, doc = _run(capsys, ["solve", str(path)])
+        assert code == 3
+        assert doc["report"]["infeasible"] is True
+        assert doc["report"]["optimal_value"]["dec"] == "-inf"
 
 
 def test_cli_distance_problem(tmp_path, capsys):
@@ -236,6 +243,37 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["solve", str(bad)]) == 1
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
+    # an empty polyhedron has no dimension: one stderr line, no traceback
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({
+        "instance": "rn:2",
+        "objective": {"kind": "linear", "c": {"kind": "rn", "data": [1, 0]}},
+        "set": {"kind": "polyhedron", "halfspaces": []}}))
+    assert main(["solve", str(empty)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1 and "halfspace" in captured.err
+
+
+def test_cli_solve_lp_failure_exit2(tmp_path, capsys, monkeypatch):
+    # a HiGHS status that is neither optimal, infeasible nor unbounded is a
+    # solver failure: exit 2 with one stderr line, no report
+    def failing(*args, **kwargs):
+        return OptimizeResult(status=1, message="Iteration limit reached.",
+                              x=None, fun=None, nit=0)
+
+    monkeypatch.setattr(ftvn.solvers, "linprog", failing)
+    problem = {
+        "instance": "rn:2",
+        "objective": {"kind": "linear", "c": {"kind": "rn", "data": [1, 0]}},
+        "set": {"kind": "polyhedron", "halfspaces": [{"normal": [1, 0], "offset": 1}]},
+        "sense": "max"}
+    path = tmp_path / "lp.json"
+    path.write_text(json.dumps(problem))
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: LP solve failed: Iteration limit reached."]
 
 
 def test_cli_paperpack_deterministic(tmp_path):

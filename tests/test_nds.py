@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -140,14 +142,23 @@ def test_z_witness_trivial_case():
 def test_z_witness_positive_gap_pair():
     z = z_counterexample_instance()
     rng = np.random.default_rng(5)
+    normal = np.array([0.0, -1.0, 2.0]) / np.sqrt(5.0)
     best = 0.0
     for _ in range(40):
         c = z.instance.sample(rng)
         q = np.sort(z.instance.sample(rng))[::-1]
         search = z.witness_search(c, q)
         assert search.gap >= -1e-9         # never beats the trace bound
-        best = max(best, search.gap - search.slack)
-    assert best >= 0.1                     # certified gap survives grid slack
+        # brute force: the best of the 6 permutations of q lying in the plane
+        # spanned by (3,2,1) and (-1,0,0), whose normal is (0,-1,2)/sqrt(5)
+        feasible = [np.array(p) for p in itertools.permutations(q)
+                    if abs(np.dot(p, normal)) <= 1e-9 * (1.0 + np.linalg.norm(q))]
+        brute = max(float(np.dot(c, p)) for p in feasible)
+        assert float(np.dot(c, search.x)) == pytest.approx(brute, abs=1e-12)
+        assert search.gap == pytest.approx(float(np.dot(np.sort(c)[::-1], q)) - brute,
+                                           abs=1e-12)
+        best = max(best, search.gap)
+    assert best >= 0.1                     # the gap is exact: nothing to subtract
 
 
 def test_z_feasible_points_are_exact():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ftvn.reduce
 from ftvn import MonotonicityError, lambda_tilde
 from ftvn.eja import sort_desc, sym_coords
 from ftvn.reduce import (MaxAffineObjective,
@@ -10,6 +11,7 @@ from ftvn.reduce import (MaxAffineObjective,
                          envelope_upper, hausdorff_spectral, interval_image,
                          orbit_distance, orbit_linear, orbit_min, reduce_solve,
                          reduce_solve_distance, reduce_solve_linear)
+from ftvn.solvers import solve_lp
 from ftvn.spectral_sets import (FiniteSet, GridOracle, OrbitOf,
                                 OrderedPolyhedron, PRODUCT,
                                 SpectralFunctionSpec, neg_logdet_fn, table_fn)
@@ -175,6 +177,48 @@ def test_max_affine_reduction_with_brute_force(rn3):
         assert rep.commutation.verdict
         rep = reduce_solve(rn3, objective, spec, sense="min")
         assert rep.optimal_value == pytest.approx(min(h(x) for x in brute_pts), abs=1e-9)
+
+
+def test_lp_routes_make_one_lp_call_each(sym2, rn2, monkeypatch):
+    # the LP routes read infeasibility from their own LP: no separate phase 1
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(ftvn.reduce, "solve_lp", counting)
+    box = OrderedPolyhedron(halfspaces=(((-1.0, 0.0), -1.0),
+                                        ((1.0, 0.0), 2.0),
+                                        ((0.0, -1.0), 0.0)))
+    rep = reduce_solve_linear(sym2, sym_coords(np.diag([1.0, -1.0])), box, sense="max")
+    assert rep.solver_trace["method"] == "lp_simplex" and not rep.infeasible
+    assert len(calls) == 1
+
+    calls.clear()
+    empty = OrderedPolyhedron(halfspaces=(((1.0, 0.0), -1.0),   # q1 <= -1
+                                          ((0.0, -1.0), -1.0)))  # q2 >= 1
+    for sense in ("max", "min"):
+        rep = reduce_solve_linear(rn2, np.array([1.0, 2.0]), empty, sense=sense)
+        assert rep.infeasible and rep.solver_trace["method"] == "lp_simplex"
+    assert len(calls) == 2
+
+    calls.clear()
+    pieces = ((sym_coords(np.diag([1.0, -1.0])), 0.0),
+              (sym_coords(np.array([[0.0, 1.0], [1.0, 0.0]])), 0.25))
+    rep = reduce_solve(sym2, MaxAffineObjective(pieces), box, sense="max")
+    assert rep.solver_trace["method"] == "lp_per_piece" and len(calls) == len(pieces)
+    calls.clear()
+    rep = reduce_solve(rn2, MaxAffineObjective(((np.array([1.0, 0.0]), 0.0),
+                                                (np.array([0.0, 1.0]), 0.0))),
+                       empty, sense="max")
+    assert rep.infeasible and len(calls) == 1
+
+    # the projection route keeps its feasibility LP: Dykstra needs a nonempty set
+    calls.clear()
+    rep = reduce_solve_distance(rn2, np.array([1.0, 2.0]), empty, sense="min")
+    assert rep.infeasible and rep.solver_trace["method"] == "lp_phase1"
+    assert len(calls) == 1
 
 
 def test_max_affine_over_polyhedron_lp_per_piece(sym2):

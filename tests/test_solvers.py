@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
+import ftvn.solvers
+from ftvn import FtvnError
+from ftvn.reduce import _polyhedron_matrices
 from ftvn.solvers import (dykstra_project, ordered_polyhedron_projectors,
                           pav_decreasing, project_halfspace, projected_descent,
                           simplex_weight_grid, solve_lp)
+from ftvn.spectral_sets import OrderedPolyhedron
 
 from conftest import enumerate_polytope_vertices
 
@@ -79,6 +83,23 @@ def test_lp_against_vertex_enumeration():
         oracle = float(np.max(verts @ c))
         assert res.value == pytest.approx(oracle, abs=1e-8)
         assert np.all(a_ub @ res.x <= b_ub + 1e-8)
+    # the same polytopes intersected with the nonincreasing cone, with the
+    # rows built as the reduction engine builds them
+    for trial in range(20):
+        n = 2 + trial % 4
+        halfspaces = [(row, 5.0) for row in np.vstack([np.eye(n), -np.eye(n)])]
+        halfspaces += [(rng.standard_normal(n), abs(rng.standard_normal()) + 0.5)
+                       for _ in range(3)]
+        a_ub, b_ub = _polyhedron_matrices(OrderedPolyhedron(halfspaces=tuple(halfspaces)))
+        assert a_ub.shape == (2 * n + 3 + n - 1, n)
+        c = rng.standard_normal(n)
+        res = solve_lp(c, a_ub, b_ub, maximize=bool(trial % 2))
+        assert res.status == "optimal"
+        values = enumerate_polytope_vertices(a_ub, b_ub) @ c
+        oracle = float(np.max(values) if trial % 2 else np.min(values))
+        assert res.value == pytest.approx(oracle, abs=1e-8)
+        assert np.all(a_ub @ res.x <= b_ub + 1e-9)
+        assert np.all(np.diff(res.x) <= 1e-9 * (1.0 + np.abs(res.x).max()))
 
 
 def test_lp_infeasible_and_unbounded():
@@ -89,6 +110,32 @@ def test_lp_infeasible_and_unbounded():
     res = solve_lp(np.array([1.0, 0.0]),
                    np.array([[1.0, 0.0]]), np.array([1.0]), maximize=False)
     assert res.status == "unbounded"
+
+    # a nonempty ordered polyhedron in R^7 that HiGHS's presolve calls infeasible
+    spec = OrderedPolyhedron(halfspaces=(
+        ((-0.02, -0.44, 0.01, -0.45, 0.86, 2.02, -0.13), -0.21),
+        ((0.9, -1.23, -1.38, 1.63, -1.79, -1.47, 0.98), 1.26)))
+    a_ub, b_ub = _polyhedron_matrices(spec)
+    c = np.array([-1.51, -0.29, 0.1, -1.7, 0.13, -0.43, 1.78])
+    point = np.array([5.3, 4.3, 3.3, 2.3, 1.3, 0.3, -0.7])
+    ray = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+    assert np.all(a_ub @ point < b_ub) and np.all(a_ub @ ray <= 0.0) and c @ ray < 0.0
+    res = solve_lp(c, a_ub, b_ub)
+    assert res.status == "unbounded" and res.value == -np.inf
+
+
+@pytest.mark.parametrize("status", [1, 4])
+def test_lp_highs_failure_raises(monkeypatch, status):
+    # scipy's status 1 (iteration or time limit) and 4 (numerical trouble,
+    # "unknown", "unbounded or infeasible") are not outcomes the caller can
+    # act on: they surface as an FtvnError with HiGHS's message
+    def failing(*args, **kwargs):
+        return OptimizeResult(status=status, message=f"simulated HiGHS status {status}",
+                              x=None, fun=None, nit=7)
+
+    monkeypatch.setattr(ftvn.solvers, "linprog", failing)
+    with pytest.raises(FtvnError, match=f"simulated HiGHS status {status}"):
+        solve_lp(np.array([1.0]), np.array([[1.0]]), np.array([1.0]))
 
 
 def test_lp_flagship_polytope():
