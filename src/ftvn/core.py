@@ -329,7 +329,7 @@ def axiom_suite(inst: FtvnInstance, seed: int, n_samples: int,
         nq = inst.norm_w(q)
         nc = inst.norm_v(c)
         a3_lam = max(a3_lam, np.linalg.norm(lw - q) / (1.0 + nq))
-        target = inst.inner_w(inst.lam(c), q)
+        target = inst.inner_w(lams[i], q)
         got = inst.inner_v(c, w)
         a3_inner = max(a3_inner, abs(got - target) / (1.0 + nc * nq))
         gap = target - got

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import (DEDUP_TOL, DEFAULT_TOL, FtvnInstance, WitnessError,
                    as_vec, commute_check, register_instance)
-from .linalg import eigh_desc
+from .linalg import eigh_desc, is_symmetric
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,9 @@ def sym_coords(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.allclose(m, m.T, atol=1e-10 * (1.0 + np.abs(m).max(initial=0.0))):
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has a non-finite entry")
+    if not is_symmetric(m):
         raise ValueError("matrix is not symmetric")
     return (0.5 * (m + m.T)).ravel()
 

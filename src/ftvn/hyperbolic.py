@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import FtvnError, FtvnInstance, WitnessError, as_vec, register_instance
 from .eja import is_sorted_desc
@@ -182,6 +181,8 @@ def orbit_additivity_search(hp: HyperbolicPolynomial, y, target, rng,
     additive, so any positive floor after multistart descent is a
     falsification candidate.  Returns (best x, objective value at best).
     """
+    from scipy.optimize import minimize  # deferred: see solvers.linprog
+
     y = as_vec(y)
     target = np.asarray(target, dtype=float)
     lam_y = hp.lam(y)
@@ -231,6 +232,8 @@ class CompletenessReport:
 def completeness_check(hp: HyperbolicPolynomial, seed: int = 0,
                        n_restarts: int = 24) -> CompletenessReport:
     """Hunt for x != 0 with lam(x) = 0 by multistart descent on the sphere."""
+    from scipy.optimize import minimize  # deferred: see solvers.linprog
+
     rng = np.random.default_rng(seed)
 
     def ratio(s):

@@ -21,6 +21,20 @@ def offdiag_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(off * off)))
 
 
+def is_symmetric(a: np.ndarray) -> bool:
+    """Symmetry of a square float array up to 1e-10 * (1 + max |a_ij|).
+
+    The predicate of ``np.allclose(a, a.T, atol=...)`` checked entry by entry
+    on Python floats, without allclose's per-call overhead: |x - y| <= atol +
+    1e-5 |y| with y finite, or x == y.  A NaN entry fails.
+    """
+    atol = 1e-10 * (1.0 + float(np.abs(a).max(initial=0.0)))
+    rows = a.tolist()
+    isfinite = math.isfinite
+    return all((abs(x - y) <= atol + 1e-5 * abs(y) and isfinite(y)) or x == y
+               for r, c in zip(rows, zip(*rows)) for x, y in zip(r, c))
+
+
 def jacobi_eigh(a, max_sweeps: int = 40) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a real symmetric matrix by cyclic Jacobi rotations.
 
@@ -37,7 +51,7 @@ def jacobi_eigh(a, max_sweeps: int = 40) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("expected a square matrix")
-    if not np.allclose(a, a.T, atol=1e-10 * (1.0 + np.abs(a).max(initial=0.0))):
+    if not is_symmetric(a):
         raise ValueError("matrix is not symmetric")
     if n == 1:
         return np.diag(a).copy(), np.eye(n)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import (DEFAULT_TOL, CommutationCert, FtvnInstance, WitnessError,
                    as_vec, commute_check, lambda_tilde)
@@ -60,6 +59,8 @@ class MaxAffineObjective:
 
     def __post_init__(self):
         ps = tuple((np.asarray(as_vec(c), dtype=float), float(a)) for c, a in self.pieces)
+        if not ps:
+            raise ValueError("a max_affine objective needs at least one piece")
         object.__setattr__(self, "pieces", ps)
 
 
@@ -175,6 +176,8 @@ def orbit_min(inst: FtvnInstance, h: Callable[[np.ndarray], float], q,
                 best_v = v
                 best_x = x
         return best_v, best_x, True
+    from scipy.optimize import minimize  # deferred: see solvers.linprog
+
     rng = np.random.default_rng(seed)
     if inst.sample_orbit is not None:
         starts = list(inst.sample_orbit(q, rng, n_starts))

@@ -13,7 +13,8 @@ from typing import Any
 
 import numpy as np
 
-from .core import CommutationCert, AxiomReport, FtvnInstance, get_instance
+from .core import (AxiomReport, CommutationCert, DimensionMismatch, FtvnInstance,
+                   get_instance)
 from .eja import JordanAlgebra, sym_coords
 from .nds import RectMatrixSpace
 from .reduce import (DistanceObjective, LinearObjective, MaxAffineObjective,
@@ -45,9 +46,21 @@ def canonical_dumps(obj: Any) -> str:
 # ---------------------------------------------------------------------------
 # elements
 
+def _checked_element(inst: FtvnInstance, coords) -> np.ndarray:
+    # a malformed element in an input file is a usage error (ValueError), not
+    # the DimensionMismatch, a solver failure, that a library caller gets
+    try:
+        v = inst.check_element(coords)
+    except DimensionMismatch as exc:
+        raise ValueError(str(exc)) from None
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{inst.name}: element has a non-finite entry")
+    return v
+
+
 def element_from_json(inst: FtvnInstance, obj) -> np.ndarray:
     if isinstance(obj, (list, tuple)):
-        return inst.check_element(np.asarray(obj, dtype=float))
+        return _checked_element(inst, obj)
     kind = obj["kind"]
     if kind == "rn":
         coords = np.asarray(obj["data"], dtype=float)
@@ -65,7 +78,7 @@ def element_from_json(inst: FtvnInstance, obj) -> np.ndarray:
                                  for part, part_obj in zip(alg.parts, obj["parts"])])
     else:
         raise KeyError(f"unknown element kind {kind!r}")
-    return inst.check_element(coords)
+    return _checked_element(inst, coords)
 
 
 def element_to_json(inst: FtvnInstance, coords) -> dict:

@@ -2,8 +2,9 @@
 
 All of these operate on the W-side (low-dimensional sorted-eigenvalue
 coordinates), so robustness matters more than scale: the LP is one HiGHS
-dual-simplex call (scipy's ``linprog``), cone projection is
-pool-adjacent-violators, polyhedron projection is Dykstra alternation.
+dual-simplex call (scipy's ``linprog``; two more when HiGHS cannot decide),
+cone projection is pool-adjacent-violators, polyhedron projection is Dykstra
+alternation.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import FtvnError
 
@@ -104,30 +104,61 @@ class LpResult:
 _LP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call.
+
+    Importing scipy.optimize takes most of the time and memory of
+    ``import ftvn``, and only the LP and the derivative-free searches
+    (``reduce.orbit_min``, ``hyperbolic``) need it, so those import it where
+    they call it.
+    """
+    from scipy.optimize import linprog as highs
+    return highs(*args, **kwargs)
+
+
+def _highs(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, bounds=(None, None)):
+    # presolve off: on some unbounded LPs over a nonempty ordered polyhedron
+    # HiGHS's presolve reports "infeasible" (one such case is in the tests)
+    return linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs-ds",
+                   options={"presolve": False})
+
+
 def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
              maximize: bool = False) -> LpResult:
     """min (or max) c.q subject to a_ub @ q <= b_ub, q free.
 
     One HiGHS dual-simplex call: the optimum it returns is a basic solution
     (a vertex whenever the feasible set has one) and the same input always
-    gives the same point.  A HiGHS outcome other than optimal, infeasible or
-    unbounded raises :class:`FtvnError` carrying HiGHS's message.
+    gives the same point.  When HiGHS ends with an outcome other than
+    optimal, infeasible or unbounded, two LPs that are bounded by
+    construction decide unboundedness: a zero-objective feasibility LP and
+    the recession LP over directions d with a_ub @ d <= 0 in the unit box.
+    If the set is nonempty and some such d improves the objective, the LP is
+    unbounded; otherwise :class:`FtvnError` carries HiGHS's first message.
     """
     c = np.asarray(c, dtype=float)
     sign = -1.0 if maximize else 1.0
-    # presolve off: on some unbounded LPs over a nonempty ordered polyhedron
-    # HiGHS's presolve reports "infeasible" (one such case is in the tests)
-    res = linprog(sign * c, A_ub=np.atleast_2d(np.asarray(a_ub, dtype=float)),
-                  b_ub=np.asarray(b_ub, dtype=float), bounds=(None, None),
-                  method="highs-ds", options={"presolve": False})
+    a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
+    b_ub = np.asarray(b_ub, dtype=float)
+    res = _highs(sign * c, a_ub, b_ub)
     status = _LP_STATUS.get(res.status)
+    nit = res.nit
     if status is None:
-        raise FtvnError(f"LP solve failed: {res.message}")
+        # HiGHS (scipy 1.17.1) ends some unbounded LPs with model status
+        # "Unknown"; two such cases are in the tests
+        feas = _highs(np.zeros_like(c), a_ub, b_ub)
+        ray = _highs(sign * c, a_ub, np.zeros_like(b_ub), bounds=(-1.0, 1.0))
+        nit += feas.nit + ray.nit
+        # the margin stays above HiGHS's 1e-7 feasibility tolerance on a_ub @ d
+        if not (feas.status == 0 and ray.status == 0
+                and -ray.fun > 1e-6 * (1.0 + float(np.abs(c).sum()))):
+            raise FtvnError(f"LP solve failed: {res.message}")
+        status = "unbounded"
     if status == "infeasible":
-        return LpResult(status, None, math.nan, res.nit)
+        return LpResult(status, None, math.nan, nit)
     if status == "unbounded":
-        return LpResult(status, None, -sign * math.inf, res.nit)
-    return LpResult(status, res.x, sign * float(res.fun), res.nit)
+        return LpResult(status, None, -sign * math.inf, nit)
+    return LpResult(status, res.x, sign * float(res.fun), nit)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,10 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -243,16 +249,40 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["solve", str(bad)]) == 1
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
-    # an empty polyhedron has no dimension: one stderr line, no traceback
-    empty = tmp_path / "empty.json"
-    empty.write_text(json.dumps({
-        "instance": "rn:2",
-        "objective": {"kind": "linear", "c": {"kind": "rn", "data": [1, 0]}},
-        "set": {"kind": "polyhedron", "halfspaces": []}}))
-    assert main(["solve", str(empty)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and "Traceback" not in captured.err
-    assert len(captured.err.splitlines()) == 1 and "halfspace" in captured.err
+    # malformed problem files: exit 1 with one stderr line, no traceback and
+    # no warning
+    box = {"kind": "polyhedron", "halfspaces": [{"normal": [1, 0], "offset": 1}]}
+    rn_c = {"kind": "rn", "data": [1, 0]}
+    cases = [
+        # an empty polyhedron has no dimension
+        ({"instance": "rn:2", "objective": {"kind": "linear", "c": rn_c},
+          "set": {"kind": "polyhedron", "halfspaces": []}}, "halfspace"),
+        ({"instance": "rn:2", "objective": {"kind": "max_affine", "pieces": []},
+          "set": box}, "piece"),
+        ({"instance": "rn:2", "set": box,
+          "objective": {"kind": "linear", "c": {"kind": "rn", "data": [1, 0, 3]}}},
+         "expected 2"),
+        ({"instance": "sym:2", "set": box,
+          "objective": {"kind": "linear",
+                        "c": {"kind": "sym", "n": 3, "data": np.eye(3).tolist()}}},
+         "expected 4"),
+        ({"instance": "sym:2", "set": box,
+          "objective": {"kind": "linear",
+                        "c": {"kind": "sym", "n": 2, "data": [[math.nan, 0], [0, 1]]}}},
+         "non-finite"),
+        ({"instance": "rn:2", "set": box,
+          "objective": {"kind": "distance", "c": {"kind": "rn", "data": [math.inf, 0]}}},
+         "non-finite"),
+    ]
+    for i, (problem, needle) in enumerate(cases):
+        path = tmp_path / f"malformed{i}.json"
+        path.write_text(json.dumps(problem))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", str(path)]) == 1, problem
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1 and needle in captured.err, captured.err
 
 
 def test_cli_solve_lp_failure_exit2(tmp_path, capsys, monkeypatch):
@@ -292,3 +322,33 @@ def test_canonical_dumps_sorted_keys():
     text = canonical_dumps({"b": 1, "a": 2})
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("\n")
+
+
+_STARTUP_PROBE = textwrap.dedent("""
+    import contextlib, io, sys
+    import ftvn
+    from ftvn.cli import main
+    for name in ("rn:3", "sym:3", "spin:3", "product:sym:2+rn:2", "svd:2x3",
+                 "z-counterexample"):
+        ftvn.get_instance(name)
+    sym3 = ftvn.get_instance("sym:3")
+    assert ftvn.axiom_suite(sym3, seed=1, n_samples=20).passed
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check", "--instance", "sym:3", "--samples", "20"]) == 0
+    assert "scipy.optimize" not in sys.modules, "loaded before any LP"
+    box = ftvn.OrderedPolyhedron(halfspaces=(((1.0, 0.0), 2.0), ((0.0, -1.0), 0.0)))
+    c = ftvn.get_instance("rn:2").element([1.0, -1.0])
+    ftvn.reduce_solve_linear(ftvn.get_instance("rn:2"), c, box, sense="max")
+    assert "scipy.optimize" in sys.modules, "the LP did not load it"
+""")
+
+
+def test_scipy_optimize_loads_only_for_a_solve():
+    # import, instance building and the axiom suite need only numpy; the
+    # first LP loads scipy.optimize (most of the start-up time and memory)
+    src = os.path.dirname(os.path.dirname(ftvn.solvers.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,6 +170,21 @@ def test_axiom_suite_records_seed(rn3):
     rep2 = axiom_suite(rn3, seed=5, n_samples=50)
     assert rep1 == rep2
     assert rep1.seed == 5
+
+
+def test_axiom_suite_lam_calls():
+    # per sample: lam(x), lam(alpha x), lam(-x) and lam(witness); the A3
+    # target reuses lam(x) of the direction instead of recomputing it
+    sym4 = get_instance("sym:4")
+    calls = []
+
+    def counting(x):
+        calls.append(1)
+        return sym4.lam(x)
+
+    rep = axiom_suite(dataclasses.replace(sym4, lam=counting), seed=9, n_samples=25)
+    assert len(calls) == 4 * 25
+    assert rep == axiom_suite(sym4, seed=9, n_samples=25)
 
 
 def test_element_types_immutable(rn2):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ftvn.linalg import eigh_desc, jacobi_eigh, offdiag_norm, svd_jacobi
+from ftvn.linalg import eigh_desc, is_symmetric, jacobi_eigh, offdiag_norm, svd_jacobi
 
 from conftest import random_symmetric
 
@@ -32,6 +32,26 @@ def test_jacobi_deterministic():
 def test_jacobi_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        jacobi_eigh(np.array([[1.0, np.nan], [np.nan, 2.0]]))
+
+
+def test_symmetry_predicate_matches_allclose():
+    # the reference is the predicate jacobi_eigh used before: np.allclose with
+    # an absolute tolerance scaled by the largest entry
+    rng = np.random.default_rng(3)
+    values = [0.0, 1.0, -1.0, 2.0, 1e-12, 5e-11, 1.0 + 1e-6, 1.0 + 1e-4,
+              np.nan, np.inf, -np.inf]
+    for _ in range(3000):
+        n = int(rng.integers(1, 4))
+        a = rng.choice(values, size=(n, n))
+        if rng.random() < 0.5:
+            a = np.triu(a) + np.triu(a, 1).T
+        if rng.random() < 0.5:
+            a = a + rng.choice([0.0, 1e-11, 1e-9, 1e-5], size=(n, n))
+        with np.errstate(invalid="ignore"):
+            want = np.allclose(a, a.T, atol=1e-10 * (1.0 + np.abs(a).max(initial=0.0)))
+        assert is_symmetric(a) == want, a
 
 
 def test_jacobi_degenerate_spectrum():

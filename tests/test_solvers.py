@@ -123,6 +123,20 @@ def test_lp_infeasible_and_unbounded():
     res = solve_lp(c, a_ub, b_ub)
     assert res.status == "unbounded" and res.value == -np.inf
 
+    # feasible LPs with an improving recession direction that HiGHS (scipy
+    # 1.17.1) ends with model status "Unknown": solve_lp decides them with a
+    # feasibility LP and a recession LP over the unit box
+    for s, n, maximize in ((10986, 3, False), (19803, 4, True)):
+        rng = np.random.default_rng([7, s])
+        assert rng.integers(2, 9) == n
+        k = rng.integers(1, n + 1)
+        halfspaces = tuple((tuple(rng.standard_normal(n)), float(rng.uniform(-1, 2)))
+                           for _ in range(k))
+        c = rng.standard_normal(n)
+        a_ub, b_ub = _polyhedron_matrices(OrderedPolyhedron(halfspaces=halfspaces))
+        res = solve_lp(c, a_ub, b_ub, maximize=maximize)
+        assert res.status == "unbounded" and res.value == (np.inf if maximize else -np.inf)
+
 
 @pytest.mark.parametrize("status", [1, 4])
 def test_lp_highs_failure_raises(monkeypatch, status):
@@ -136,6 +150,32 @@ def test_lp_highs_failure_raises(monkeypatch, status):
     monkeypatch.setattr(ftvn.solvers, "linprog", failing)
     with pytest.raises(FtvnError, match=f"simulated HiGHS status {status}"):
         solve_lp(np.array([1.0]), np.array([[1.0]]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("maximize, status", [(False, "unbounded"), (True, None)])
+def test_lp_unknown_status_decided_by_recession(monkeypatch, maximize, status):
+    # HiGHS's first answer is "unknown"; the feasibility and recession LPs run
+    # on the real HiGHS.  min q1 over {q1 <= 1} has the improving ray -e1 and
+    # is unbounded; max q1 is attained, so no direction improves and the
+    # first message stands
+    real = ftvn.solvers.linprog
+    calls = []
+
+    def unknown_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            return OptimizeResult(status=4, message="simulated unknown", x=None, fun=None, nit=3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ftvn.solvers, "linprog", unknown_first)
+    c, a_ub, b_ub = np.array([1.0, 0.0]), np.array([[1.0, 0.0]]), np.array([1.0])
+    if status is None:
+        with pytest.raises(FtvnError, match="simulated unknown"):
+            solve_lp(c, a_ub, b_ub, maximize=maximize)
+    else:
+        res = solve_lp(c, a_ub, b_ub, maximize=maximize)
+        assert res.status == status and res.value == -np.inf and res.x is None
+    assert len(calls) == 3
 
 
 def test_lp_flagship_polytope():
