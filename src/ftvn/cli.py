@@ -24,7 +24,7 @@ from .reduce import (envelope_lower_affine, envelope_lower_exact, envelope_upper
 from .regressions import run_pack
 from .serialize import (SCHEMA, axiom_report_json, canonical_dumps,
                         element_from_json, farr, fnum, problem_from_json,
-                        set_spec_from_json, solve_report_json, vi_report_json)
+                        set_spec_for, solve_report_json, vi_report_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -132,8 +132,8 @@ def _cmd_envelope(args) -> int:
 def _cmd_hausdorff(args) -> int:
     obj = _load_json(args.input)
     inst = get_instance(obj["instance"])
-    spec_e = set_spec_from_json(obj["e"])
-    spec_f = set_spec_from_json(obj["f"])
+    spec_e = set_spec_for(inst, obj["e"])
+    spec_f = set_spec_for(inst, obj["f"])
     try:
         value = hausdorff_spectral(inst, spec_e, spec_f)
     except ValueError as exc:
@@ -163,10 +163,7 @@ def _make_field(inst, obj):
 def _cmd_vi(args) -> int:
     obj = _load_json(args.input)
     inst = get_instance(obj["instance"])
-    spec = set_spec_from_json(obj["set"])
-    if isinstance(spec, dict):
-        from .spectral_sets import OrbitOf
-        spec = OrbitOf(element_from_json(inst, spec["u"]))
+    spec = set_spec_for(inst, obj["set"])
     a = element_from_json(inst, obj["a"])
     field = _make_field(inst, obj["g"])
     tol = float(obj.get("tol", 1e-8))

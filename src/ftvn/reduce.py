@@ -27,8 +27,9 @@ import numpy as np
 
 from .core import (DEFAULT_TOL, CommutationCert, FtvnInstance, WitnessError,
                    as_vec, commute_check, lambda_tilde)
-from .solvers import (dykstra_project, ordered_polyhedron_projectors,
-                      projected_descent, simplex_weight_grid, solve_lp)
+from .solvers import (DYKSTRA_MAX_SWEEPS, dykstra_project,
+                      ordered_polyhedron_projectors, projected_descent,
+                      simplex_weight_grid, solve_lp)
 from .spectral_sets import (Combiner, FiniteSet, GridOracle, OrbitOf,
                             OrderedPolyhedron, SpectralFunctionSpec,
                             SpectralSetSpec, SUM, ZERO_FN, image_candidates,
@@ -89,12 +90,17 @@ def _eval_objective_v(inst: FtvnInstance, objective: Objective, x: np.ndarray) -
     return max(inst.inner_v(c, x) + a for c, a in objective.pieces)
 
 
-def _infeasible_report(sense: str, trace: dict) -> SolveReport:
-    value = -math.inf if sense == "max" else math.inf
+def _no_optimizer_report(sense: str, value: float, trace: dict,
+                         infeasible: bool = False) -> SolveReport:
     return SolveReport(sense=sense, optimal_value=value, optimizer_w=None,
                        optimizer_v=None, commutation=None, commutes_with=None,
-                       attained=False, infeasible=True, reduction_gap=math.nan,
+                       attained=False, infeasible=infeasible, reduction_gap=math.nan,
                        solver_trace=trace)
+
+
+def _infeasible_report(sense: str, trace: dict) -> SolveReport:
+    return _no_optimizer_report(sense, -math.inf if sense == "max" else math.inf,
+                                trace, infeasible=True)
 
 
 class _WSide:
@@ -272,11 +278,8 @@ def _solve_polyhedron(inst, objective, spec, phi, combiner, sense, tol, seed, ws
         if lp.status == "infeasible":
             return _infeasible_report(sense, trace)
         if lp.status == "unbounded":
-            value = math.inf if sense == "max" else -math.inf
-            return SolveReport(sense=sense, optimal_value=value, optimizer_w=None,
-                               optimizer_v=None, commutation=None, commutes_with=None,
-                               attained=False, infeasible=False, reduction_gap=math.nan,
-                               solver_trace=trace)
+            return _no_optimizer_report(sense, math.inf if sense == "max" else -math.inf,
+                                        trace)
         q_star = lp.x
         value = lp.value + const
         _probe_around(combiner, ws, phi, q_star, a_ub, b_ub)
@@ -296,10 +299,8 @@ def _solve_polyhedron(inst, objective, spec, phi, combiner, sense, tol, seed, ws
                 return _infeasible_report(sense, {"method": "lp_per_piece",
                                                   "iterations": total_it})
             if lp.status == "unbounded":
-                return SolveReport(sense=sense, optimal_value=math.inf, optimizer_w=None,
-                                   optimizer_v=None, commutation=None, commutes_with=None,
-                                   attained=False, infeasible=False, reduction_gap=math.nan,
-                                   solver_trace={"method": "lp_per_piece", "iterations": total_it})
+                return _no_optimizer_report(sense, math.inf, {"method": "lp_per_piece",
+                                                              "iterations": total_it})
             cand = lp.value + alpha + const
             if best is None or cand > best[0]:
                 best = (cand, lp.x)
@@ -320,10 +321,16 @@ def _solve_polyhedron(inst, objective, spec, phi, combiner, sense, tol, seed, ws
         trace = {"method": "dykstra_projection", "sweeps": sweeps}
         value = ws.t(q_star)
         _probe_around(combiner, ws, phi, q_star, a_ub, b_ub)
-        return _finish(inst, objective, ws, q_star, value, True, trace, phi,
-                       combiner.fn, sense)
+        # a projection stopped by the sweep cap has not converged
+        return _finish(inst, objective, ws, q_star, value, sweeps < DYKSTRA_MAX_SWEEPS,
+                       trace, phi, combiner.fn, sense)
 
-    # general path: projected multistart descent (heuristic; attainment unknown)
+    # general path: projected multistart descent (heuristic; attainment unknown).
+    # Minimizing t + phi with t linear or a distance and phi convex is a convex
+    # problem over the convex set lam(E): every local minimum is global, so the
+    # first start that ends at a finite value settles it.
+    convex = (combiner.kind == "sum" and phi.convex and sense == "min"
+              and isinstance(objective, (LinearObjective, DistanceObjective)))
     rng = np.random.default_rng(seed)
     project = lambda q: dykstra_project(q, projectors)[0]
     anchor = project(np.zeros(n))
@@ -335,9 +342,15 @@ def _solve_polyhedron(inst, objective, spec, phi, combiner, sense, tol, seed, ws
         v = F(q)
         return sign * v if math.isfinite(v) else math.inf
 
-    q_star, v_signed, iters = projected_descent(F_signed, project, starts)
-    trace = {"method": "projected_descent", "iterations": iters, "starts": len(starts)}
+    pending = iter(starts)
+    q_star, v_signed, iters = projected_descent(F_signed, project, pending,
+                                                first_finite=convex)
+    trace = {"method": "projected_descent", "iterations": iters,
+             "starts": len(starts) - sum(1 for _ in pending), "convex": convex}
     value = sign * v_signed
+    if q_star is None:
+        # phi is infinite at every point the descent reached
+        return _no_optimizer_report(sense, value, trace)
     _probe_around(combiner, ws, phi, q_star, a_ub, b_ub)
     return _finish(inst, objective, ws, q_star, value, False, trace, phi,
                    combiner.fn, sense)

@@ -119,7 +119,7 @@ def set_spec_from_json(obj) -> Any:
                    for h in obj["halfspaces"])
         return OrderedPolyhedron(halfspaces=hs)
     if kind == "orbit":
-        return obj  # resolved against the instance by problem_from_json
+        return obj  # resolved against the instance by set_spec_for
     if kind == "grid":
         member = obj["membership"]
         if member["kind"] == "ball":
@@ -135,6 +135,36 @@ def set_spec_from_json(obj) -> Any:
         return GridOracle(membership=fn, box=np.asarray(obj["box"], dtype=float),
                           resolution=int(obj["resolution"]))
     raise KeyError(f"unknown set kind {kind!r}")
+
+
+def set_spec_for(inst: FtvnInstance, obj) -> Any:
+    """A set spec read from JSON and checked against the instance's W-side
+    dimension, with an orbit spec resolved to :class:`OrbitOf`.
+
+    A set of the wrong width or with a non-finite entry is a usage error
+    (``ValueError`` naming the set), not an empty set or a solver failure.
+    """
+    spec = set_spec_from_json(obj)
+    if isinstance(spec, dict):
+        return OrbitOf(element_from_json(inst, spec["u"]))
+    n = inst.dim_w
+    if isinstance(spec, FiniteSet) and spec.points.size:
+        if spec.points.shape[1] != n:
+            raise ValueError(f"finite set: points have {spec.points.shape[1]} "
+                             f"coordinates, expected {n}")
+        if not np.all(np.isfinite(spec.points)):
+            raise ValueError("finite set: a point has a non-finite entry")
+    if isinstance(spec, OrderedPolyhedron):
+        for i, (normal, _) in enumerate(spec.halfspaces):
+            if normal.shape != (n,):
+                raise ValueError(f"polyhedron set: halfspace {i} has a normal of "
+                                 f"length {normal.size}, expected {n}")
+        if not (np.isfinite([a for a, _ in spec.halfspaces]).all()
+                and all(math.isfinite(b) for _, b in spec.halfspaces)):
+            raise ValueError("polyhedron set: a halfspace has a non-finite entry")
+    if isinstance(spec, GridOracle) and spec.box.shape != (n, 2):
+        raise ValueError(f"grid set: box has shape {spec.box.shape}, expected ({n}, 2)")
+    return spec
 
 
 def phi_from_json(obj) -> SpectralFunctionSpec:
@@ -174,9 +204,7 @@ def objective_from_json(inst: FtvnInstance, obj):
 
 def problem_from_json(obj: dict) -> dict:
     inst = get_instance(obj["instance"])
-    spec = set_spec_from_json(obj["set"])
-    if isinstance(spec, dict):  # orbit: needs the instance to resolve u
-        spec = OrbitOf(element_from_json(inst, spec["u"]))
+    spec = set_spec_for(inst, obj["set"])
     return {
         "inst": inst,
         "objective": objective_from_json(inst, obj["objective"]),

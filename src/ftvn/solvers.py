@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -176,12 +176,18 @@ def fd_gradient(f: Callable[[np.ndarray], float], q: np.ndarray,
 
 def projected_descent(f: Callable[[np.ndarray], float],
                       project: Callable[[np.ndarray], np.ndarray],
-                      starts: list[np.ndarray],
-                      max_iter: int = 200, fd_step: float = 1e-6) -> tuple[np.ndarray, float, int]:
+                      starts: Iterable[np.ndarray],
+                      max_iter: int = 200, fd_step: float = 1e-6,
+                      first_finite: bool = False) -> tuple[Optional[np.ndarray], float, int]:
     """Multistart projected gradient descent with backtracking.
 
     Deterministic: starts are consumed in order and ties resolve to the
-    earliest start.  Returns (best point, best value, total iterations).
+    earliest start.  A start ends as soon as its value or its
+    finite-difference gradient is non-finite, so nothing non-finite is ever
+    projected.  With ``first_finite`` (a convex f, whose local minima are all
+    global) the run stops after the first start that ends at a finite value
+    and takes no further item from ``starts``.  Returns (best point, best
+    value, total iterations); the point is None if no start ended finite.
     """
     best_q = None
     best_v = math.inf
@@ -190,8 +196,12 @@ def projected_descent(f: Callable[[np.ndarray], float],
         q = project(np.asarray(s, dtype=float))
         v = f(q)
         for _ in range(max_iter):
+            if not math.isfinite(v):
+                break
             total_it += 1
             g = fd_gradient(f, q, fd_step * (1.0 + float(np.linalg.norm(q))))
+            if not np.all(np.isfinite(g)):
+                break
             gn = float(np.linalg.norm(g))
             if gn < 1e-12:
                 break
@@ -210,6 +220,8 @@ def projected_descent(f: Callable[[np.ndarray], float],
         if v < best_v - 1e-15:
             best_v = v
             best_q = q
+        if first_finite and math.isfinite(v):
+            break
     return best_q, best_v, total_it
 
 

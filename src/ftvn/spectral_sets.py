@@ -186,12 +186,13 @@ class SpectralFunctionSpec:
     """phi on W, with caller-asserted structure flags.
 
     ``affine`` carries (coeffs, const) when phi is affine, unlocking the exact
-    LP route; coeffs None means identically zero.
+    LP route; coeffs None means identically zero.  ``convex`` makes a summed
+    minimization of a linear or distance objective convex, so its projected
+    descent stops after the first start that ends at a finite value.
     """
 
     phi: Callable[[np.ndarray], float]
     convex: bool = False
-    permutation_invariant: bool = False
     affine: Optional[tuple] = None
     kind: str = "custom"
 
@@ -207,8 +208,7 @@ class SpectralFunctionSpec:
         return np.asarray(coeffs, dtype=float), float(const)
 
 
-ZERO_FN = SpectralFunctionSpec(phi=lambda q: 0.0, convex=True,
-                               permutation_invariant=True, affine=(None, 0.0),
+ZERO_FN = SpectralFunctionSpec(phi=lambda q: 0.0, convex=True, affine=(None, 0.0),
                                kind="zero")
 
 
@@ -217,8 +217,7 @@ def neg_logdet_fn() -> SpectralFunctionSpec:
         if np.any(q <= 0.0):
             return math.inf
         return float(-np.sum(np.log(q)))
-    return SpectralFunctionSpec(phi=phi, convex=True, permutation_invariant=True,
-                                kind="neg_logdet")
+    return SpectralFunctionSpec(phi=phi, convex=True, kind="neg_logdet")
 
 
 def table_fn(points, values, tol: float = 1e-9) -> SpectralFunctionSpec:

@@ -273,6 +273,19 @@ def test_cli_usage_errors(tmp_path, capsys):
         ({"instance": "rn:2", "set": box,
           "objective": {"kind": "distance", "c": {"kind": "rn", "data": [math.inf, 0]}}},
          "non-finite"),
+        # set specs are checked against the instance before any solver sees them
+        ({"instance": "rn:2", "objective": {"kind": "linear", "c": rn_c},
+          "set": {"kind": "finite", "points": [[1, 0, 0]]}}, "finite set"),
+        ({"instance": "rn:2", "objective": {"kind": "linear", "c": rn_c},
+          "set": {"kind": "polyhedron",
+                  "halfspaces": [{"normal": [1, 0, 0], "offset": 1}]}}, "polyhedron set"),
+        ({"instance": "rn:2", "objective": {"kind": "linear", "c": rn_c},
+          "set": {"kind": "polyhedron",
+                  "halfspaces": [{"normal": [math.nan, 0], "offset": 1}]}}, "polyhedron set"),
+        ({"instance": "rn:2", "objective": {"kind": "linear", "c": rn_c},
+          "set": {"kind": "grid", "box": [[-1, 1]], "resolution": 5,
+                  "membership": {"kind": "ball", "center": [0, 0], "radius": 1}}},
+         "grid set"),
     ]
     for i, (problem, needle) in enumerate(cases):
         path = tmp_path / f"malformed{i}.json"
@@ -283,6 +296,13 @@ def test_cli_usage_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert len(captured.err.splitlines()) == 1 and needle in captured.err, captured.err
+    # the other commands that read sets check them the same way
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps({"instance": "rn:2",
+                                "e": {"kind": "finite", "points": [[1, 0, 0]]},
+                                "f": {"kind": "finite", "points": [[1, 0]]}}))
+    assert main(["hausdorff", str(sets)]) == 1
+    assert capsys.readouterr().err.startswith("error: finite set")
 
 
 def test_cli_solve_lp_failure_exit2(tmp_path, capsys, monkeypatch):

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 import ftvn.reduce
-from ftvn import MonotonicityError, lambda_tilde
+from ftvn import MonotonicityError, get_instance, lambda_tilde
 from ftvn.eja import sort_desc, sym_coords
 from ftvn.reduce import (MaxAffineObjective,
                          envelope_lower_affine, envelope_lower_exact,
                          envelope_upper, hausdorff_spectral, interval_image,
                          orbit_distance, orbit_linear, orbit_min, reduce_solve,
                          reduce_solve_distance, reduce_solve_linear)
-from ftvn.solvers import solve_lp
+from ftvn.solvers import (DYKSTRA_MAX_SWEEPS, dykstra_project,
+                          ordered_polyhedron_projectors, projected_descent, solve_lp)
 from ftvn.spectral_sets import (FiniteSet, GridOracle, OrbitOf,
                                 OrderedPolyhedron, PRODUCT,
                                 SpectralFunctionSpec, neg_logdet_fn, table_fn)
@@ -247,7 +248,7 @@ def test_projected_descent_path_with_nonaffine_phi(sym2):
     # distance objective plus a curved spectral term: no exact dispatch
     # applies, so the engine falls back to projected multistart descent
     phi = SpectralFunctionSpec(phi=lambda q: 0.25 * float(np.sum(q ** 2)),
-                               convex=True, permutation_invariant=True)
+                               convex=True)
     c = sym_coords(np.diag([3.0, 0.5]))
     spec = OrderedPolyhedron(halfspaces=(((1.0, 0.0), 2.0),
                                          ((0.0, -1.0), 0.0)))
@@ -264,6 +265,149 @@ def test_projected_descent_path_with_nonaffine_phi(sym2):
                            + 0.25 * (q1 ** 2 + q2 ** 2))
     assert rep.optimal_value <= best + 1e-4
     assert rep.optimal_value >= best - 1e-3
+
+
+def _box(n, lo, hi):
+    # lo <= q_n and q_1 <= hi over the nonincreasing cone
+    top = np.zeros(n)
+    top[0] = 1.0
+    bottom = np.zeros(n)
+    bottom[-1] = -1.0
+    return OrderedPolyhedron(halfspaces=((top, hi), (bottom, -lo)))
+
+
+def _finite_projections_only(monkeypatch):
+    seen = []
+
+    def checked(q, *args, **kwargs):
+        assert np.all(np.isfinite(q)), q
+        seen.append(1)
+        return dykstra_project(q, *args, **kwargs)
+
+    monkeypatch.setattr(ftvn.reduce, "dykstra_project", checked)
+    return seen
+
+
+def test_convex_descent_runs_one_start(rn3):
+    rep = reduce_solve_linear(rn3, np.array([0.9, 0.7, 0.6]), _box(3, 0.5, 4.0),
+                              phi=neg_logdet_fn(), sense="min", seed=1)
+    assert rep.solver_trace["method"] == "projected_descent"
+    assert rep.solver_trace["starts"] == 1 and rep.solver_trace["convex"] is True
+    assert not rep.attained
+    # stationary point of <lam~(c), q> - sum log q: q_i = 1 / lam~(c)_i
+    np.testing.assert_allclose(rep.optimizer_w, [1 / 0.6, 1 / 0.7, 1 / 0.9], atol=1e-5)
+
+
+def test_convex_descent_falls_through_infinite_starts(rn2, monkeypatch):
+    # the box reaches q = 0, where neg_logdet is +inf: the anchor start (the
+    # projection of 0) ends there, so a later start finds the minimum
+    seen = _finite_projections_only(monkeypatch)
+    rep = reduce_solve_linear(rn2, np.array([1.0, 0.5]), _box(2, 0.0, 4.0),
+                              phi=neg_logdet_fn(), sense="min", seed=0)
+    assert rep.solver_trace["convex"] is True
+    assert 1 < rep.solver_trace["starts"] < 32 and seen
+    assert rep.optimal_value == pytest.approx(2.0 - math.log(2.0), abs=1e-8)
+
+    # phi is +inf on the whole set: every start ends there and no optimizer exists
+    negative = OrderedPolyhedron(halfspaces=(((1.0, 0.0), -1.0),))
+    rep = reduce_solve_linear(rn2, np.array([1.0, 0.5]), negative,
+                              phi=neg_logdet_fn(), sense="min", seed=0)
+    assert rep.solver_trace["starts"] == 32 and rep.optimizer_w is None
+    assert rep.optimal_value == math.inf and not rep.attained and not rep.infeasible
+
+
+def test_nonconvex_descent_runs_all_starts(rn2):
+    # optima inside the box on rn:2, on the interval's end on rn:1: both keep
+    # every projection cheap
+    box = _box(2, 0.5, 2.0)
+    c = np.array([-0.8, -0.6])
+    quad = SpectralFunctionSpec(phi=lambda q: 0.25 * float(np.sum(q ** 2)), convex=True)
+    rn1 = get_instance("rn:1")
+    interval = _box(1, 0.5, 2.0)
+    cases = [
+        reduce_solve_linear(rn2, -c, box, phi=SpectralFunctionSpec(
+            phi=lambda q: -0.25 * float(np.sum(q ** 2))), sense="max"),
+        reduce_solve_linear(rn2, c, box, phi=SpectralFunctionSpec(
+            phi=lambda q: 0.25 * float(np.sum(q ** 2)), convex=False), sense="min"),
+        reduce_solve(rn2, MaxAffineObjective(((c, 0.0), (1.5 * c, 0.5))), box,
+                     phi=quad, sense="min"),
+        reduce_solve_linear(rn1, np.array([-0.8]), interval, phi=SpectralFunctionSpec(
+            phi=lambda q: 1.0 + float(np.sum(q ** 2)), convex=True),
+                            combiner=PRODUCT, sense="min"),
+        # a convex phi at sense max does not make a convex problem
+        reduce_solve_linear(rn1, np.array([1.0]), interval, phi=quad, sense="max"),
+    ]
+    for rep in cases:
+        assert rep.solver_trace["method"] == "projected_descent"
+        assert rep.solver_trace["starts"] == 32 and rep.solver_trace["convex"] is False
+
+
+def test_convex_descent_matches_all_starts():
+    # one start against the best of all 32, drawn as the engine draws them;
+    # every fourth box reaches below q = 0, where neg_logdet is +inf
+    rng = np.random.default_rng(2024)
+    quad = SpectralFunctionSpec(phi=lambda q: 0.25 * float(np.sum(q ** 2)), convex=True)
+    for k in range(20):
+        n = 2 + k % 2
+        inst = get_instance(f"rn:{n}")
+        lo = rng.uniform(-0.5, 0.0) if k % 4 == 0 else rng.uniform(0.2, 1.0)
+        hi = lo + rng.uniform(1.0, 3.0)
+        spec = _box(n, lo, hi)
+        seed = int(rng.integers(1000))
+        if k % 2 == 0:
+            c = rng.uniform(0.3, 1.2, n)
+            phi = neg_logdet_fn()
+            rep = reduce_solve_linear(inst, c, spec, phi=phi, sense="min", seed=seed)
+            w = lambda_tilde(inst, c)
+            t = lambda q: float(np.dot(w, q))
+        else:
+            # c beyond the box keeps ||lam(c) - q|| smooth on the set
+            c = rng.uniform(hi + 0.5, hi + 2.5, n)
+            phi = quad
+            rep = reduce_solve_distance(inst, c, spec, phi=phi, sense="min", seed=seed)
+            w = inst.lam(c)
+            t = lambda q: float(np.linalg.norm(w - q))
+        assert rep.solver_trace["convex"] is True
+        assert rep.solver_trace["starts"] < 32
+
+        projs = ordered_polyhedron_projectors(spec.halfspaces, n)
+        project = lambda q: dykstra_project(q, projs)[0]
+        start_rng = np.random.default_rng(seed)
+        anchor = project(np.zeros(n))
+        spread = 1.0 + float(np.linalg.norm(anchor))
+        starts = [anchor] + [anchor + spread * start_rng.standard_normal(n)
+                             for _ in range(31)]
+
+        def f(q):
+            v = t(q) + phi(q)
+            return v if math.isfinite(v) else math.inf
+
+        _, best, _ = projected_descent(f, project, starts)
+        assert rep.optimal_value == pytest.approx(best, rel=1e-9, abs=1e-9), k
+
+
+def test_descent_never_projects_non_finite_points(sym2, monkeypatch):
+    # the README flagship with neg_logdet at sense max: the supremum is +inf at
+    # q2 -> 0, where finite differences turn non-finite
+    seen = _finite_projections_only(monkeypatch)
+    flagship = OrderedPolyhedron(halfspaces=(((-1.0, 0.0), -1.0),
+                                             ((1.0, 0.0), 2.0),
+                                             ((0.0, -1.0), 0.0)))
+    c = sym_coords(np.diag([1.0, -1.0]))
+    rep = reduce_solve_linear(sym2, c, flagship, phi=neg_logdet_fn(), sense="max",
+                              seed=42)
+    assert rep.solver_trace["method"] == "projected_descent"
+    assert rep.solver_trace["starts"] == 32 and not rep.attained and seen
+
+
+def test_dykstra_at_sweep_cap_is_not_attained(rn2):
+    # two nearly parallel halfspaces: Dykstra creeps and stops at its cap with
+    # q2 = -2.99970 against the exact -2.99910
+    spec = OrderedPolyhedron(halfspaces=(((1.0, 1e-4), 1.0), ((1.0, -1e-4), 1.0)))
+    rep = reduce_solve_distance(rn2, np.array([10.0, -3.0]), spec, sense="min")
+    assert rep.solver_trace == {"method": "dykstra_projection",
+                                "sweeps": DYKSTRA_MAX_SWEEPS}
+    assert not rep.attained
 
 
 def test_spectral_function_rides_along(rn3):
