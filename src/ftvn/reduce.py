@@ -328,7 +328,7 @@ def _solve_polyhedron(inst, objective, spec, phi, combiner, sense, tol, seed, ws
     # general path: projected multistart descent (heuristic; attainment unknown).
     # Minimizing t + phi with t linear or a distance and phi convex is a convex
     # problem over the convex set lam(E): every local minimum is global, so the
-    # first start that ends at a finite value settles it.
+    # first start that converges to a finite value settles it.
     convex = (combiner.kind == "sum" and phi.convex and sense == "min"
               and isinstance(objective, (LinearObjective, DistanceObjective)))
     rng = np.random.default_rng(seed)

@@ -162,8 +162,27 @@ def set_spec_for(inst: FtvnInstance, obj) -> Any:
         if not (np.isfinite([a for a, _ in spec.halfspaces]).all()
                 and all(math.isfinite(b) for _, b in spec.halfspaces)):
             raise ValueError("polyhedron set: a halfspace has a non-finite entry")
-    if isinstance(spec, GridOracle) and spec.box.shape != (n, 2):
-        raise ValueError(f"grid set: box has shape {spec.box.shape}, expected ({n}, 2)")
+    if isinstance(spec, GridOracle):
+        if spec.box.shape != (n, 2):
+            raise ValueError(f"grid set: box has shape {spec.box.shape}, expected ({n}, 2)")
+        if not np.all(np.isfinite(spec.box)):
+            raise ValueError("grid set: the box has a non-finite entry")
+        member = obj["membership"]
+        if member["kind"] == "ball":
+            vectors = [("ball center", member["center"])]
+            scalars = [member["radius"]]
+        else:
+            vectors = [(f"halfspace {i} normal", h["normal"])
+                       for i, h in enumerate(member["halfspaces"])]
+            scalars = [h["offset"] for h in member["halfspaces"]]
+        for name, vec in vectors:
+            vec = np.asarray(vec, dtype=float)
+            if vec.shape != (n,):
+                raise ValueError(f"grid set: {name} has length {vec.size}, expected {n}")
+            if not np.all(np.isfinite(vec)):
+                raise ValueError(f"grid set: {name} has a non-finite entry")
+        if not all(math.isfinite(float(b)) for b in scalars):
+            raise ValueError("grid set: membership has a non-finite radius or offset")
     return spec
 
 

@@ -185,9 +185,12 @@ def projected_descent(f: Callable[[np.ndarray], float],
     earliest start.  A start ends as soon as its value or its
     finite-difference gradient is non-finite, so nothing non-finite is ever
     projected.  With ``first_finite`` (a convex f, whose local minima are all
-    global) the run stops after the first start that ends at a finite value
-    and takes no further item from ``starts``.  Returns (best point, best
-    value, total iterations); the point is None if no start ended finite.
+    global) the run stops after the first start that converges, i.e. ends at
+    a finite value because the gradient vanished or backtracking found no
+    descent, and takes no further item from ``starts``.  A start cut off by a
+    non-finite value or gradient, or by ``max_iter``, is not a minimum, so
+    the run goes on to the next start.  Returns (best point, best value,
+    total iterations); the point is None if no start ended finite.
     """
     best_q = None
     best_v = math.inf
@@ -195,6 +198,7 @@ def projected_descent(f: Callable[[np.ndarray], float],
     for s in starts:
         q = project(np.asarray(s, dtype=float))
         v = f(q)
+        converged = False
         for _ in range(max_iter):
             if not math.isfinite(v):
                 break
@@ -204,6 +208,7 @@ def projected_descent(f: Callable[[np.ndarray], float],
                 break
             gn = float(np.linalg.norm(g))
             if gn < 1e-12:
+                converged = True
                 break
             improved = False
             beta = 1.0 / (1.0 + gn)
@@ -216,11 +221,12 @@ def projected_descent(f: Callable[[np.ndarray], float],
                     break
                 beta *= 0.5
             if not improved:
+                converged = True
                 break
         if v < best_v - 1e-15:
             best_v = v
             best_q = q
-        if first_finite and math.isfinite(v):
+        if first_finite and converged:
             break
     return best_q, best_v, total_it
 

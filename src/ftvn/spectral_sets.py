@@ -188,7 +188,7 @@ class SpectralFunctionSpec:
     ``affine`` carries (coeffs, const) when phi is affine, unlocking the exact
     LP route; coeffs None means identically zero.  ``convex`` makes a summed
     minimization of a linear or distance objective convex, so its projected
-    descent stops after the first start that ends at a finite value.
+    descent stops after the first start that converges to a finite value.
     """
 
     phi: Callable[[np.ndarray], float]

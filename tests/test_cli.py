@@ -286,6 +286,19 @@ def test_cli_usage_errors(tmp_path, capsys):
           "set": {"kind": "grid", "box": [[-1, 1]], "resolution": 5,
                   "membership": {"kind": "ball", "center": [0, 0], "radius": 1}}},
          "grid set"),
+        ({"instance": "rn:2", "objective": {"kind": "linear", "c": rn_c},
+          "set": {"kind": "grid", "box": [[-1, 1], [-1, math.inf]], "resolution": 5,
+                  "membership": {"kind": "ball", "center": [0, 0], "radius": 1}}},
+         "grid set"),
+        ({"instance": "rn:2", "objective": {"kind": "linear", "c": rn_c},
+          "set": {"kind": "grid", "box": [[-1, 1], [-1, 1]], "resolution": 5,
+                  "membership": {"kind": "ball", "center": [0, math.nan], "radius": 1}}},
+         "grid set"),
+        ({"instance": "rn:2", "objective": {"kind": "linear", "c": rn_c},
+          "set": {"kind": "grid", "box": [[-1, 1], [-1, 1]], "resolution": 5,
+                  "membership": {"kind": "halfspaces",
+                                 "halfspaces": [{"normal": [1, 0, 0], "offset": 1}]}}},
+         "grid set"),
     ]
     for i, (problem, needle) in enumerate(cases):
         path = tmp_path / f"malformed{i}.json"

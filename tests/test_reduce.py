@@ -308,6 +308,14 @@ def test_convex_descent_falls_through_infinite_starts(rn2, monkeypatch):
     assert 1 < rep.solver_trace["starts"] < 32 and seen
     assert rep.optimal_value == pytest.approx(2.0 - math.log(2.0), abs=1e-8)
 
+    # a box just inside q > 0: the anchor start has a finite value, but its
+    # finite-difference probe crosses q = 0, so it is cut off short of the
+    # minimum and a later start must find it
+    rep = reduce_solve_linear(rn2, np.array([1.0, 0.5]), _box(2, 1e-7, 4.0),
+                              phi=neg_logdet_fn(), sense="min", seed=0)
+    assert rep.solver_trace["convex"] is True and rep.solver_trace["starts"] > 1
+    assert rep.optimal_value == pytest.approx(2.0 - math.log(2.0), abs=1e-8)
+
     # phi is +inf on the whole set: every start ends there and no optimizer exists
     negative = OrderedPolyhedron(halfspaces=(((1.0, 0.0), -1.0),))
     rep = reduce_solve_linear(rn2, np.array([1.0, 0.5]), negative,
