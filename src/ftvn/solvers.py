@@ -3,8 +3,10 @@
 All of these operate on the W-side (low-dimensional sorted-eigenvalue
 coordinates), so robustness matters more than scale: the LP is one HiGHS
 dual-simplex call (scipy's ``linprog``; two more when HiGHS cannot decide),
-cone projection is pool-adjacent-violators, polyhedron projection is Dykstra
-alternation.
+and the Euclidean projection onto a polyhedron is one NNLS solve of its
+least-distance program, whose KKT conditions are checked before the point is
+called exact.  Pool-adjacent-violators and Dykstra alternation are kept as the
+reference projector the tests compare against.
 """
 
 from __future__ import annotations
@@ -62,8 +64,11 @@ def dykstra_project(q0: np.ndarray, projectors: list[Callable[[np.ndarray], np.n
                     tol: float = DYKSTRA_TOL) -> tuple[np.ndarray, int]:
     """Dykstra's alternating projection onto an intersection of convex sets.
 
-    Returns (point, sweeps used).  Convergence: total displacement of one
-    full sweep below tol.
+    The reference projector that the tests compare ``project_polyhedron``
+    against; the engine does not call it.  Returns (point, sweeps used).
+    Convergence: total displacement of one full sweep below tol, which can
+    take up to max_sweeps (and is then inexact) where the sets meet at a
+    narrow angle.
     """
     x = np.asarray(q0, dtype=float).copy()
     corrections = [np.zeros_like(x) for _ in projectors]
@@ -88,6 +93,74 @@ def ordered_polyhedron_projectors(halfspaces, n: int):
         b = float(offset)
         projs.append(lambda q, a=a, b=b: project_halfspace(q, a, b))
     return projs
+
+
+# ---------------------------------------------------------------------------
+# exact projection: the least-distance program as one NNLS problem
+
+# A projection is certified when its KKT conditions hold to this share of
+# each row's scale.
+PROJECTION_KKT_TOL = 1e-9
+
+
+def project_polyhedron(w: np.ndarray, a_ub: np.ndarray,
+                       b_ub: np.ndarray) -> tuple[Optional[np.ndarray], bool]:
+    """Euclidean projection of w onto {q : a_ub @ q <= b_ub}.
+
+    The least-distance program min ||q - w|| over the polyhedron is one NNLS
+    problem with finite termination (Lawson and Hanson 1974, ch. 23).  With
+    the rows (a, b) scaled to unit normals and h = a @ w - b scaled by
+    s = max|h|, the solution u >= 0 of min ||[-a^T; h^T / s] u - e_{n+1}||
+    gives d = 1 - h.u / s = 1 / (1 + ||q - w||^2 / s^2), the multipliers
+    mu = s u / d and the point q = w - a^T mu.  d vanishes only on an empty
+    set, and no threshold on it can tell a far-away nonempty set from an
+    empty one, so the point is judged by its KKT conditions instead: primal
+    feasibility, nonnegative multipliers, complementarity and stationarity,
+    each to PROJECTION_KKT_TOL of the row's scale.
+
+    Returns (q, certified).  A point already in the set is returned itself,
+    certified, with zero multipliers.  q is None when the NNLS gives no
+    finite point; an uncertified q may lie outside the set, which is then
+    possibly empty.
+    """
+    w = np.asarray(w, dtype=float)
+    if np.all(a_ub @ w <= b_ub):
+        return w, True
+    from scipy.optimize import nnls  # deferred: see linprog
+    # unit normals make each h_i a distance: a row written with a tiny normal
+    # would otherwise make ||q - w|| / s so large that d rounds to 0
+    norms = np.linalg.norm(a_ub, axis=1)
+    norms[norms == 0.0] = 1.0
+    a, b = a_ub / norms[:, None], b_ub / norms
+    h = a @ w - b
+    s = float(np.max(np.abs(h)))
+    target = np.zeros(w.size + 1)
+    target[-1] = 1.0
+    try:
+        u, _ = nnls(np.vstack([-a.T, h / s]), target)
+    except RuntimeError:  # scipy's iteration cap, 3 per row
+        return None, False
+    d = 1.0 - float(h @ u) / s
+    if not d > 0.0:
+        return None, False
+    mu = (s / d) * u
+    q = w - a.T @ mu
+    if not np.all(np.isfinite(q)):
+        return None, False
+    return q, _kkt_holds(w, q, mu, a, b)
+
+
+def _kkt_holds(w, q, mu, a, b) -> bool:
+    # rows with unit (or zero) normals: the terms of a @ q - b are of the
+    # size of 1 + ||q|| and |b|, and those of a^T mu of the size of sum(mu)
+    scale = 1.0 + float(np.linalg.norm(q)) + np.abs(b)
+    slack = b - a @ q
+    active = mu > 0.0
+    return bool(np.all(slack >= -PROJECTION_KKT_TOL * scale)
+                and np.all(mu >= 0.0)
+                and np.all(np.abs(slack[active]) <= PROJECTION_KKT_TOL * scale[active])
+                and np.linalg.norm(w - q - a.T @ mu)
+                <= PROJECTION_KKT_TOL * (float(np.linalg.norm(w - q)) + float(mu.sum())))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +248,7 @@ def fd_gradient(f: Callable[[np.ndarray], float], q: np.ndarray,
 
 
 def projected_descent(f: Callable[[np.ndarray], float],
-                      project: Callable[[np.ndarray], np.ndarray],
+                      project: Callable[[np.ndarray], Optional[np.ndarray]],
                       starts: Iterable[np.ndarray],
                       max_iter: int = 200, fd_step: float = 1e-6,
                       first_finite: bool = False) -> tuple[Optional[np.ndarray], float, int]:
@@ -184,12 +257,13 @@ def projected_descent(f: Callable[[np.ndarray], float],
     Deterministic: starts are consumed in order and ties resolve to the
     earliest start.  A start ends as soon as its value or its
     finite-difference gradient is non-finite, so nothing non-finite is ever
-    projected.  With ``first_finite`` (a convex f, whose local minima are all
-    global) the run stops after the first start that converges, i.e. ends at
-    a finite value because the gradient vanished or backtracking found no
+    projected, and as soon as ``project`` returns None (it found no point).
+    With ``first_finite`` (a convex f, whose local minima are all global)
+    the run stops after the first start that converges, i.e. ends at a
+    finite value because the gradient vanished or backtracking found no
     descent, and takes no further item from ``starts``.  A start cut off by a
-    non-finite value or gradient, or by ``max_iter``, is not a minimum, so
-    the run goes on to the next start.  Returns (best point, best value,
+    non-finite value or gradient, a None projection or ``max_iter`` is not a
+    minimum, so the run goes on to the next start.  Returns (best point, best value,
     total iterations); the point is None if no start ended finite.
     """
     best_q = None
@@ -197,7 +271,7 @@ def projected_descent(f: Callable[[np.ndarray], float],
     total_it = 0
     for s in starts:
         q = project(np.asarray(s, dtype=float))
-        v = f(q)
+        v = math.inf if q is None else f(q)
         converged = False
         for _ in range(max_iter):
             if not math.isfinite(v):
@@ -214,12 +288,16 @@ def projected_descent(f: Callable[[np.ndarray], float],
             beta = 1.0 / (1.0 + gn)
             for _ in range(30):
                 cand = project(q - beta * g)
+                if cand is None:
+                    break
                 cv = f(cand)
                 if cv < v - 1e-14 * (1.0 + abs(v)):
                     q, v = cand, cv
                     improved = True
                     break
                 beta *= 0.5
+            if cand is None:
+                break
             if not improved:
                 converged = True
                 break

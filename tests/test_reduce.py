@@ -11,8 +11,8 @@ from ftvn.reduce import (MaxAffineObjective,
                          envelope_upper, hausdorff_spectral, interval_image,
                          orbit_distance, orbit_linear, orbit_min, reduce_solve,
                          reduce_solve_distance, reduce_solve_linear)
-from ftvn.solvers import (DYKSTRA_MAX_SWEEPS, dykstra_project,
-                          ordered_polyhedron_projectors, projected_descent, solve_lp)
+from ftvn.solvers import (dykstra_project, ordered_polyhedron_projectors,
+                          project_polyhedron, projected_descent, solve_lp)
 from ftvn.spectral_sets import (FiniteSet, GridOracle, OrbitOf,
                                 OrderedPolyhedron, PRODUCT,
                                 SpectralFunctionSpec, neg_logdet_fn, table_fn)
@@ -215,7 +215,18 @@ def test_lp_routes_make_one_lp_call_each(sym2, rn2, monkeypatch):
                        empty, sense="max")
     assert rep.infeasible and len(calls) == 1
 
-    # the projection route keeps its feasibility LP: Dykstra needs a nonempty set
+    # the projection routes run no LP on a nonempty set: the projector's
+    # certificate shows it nonempty
+    calls.clear()
+    rep = reduce_solve_distance(rn2, np.array([3.0, -1.0]), box, sense="min")
+    assert rep.solver_trace["method"] == "dykstra_projection" and rep.attained
+    np.testing.assert_allclose(rep.optimizer_w, [2.0, 0.0], atol=1e-12)
+    rep = reduce_solve_linear(rn2, np.array([1.0, 2.0]), box, phi=neg_logdet_fn(),
+                              sense="min")
+    assert rep.solver_trace["method"] == "projected_descent" and rep.optimizer_w is not None
+    assert len(calls) == 0
+
+    # an empty set gets no certified projection, so the feasibility LP runs
     calls.clear()
     rep = reduce_solve_distance(rn2, np.array([1.0, 2.0]), empty, sense="min")
     assert rep.infeasible and rep.solver_trace["method"] == "lp_phase1"
@@ -282,9 +293,9 @@ def _finite_projections_only(monkeypatch):
     def checked(q, *args, **kwargs):
         assert np.all(np.isfinite(q)), q
         seen.append(1)
-        return dykstra_project(q, *args, **kwargs)
+        return project_polyhedron(q, *args, **kwargs)
 
-    monkeypatch.setattr(ftvn.reduce, "dykstra_project", checked)
+    monkeypatch.setattr(ftvn.reduce, "project_polyhedron", checked)
     return seen
 
 
@@ -325,8 +336,8 @@ def test_convex_descent_falls_through_infinite_starts(rn2, monkeypatch):
 
 
 def test_nonconvex_descent_runs_all_starts(rn2):
-    # optima inside the box on rn:2, on the interval's end on rn:1: both keep
-    # every projection cheap
+    # optima inside the box on rn:2, on the interval's end on rn:1, and at the
+    # box's corner q1 = q2 = 2 on rn:2, where the ordering row meets a bound
     box = _box(2, 0.5, 2.0)
     c = np.array([-0.8, -0.6])
     quad = SpectralFunctionSpec(phi=lambda q: 0.25 * float(np.sum(q ** 2)), convex=True)
@@ -345,9 +356,18 @@ def test_nonconvex_descent_runs_all_starts(rn2):
         # a convex phi at sense max does not make a convex problem
         reduce_solve_linear(rn1, np.array([1.0]), interval, phi=quad, sense="max"),
     ]
-    for rep in cases:
+    ones = np.array([1.0, 1.0])
+    corners = [
+        reduce_solve_linear(rn2, ones, box, phi=quad, sense="max"),
+        reduce_solve_linear(rn2, ones, box, phi=SpectralFunctionSpec(
+            phi=lambda q: 1.0 + float(np.sum(q))), combiner=PRODUCT, sense="max"),
+    ]
+    for rep in cases + corners:
         assert rep.solver_trace["method"] == "projected_descent"
         assert rep.solver_trace["starts"] == 32 and rep.solver_trace["convex"] is False
+    # (q1 + q2) + (q1^2 + q2^2) / 4 and (q1 + q2) (1 + q1 + q2) at q = (2, 2)
+    for rep, value in zip(corners, (6.0, 20.0)):
+        assert rep.optimal_value == pytest.approx(value, abs=1e-9)
 
 
 def test_convex_descent_matches_all_starts():
@@ -406,16 +426,21 @@ def test_descent_never_projects_non_finite_points(sym2, monkeypatch):
                               seed=42)
     assert rep.solver_trace["method"] == "projected_descent"
     assert rep.solver_trace["starts"] == 32 and not rep.attained and seen
+    # reported as an unbounded LP is: +inf and no optimizer
+    assert rep.optimal_value == math.inf and rep.optimizer_w is None
 
 
-def test_dykstra_at_sweep_cap_is_not_attained(rn2):
-    # two nearly parallel halfspaces: Dykstra creeps and stops at its cap with
-    # q2 = -2.99970 against the exact -2.99910
+def test_projection_at_narrow_angle_is_exact(rn2):
+    # two nearly parallel halfspaces, where Dykstra creeps and stops at its
+    # sweep cap with q2 = -2.99970: the projection is exact, onto the one
+    # active halfspace a.q <= 1 with a = (1, -1e-4)
     spec = OrderedPolyhedron(halfspaces=(((1.0, 1e-4), 1.0), ((1.0, -1e-4), 1.0)))
     rep = reduce_solve_distance(rn2, np.array([10.0, -3.0]), spec, sense="min")
-    assert rep.solver_trace == {"method": "dykstra_projection",
-                                "sweeps": DYKSTRA_MAX_SWEEPS}
-    assert not rep.attained
+    assert rep.solver_trace == {"method": "dykstra_projection"}
+    assert rep.attained
+    exact = -3.0 + 1e-4 * (10.0 + 3e-4 - 1.0) / (1.0 + 1e-8)
+    assert exact == pytest.approx(-2.99909997, abs=1e-8)
+    assert rep.optimizer_w[1] == pytest.approx(exact, rel=1e-12)
 
 
 def test_spectral_function_rides_along(rn3):

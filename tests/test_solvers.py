@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.optimize import OptimizeResult, minimize
+from scipy.optimize import OptimizeResult, linprog, minimize
 
 import ftvn.solvers
 from ftvn import FtvnError
 from ftvn.reduce import _polyhedron_matrices
 from ftvn.solvers import (dykstra_project, ordered_polyhedron_projectors,
-                          pav_decreasing, project_halfspace, projected_descent,
-                          simplex_weight_grid, solve_lp)
+                          pav_decreasing, project_halfspace, project_polyhedron,
+                          projected_descent, simplex_weight_grid, solve_lp)
 from ftvn.spectral_sets import OrderedPolyhedron
 
 from conftest import enumerate_polytope_vertices
@@ -50,6 +50,7 @@ def test_dykstra_matches_slsqp_oracle():
                   (np.array([0.0, -1.0]), 0.0),
                   (np.array([1.0, 1.0]), 3.0)]
     projs = ordered_polyhedron_projectors(halfspaces, 2)
+    a_ub, b_ub = _polyhedron_matrices(OrderedPolyhedron(halfspaces=tuple(halfspaces)))
     rng = np.random.default_rng(1)
     cons = [{"type": "ineq", "fun": lambda q, a=a, b=b: b - np.dot(a, q)}
             for a, b in halfspaces]
@@ -61,6 +62,45 @@ def test_dykstra_matches_slsqp_oracle():
                           constraints=cons, method="SLSQP",
                           options={"ftol": 1e-14, "maxiter": 400})
         np.testing.assert_allclose(mine, oracle.x, atol=5e-6)
+        exact, certified = project_polyhedron(y, a_ub, b_ub)
+        assert certified
+        np.testing.assert_allclose(exact, oracle.x, atol=5e-6)
+
+
+def test_projection_sweep_against_highs_and_dykstra():
+    # random ordered polyhedra, rows scaled over 1e+-3 and targets up to 1e4
+    # away: the projection is certified exactly when HiGHS finds the set
+    # nonempty, and on unit-scale rows it matches Dykstra run to convergence
+    rng = np.random.default_rng(11)
+    counts = {"empty": 0, "nonempty": 0, "compared": 0}
+    for trial in range(400):
+        n = int(rng.integers(2, 9))
+        well = trial % 4 == 0
+        halfspaces = []
+        for _ in range(int(rng.integers(1, n + 2))):
+            scale = 1.0 if well else 10.0 ** rng.uniform(-3, 3)
+            halfspaces.append((tuple(scale * rng.standard_normal(n)),
+                               float(scale * rng.uniform(-1, 2))))
+        spec = OrderedPolyhedron(halfspaces=tuple(halfspaces))
+        a_ub, b_ub = _polyhedron_matrices(spec)
+        w = rng.standard_normal(n) * (3.0 if well else 10.0 ** rng.uniform(0, 4))
+        q, certified = project_polyhedron(w, a_ub, b_ub)
+        feas = linprog(np.zeros(n), A_ub=a_ub, b_ub=b_ub, bounds=(None, None),
+                       method="highs")
+        assert feas.status in (0, 2), feas.message
+        empty = feas.status == 2
+        counts["empty" if empty else "nonempty"] += 1
+        assert certified == (not empty), trial
+        if certified and well:
+            ref, sweeps = dykstra_project(w, ordered_polyhedron_projectors(spec.halfspaces, n),
+                                          max_sweeps=2000)
+            if sweeps < 2000:
+                counts["compared"] += 1
+                np.testing.assert_allclose(q, ref, atol=1e-8 * (1.0 + np.abs(w).max()))
+    assert min(counts.values()) >= 30, counts
+    # q1 <= 0 written with a tiny normal: the point is still exact
+    q, certified = project_polyhedron(np.array([5.0]), np.array([[1e-9]]), np.array([0.0]))
+    assert certified and abs(q[0]) <= 1e-12
 
 
 def test_lp_against_vertex_enumeration():
