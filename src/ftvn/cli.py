@@ -5,8 +5,8 @@ Reports are canonical JSON (schema "ftvn/1", every number in decimal and
 hexfloat); identical (input, seed) pairs produce byte-identical reports.
 Wall time goes to stderr only, so it never perturbs report bytes.
 
-Exit codes: 0 success, 1 usage/IO error, 2 property or solver failure,
-3 infeasible.
+Exit codes: 0 success, 1 usage/IO error, 2 property or solver failure or an
+internal error, 3 infeasible.
 """
 
 from __future__ import annotations
@@ -236,6 +236,10 @@ def main(argv=None) -> int:
         return EXIT_PROPERTY
     except FtvnError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PROPERTY
+    except Exception as exc:  # a defect, not an input error: one line, no traceback
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_PROPERTY
     elapsed = time.perf_counter() - started
     print(f"{args.command}: done in {elapsed:.3f}s (exit {code})", file=sys.stderr)

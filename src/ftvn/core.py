@@ -103,7 +103,8 @@ class CommutationCert:
     tolerance tol*(1 + ||x|| ||y||); the others are recorded so tests can
     confirm they rise and fall together.  ``witness`` optionally carries
     instance-specific shared-decomposition data (a Jordan frame, an
-    orthogonal pair, ...) when the verdict is positive.
+    orthogonal pair, ...) when the verdict is positive.  ``lam_x`` is lam of
+    the first element as the check computed it.
     """
 
     residual_inner: float
@@ -112,6 +113,7 @@ class CommutationCert:
     residual_addvec: float
     verdict: bool
     witness: Any = None
+    lam_x: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -124,13 +126,24 @@ class FtvnInstance:
     failure.  ``witness_is_exact`` is True when the witness is constructive
     (Jordan, SVD, isometry) and False when it is a numerical search
     (restricted subspace, hyperbolic fallback).
+
+    An instance with a spectral decomposition gives it as two hooks, the
+    paper's construction: ``decompose(x) -> (eigs, frame)`` with eigs = lam(x)
+    and ``rebuild(q, frame) -> x`` with lam(x) = q, which puts the target
+    eigenvalues on the frame's own basis.  ``lam`` and ``a3_witness``, when
+    left out, are derived from the hooks at construction: the witness for
+    (c, q) is q rebuilt on c's frame.  :func:`commute_check` takes the frame
+    of x + y as the shared-frame witness of a commuting pair, in place of
+    ``commute_witness``.  The reduction engine works on the hooks directly,
+    so one solve decomposes the lift direction, the lifted point and their
+    sum once each.
     """
 
     name: str
     dim_v: int
     dim_w: int
-    lam: Callable[[np.ndarray], np.ndarray]
-    a3_witness: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    lam: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    a3_witness: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     inner_v: Callable[[np.ndarray, np.ndarray], float] = lambda x, y: float(np.dot(x, y))
     witness_is_exact: bool = True
     family: str = ""
@@ -144,6 +157,21 @@ class FtvnInstance:
     # matrix instances); free-coordinate searches compose through this
     project_element: Callable[[np.ndarray], np.ndarray] = lambda x: x
     backend: Any = None
+    decompose: Optional[Callable[[np.ndarray], tuple[np.ndarray, Any]]] = None
+    rebuild: Optional[Callable[[np.ndarray, Any], np.ndarray]] = None
+
+    def __post_init__(self):
+        if (self.decompose is None) != (self.rebuild is None):
+            raise TypeError(f"{self.name}: decompose and rebuild come together")
+        if self.decompose is not None:
+            decompose, rebuild = self.decompose, self.rebuild
+            if self.lam is None:
+                object.__setattr__(self, "lam", lambda x: decompose(x)[0])
+            if self.a3_witness is None:
+                object.__setattr__(self, "a3_witness", lambda c, q: rebuild(
+                    checked_target(self, q), decompose(c)[1]))
+        if self.lam is None or self.a3_witness is None:
+            raise TypeError(f"{self.name}: give lam and a3_witness, or decompose and rebuild")
 
     def element(self, coords) -> ElementV:
         v = as_vec(coords)
@@ -184,15 +212,54 @@ def lambda_tilde(inst: FtvnInstance, c) -> np.ndarray:
     return -inst.lam(-v)
 
 
-def commute_check(inst: FtvnInstance, x, y, tol: float = DEFAULT_TOL) -> CommutationCert:
-    """Test whether x and y commute; all four equivalent residuals are recorded."""
+# A witness target may stray this far outside the image, relative to its size.
+WITNESS_TARGET_TOL = 1e-9
+
+
+def checked_target(inst: FtvnInstance, q) -> np.ndarray:
+    """q as a float array, or :class:`WitnessError` when it is not an
+    eigenvalue vector of the instance (wrong length, or outside the image)."""
+    q = np.asarray(q, dtype=float)
+    if q.size != inst.dim_w:
+        raise WitnessError(f"{inst.name}: target has length {q.size}, expected {inst.dim_w}")
+    if not inst.image_contains(q, WITNESS_TARGET_TOL):
+        raise WitnessError(f"{inst.name}: target lies outside the image of lam")
+    return q
+
+
+def _frame_witness(inst: FtvnInstance, x, y, lx, ly, frame, tol: float):
+    """The frame of x + y when it rebuilds both x from lam(x) and y from
+    lam(y) to sqrt(tol) of their size, else None."""
+    bound = math.sqrt(tol)
+    rx = inst.norm_v(x - inst.rebuild(lx, frame))
+    ry = inst.norm_v(y - inst.rebuild(ly, frame))
+    if rx <= bound * (1.0 + inst.norm_v(x)) and ry <= bound * (1.0 + inst.norm_v(y)):
+        return frame
+    return None
+
+
+def commute_check(inst: FtvnInstance, x, y, tol: float = DEFAULT_TOL,
+                  lam_y: Optional[np.ndarray] = None) -> CommutationCert:
+    """Test whether x and y commute; all four equivalent residuals are recorded.
+
+    ``lam_y`` is lam(y) when the caller already has it.  lam(x) is always
+    computed here, so the certificate never takes the caller's word for x.
+    On an instance with a decomposition, x + y is decomposed once and its
+    frame is the shared-frame witness.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     xv = inst.check_element(x)
     yv = inst.check_element(y)
-    lx = inst.lam(xv)
-    ly = inst.lam(yv)
-    lxy = inst.lam(xv + yv)
+    frame = None
+    if inst.decompose is not None:
+        lx = inst.decompose(xv)[0]
+        ly = inst.decompose(yv)[0] if lam_y is None else lam_y
+        lxy, frame = inst.decompose(xv + yv)
+    else:
+        lx = inst.lam(xv)
+        ly = inst.lam(yv) if lam_y is None else lam_y
+        lxy = inst.lam(xv + yv)
     ip_v = inst.inner_v(xv, yv)
     ip_w = inst.inner_w(lx, ly)
     residual_inner = abs(ip_v - ip_w)
@@ -203,10 +270,12 @@ def commute_check(inst: FtvnInstance, x, y, tol: float = DEFAULT_TOL) -> Commuta
     ny = inst.norm_v(yv)
     verdict = bool(residual_inner <= tol * (1.0 + nx * ny))
     witness = None
-    if verdict and inst.commute_witness is not None:
+    if verdict and frame is not None:
+        witness = _frame_witness(inst, xv, yv, lx, ly, frame, tol)
+    elif verdict and inst.commute_witness is not None:
         witness = inst.commute_witness(xv, yv, tol)
     return CommutationCert(residual_inner, residual_dist, residual_addnorm,
-                           residual_addvec, verdict, witness)
+                           residual_addvec, verdict, witness, lam_x=lx)
 
 
 def sublinearity_gap(inst: FtvnInstance, c, x, y) -> float:

@@ -23,8 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (DEDUP_TOL, DEFAULT_TOL, FtvnInstance, WitnessError,
-                   as_vec, commute_check, register_instance)
+from .core import (DEDUP_TOL, DEFAULT_TOL, FtvnInstance, as_vec, commute_check,
+                   register_instance)
 from .linalg import eigh_desc, is_symmetric
 
 
@@ -150,56 +150,46 @@ class JordanAlgebra:
 
     # -- FTvN instance wrapper ----------------------------------------------
 
-    def _a3_witness(self, c: np.ndarray, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if q.size != self.rank:
-            raise WitnessError(f"{self.name}: target has length {q.size}, expected {self.rank}")
-        if not is_sorted_desc(q):
-            raise WitnessError(f"{self.name}: target eigenvalues are not nonincreasing")
-        _, frame = self.decompose(c)
-        return q @ frame
-
-    def _commute_witness(self, x: np.ndarray, y: np.ndarray, tol: float) -> Optional[JordanFrame]:
-        _, frame = self.decompose(x + y)
-        lx = self.eigvals(x)
-        ly = self.eigvals(y)
-        rx = self.norm(x - lx @ frame)
-        ry = self.norm(y - ly @ frame)
-        if rx <= math.sqrt(tol) * (1.0 + self.norm(x)) and ry <= math.sqrt(tol) * (1.0 + self.norm(y)):
-            return JordanFrame(frame)
-        return None
+    def frame_decompose(self, x) -> tuple[np.ndarray, JordanFrame]:
+        """The instance's ``decompose`` hook: eigenvalues and their Jordan frame."""
+        eigs, rows = self.decompose(x)
+        return eigs, JordanFrame(rows)
 
     def _build_instance(self) -> FtvnInstance:
+        # a3_witness derives from the decompose/rebuild hooks, and commute_check
+        # takes its shared frame from them
         return FtvnInstance(
             name=self.name,
             dim_v=self.dim_v,
             dim_w=self.rank,
             lam=self.eigvals,
-            a3_witness=self._a3_witness,
             inner_v=self.inner,
             witness_is_exact=True,
             family=self.kind,
             image_contains=lambda q, tol: q.size == self.rank and is_sorted_desc(q, tol),
             sample=self._sample,
             sample_orbit=self.orbit_sample,
-            commute_witness=self._commute_witness,
             riesz=lambda g: self._project(g) / self._w,
             project_element=self._project,
             backend=self,
+            decompose=self.frame_decompose,
+            rebuild=lambda q, frame: q @ frame.idempotents,
         )
 
 
 # ---------------------------------------------------------------------------
 # concrete families
 
+def sort_decompose(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The spectral decomposition of R^N: x sorted nonincreasing, and the
+    rows of the identity in that order."""
+    order = np.argsort(-x, kind="stable")
+    return x[order], np.eye(x.size)[order]
+
+
 def rn_algebra(n: int) -> JordanAlgebra:
     if n < 1:
         raise ValueError("rank must be positive")
-    eye = np.eye(n)
-
-    def decompose(x):
-        order = np.argsort(-x, kind="stable")
-        return x[order], eye[order]
 
     def orbit_rows(rows, rng):
         shuffles = np.argsort(rng.random(rows.shape), axis=1)
@@ -210,7 +200,7 @@ def rn_algebra(n: int) -> JordanAlgebra:
         jordan_product=lambda x, y: x * y,
         unit=np.ones(n),
         inner_weights=np.ones(n),
-        decompose=decompose,
+        decompose=sort_decompose,
         sample=lambda rng: rng.standard_normal(n),
         orbit_rows=orbit_rows,
     )
@@ -407,7 +397,7 @@ def eja_a3_witness(alg: JordanAlgebra, c, q) -> np.ndarray:
     Exact: lam(result) = q and <c, result> = <lam(c), q>, because the frame
     is orthonormal under the trace inner product.
     """
-    return alg._a3_witness(as_vec(c), as_vec(q))
+    return alg.instance.a3_witness(as_vec(c), as_vec(q))
 
 
 def strong_commute_check(alg: JordanAlgebra, x, y, tol: float = DEFAULT_TOL):

@@ -6,8 +6,13 @@ real, p is hyperbolic in direction e; when additionally the roots vanish only
 at x = 0 ("complete"), ||lam(x)|| defines a norm on V, recovered here as a
 quadratic form (Gram matrix) by polarization.
 
-The searches in this module are falsifiers: absence of a counterexample after
-the search budget is evidence, not proof.
+The stock polynomials carry their spectral decomposition as the instance's
+decompose/rebuild hooks (coordinate product: a sort; det on symmetric
+matrices: the eigendecomposition), so their A3 witnesses are exact: the
+complete isometric case of Bauschke, Gueler, Lewis and Sendov (2001).  A
+custom polynomial gets a witness search instead.  The searches in this module
+are falsifiers: absence of a counterexample after the search budget is
+evidence, not proof.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import FtvnError, FtvnInstance, WitnessError, as_vec, register_instance
-from .eja import is_sorted_desc
+from .eja import is_sorted_desc, sort_decompose
 from .linalg import eigh_desc
 
 IMAG_TOL = 1e-7
@@ -47,11 +52,18 @@ def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
 
 
 class HyperbolicPolynomial:
-    """A blackbox homogeneous polynomial with a hyperbolicity direction."""
+    """A blackbox homogeneous polynomial with a hyperbolicity direction.
+
+    ``decompose`` and ``rebuild``, when given, are the spectral hooks of
+    :class:`~ftvn.core.FtvnInstance` for this root map; ``lam`` stays root
+    extraction, its definition.
+    """
 
     def __init__(self, dim: int, degree: int,
                  evaluator: Callable[[np.ndarray], float],
-                 direction_e, name: str = "hyp"):
+                 direction_e, name: str = "hyp",
+                 decompose: Optional[Callable[[np.ndarray], tuple]] = None,
+                 rebuild: Optional[Callable[[np.ndarray, object], np.ndarray]] = None):
         if degree < 1:
             raise ValueError("degree must be at least 1")
         self.dim = dim
@@ -61,6 +73,8 @@ class HyperbolicPolynomial:
         if self.direction_e.size != dim:
             raise ValueError("direction has wrong dimension")
         self.name = name
+        self.decompose = decompose
+        self.rebuild = rebuild
         if abs(self.evaluator(self.direction_e)) < LEADING_TOL:
             raise DegenerateLeadingCoefficient(f"{name}: p(e) vanishes")
         self._gram: Optional[np.ndarray] = None
@@ -110,14 +124,21 @@ class HyperbolicPolynomial:
             self._gram = self._build_gram()
         return self._gram
 
+    def _norm_sq(self, x) -> float:
+        # the decomposition where there is one: the basis points and their
+        # pairwise sums have repeated roots, where root extraction loses half
+        # its digits (hyp:prod:4 reads them as complex)
+        eigs = self.lam(x) if self.decompose is None else self.decompose(x)[0]
+        return float(np.dot(eigs, eigs))
+
     def _build_gram(self) -> np.ndarray:
         basis = np.eye(self.dim)
-        sq = np.array([self.lam_norm(b) ** 2 for b in basis])
+        sq = np.array([self._norm_sq(b) for b in basis])
         g = np.empty((self.dim, self.dim))
         for i in range(self.dim):
             g[i, i] = sq[i]
             for jj in range(i + 1, self.dim):
-                plus = self.lam_norm(basis[i] + basis[jj]) ** 2
+                plus = self._norm_sq(basis[i] + basis[jj])
                 g[i, jj] = g[jj, i] = 0.5 * (plus - sq[i] - sq[jj])
         w, _ = eigh_desc(g)
         if w[-1] <= 1e-10 * max(1.0, w[0]):
@@ -144,22 +165,26 @@ class HyperbolicPolynomial:
     # -- FTvN wrapper -------------------------------------------------------
 
     def as_instance(self) -> FtvnInstance:
+        # with the hooks the witness is rebuilt on c's frame; without, searched
+        exact = self.decompose is not None
         return FtvnInstance(
             name=f"hyp:{self.name}",
             dim_v=self.dim,
             dim_w=self.degree,
             lam=self.lam,
-            a3_witness=self._a3_witness,
+            a3_witness=None if exact else self._search_witness,
             inner_v=self.inner,
-            witness_is_exact=False,
+            witness_is_exact=exact,
             family="hyp",
             image_contains=lambda q, tol: q.size == self.degree and is_sorted_desc(q, tol),
             sample=lambda rng: rng.standard_normal(self.dim),
             riesz=lambda g: np.linalg.solve(self.gram, g),
             backend=self,
+            decompose=self.decompose,
+            rebuild=self.rebuild,
         )
 
-    def _a3_witness(self, c: np.ndarray, q: np.ndarray) -> np.ndarray:
+    def _search_witness(self, c: np.ndarray, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         if q.size != self.degree or not is_sorted_desc(q):
             raise WitnessError(f"{self.name}: target is not a sorted root vector")
@@ -309,7 +334,9 @@ def coordinate_product_polynomial(n: int) -> HyperbolicPolynomial:
         dim=n, degree=n,
         evaluator=lambda v: float(np.prod(v)),
         direction_e=np.ones(n),
-        name=f"prod:{n}")
+        name=f"prod:{n}",
+        decompose=lambda x: sort_decompose(np.asarray(x, dtype=float)),
+        rebuild=lambda q, frame: q @ frame)
 
 
 def _svec_dim(n: int) -> int:
@@ -334,13 +361,16 @@ def mat_to_svec(m: np.ndarray) -> np.ndarray:
 
 def det_sym_polynomial(n: int) -> HyperbolicPolynomial:
     """p = det on symmetric n x n matrices in scaled-symmetric coordinates;
-    the root map recovers the spectrum."""
+    the root map recovers the spectrum, and the eigenvectors V of the matrix
+    are the frame: q is rebuilt as V diag(q) V^T."""
     dim = _svec_dim(n)
     return HyperbolicPolynomial(
         dim=dim, degree=n,
         evaluator=lambda v: float(np.linalg.det(svec_to_mat(np.asarray(v, float), n))),
         direction_e=mat_to_svec(np.eye(n)),
-        name=f"detsym:{n}")
+        name=f"detsym:{n}",
+        decompose=lambda x: eigh_desc(svec_to_mat(np.asarray(x, dtype=float), n)),
+        rebuild=lambda q, v: mat_to_svec(v @ np.diag(q) @ v.T))
 
 
 def monomial_polynomial(n: int, e, monomials: list[dict]) -> HyperbolicPolynomial:

@@ -17,7 +17,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +48,7 @@ class RectMatrixSpace:
         return a.ravel()
 
     def singular_values(self, x) -> np.ndarray:
-        _, s, _ = svd_jacobi(self.mat(x))
-        return s
+        return self.decompose(x)[0]
 
     def gamma(self, x) -> np.ndarray:
         """The m x n matrix carrying sigma(x) on its leading diagonal."""
@@ -58,25 +56,16 @@ class RectMatrixSpace:
         out[np.arange(self.k), np.arange(self.k)] = self.singular_values(x)
         return out
 
-    def _a3_witness(self, c: np.ndarray, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if q.size != self.k:
-            raise WitnessError(f"{self.name}: target has length {q.size}, expected {self.k}")
-        if not is_sorted_desc(q) or q[-1] < -1e-9 * (1.0 + abs(q[0])):
-            raise WitnessError(f"{self.name}: target violates the sorted-nonnegative cone")
-        u, _, v = svd_jacobi(self.mat(c))
-        return (u @ np.diag(np.clip(q, 0.0, None)) @ v.T).ravel()
+    def decompose(self, x) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """Singular values and the frame (u, v) of x = u diag(s) v^T."""
+        u, s, v = svd_jacobi(self.mat(x))
+        return s, (u, v)
 
-    def _commute_witness(self, x: np.ndarray, y: np.ndarray, tol: float):
-        u, _, v = svd_jacobi(self.mat(x) + self.mat(y))
-        sx = self.singular_values(x)
-        sy = self.singular_values(y)
-        rx = np.linalg.norm(self.mat(x) - u @ np.diag(sx) @ v.T)
-        ry = np.linalg.norm(self.mat(y) - u @ np.diag(sy) @ v.T)
-        if (rx <= math.sqrt(tol) * (1.0 + np.linalg.norm(sx))
-                and ry <= math.sqrt(tol) * (1.0 + np.linalg.norm(sy))):
-            return (u, v)
-        return None
+    def rebuild(self, q, frame) -> np.ndarray:
+        """u diag(q) v^T, with q clipped at zero: the target's roundoff below
+        zero is not a singular value."""
+        u, v = frame
+        return (u @ np.diag(np.clip(q, 0.0, None)) @ v.T).ravel()
 
     def orbit_sample(self, q, rng: np.random.Generator, count: int) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -92,16 +81,15 @@ class RectMatrixSpace:
             name=self.name,
             dim_v=self.m * self.n,
             dim_w=self.k,
-            lam=self.singular_values,
-            a3_witness=self._a3_witness,
             witness_is_exact=True,
             family="svd",
             image_contains=lambda q, tol: (q.size == self.k and is_sorted_desc(q, tol)
                                            and q[-1] >= -tol * (1.0 + abs(q[0]))),
             sample=lambda rng: rng.standard_normal(self.m * self.n),
             sample_orbit=self.orbit_sample,
-            commute_witness=self._commute_witness,
             backend=self,
+            decompose=self.decompose,
+            rebuild=self.rebuild,
         )
 
 
@@ -119,7 +107,7 @@ def singular_map(space: RectMatrixSpace, x) -> np.ndarray:
 
 def nds_a3_witness(space: RectMatrixSpace, c, q) -> np.ndarray:
     """X = U diag(q) V^T built from a full SVD of c; attains the trace bound."""
-    return space._a3_witness(as_vec(c), as_vec(q))
+    return space.instance.a3_witness(as_vec(c), as_vec(q))
 
 
 def nds_commute_check(space: RectMatrixSpace, x, y, tol: float = 1e-8):

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .core import (DEFAULT_TOL, CommutationCert, FtvnError, FtvnInstance,
-                   WitnessError, as_vec, commute_check, lambda_tilde)
+                   WitnessError, as_vec, checked_target, commute_check, lambda_tilde)
 from .solvers import project_polyhedron, projected_descent, simplex_weight_grid, solve_lp
 from .solvers import dykstra_project  # noqa: F401  unused; perfbench/spans.py wraps it here
 from .spectral_sets import (Combiner, FiniteSet, GridOracle, OrbitOf,
@@ -102,8 +102,19 @@ def _infeasible_report(sense: str, trace: dict) -> SolveReport:
                                 trace, infeasible=True)
 
 
+def _decompose(inst: FtvnInstance, d: np.ndarray) -> tuple[np.ndarray, object]:
+    # (lam(d), frame); the frame is None on an instance without the hooks
+    if inst.decompose is not None:
+        return inst.decompose(d)
+    return inst.lam(d), None
+
+
 class _WSide:
-    """The W-side scalar t(q), its lift rule, and the commutation direction."""
+    """The W-side scalar t(q), its lift rule, and the commutation direction.
+
+    Each lift direction is decomposed once, here: its eigenvalues make the
+    W-side vector and its frame is kept for the lift.
+    """
 
     def __init__(self, inst: FtvnInstance, objective: Objective, sense: str,
                  tol: float, seed: int):
@@ -112,28 +123,28 @@ class _WSide:
         self.sense = sense
         self.tol = tol
         self.seed = seed
-        if isinstance(objective, LinearObjective):
+        if isinstance(objective, (LinearObjective, DistanceObjective)):
+            # a linear sup and a distance inf commute with c; the other two
+            # with -c, whose W-side vector is lam~(c) = -lam(-c)
+            toward_c = (sense == "max") == isinstance(objective, LinearObjective)
             c = objective.c
-            self.w_vec = inst.lam(c) if sense == "max" else lambda_tilde(inst, c)
-            self.t = lambda q: self.inst.inner_w(self.w_vec, q)
-            self.lift_dir = c if sense == "max" else -c
-            self.commutes_with = "c" if sense == "max" else "-c"
-        elif isinstance(objective, DistanceObjective):
-            c = objective.c
-            self.w_vec = lambda_tilde(inst, c) if sense == "max" else inst.lam(c)
-            self.t = lambda q: self.inst.norm_w(self.w_vec - q)
-            self.lift_dir = -c if sense == "max" else c
-            self.commutes_with = "-c" if sense == "max" else "c"
-        else:
-            self.pieces_w = [(inst.lam(c), a, c) for c, a in objective.pieces]
-            if sense == "max":
-                self.t = lambda q: max(self.inst.inner_w(wc, q) + a
-                                       for wc, a, _ in self.pieces_w)
-                self.commutes_with = "active piece"
+            self.lift_dir = c if toward_c else -c
+            self.lam_dir, self.frame = _decompose(inst, self.lift_dir)
+            self.w_vec = self.lam_dir if toward_c else -self.lam_dir
+            self.commutes_with = "c" if toward_c else "-c"
+            if isinstance(objective, LinearObjective):
+                self.t = lambda q: self.inst.inner_w(self.w_vec, q)
             else:
-                self.t = self._h_lower_exact
-                self.commutes_with = None
-            self.lift_dir = None
+                self.t = lambda q: self.inst.norm_w(self.w_vec - q)
+        elif sense == "max":
+            # (lam(c), frame, alpha, c) per piece
+            self.pieces_w = [(*_decompose(inst, c), a, c) for c, a in objective.pieces]
+            self.t = lambda q: max(self.inst.inner_w(wc, q) + a
+                                   for wc, _, a, _ in self.pieces_w)
+            self.commutes_with = "active piece"
+        else:
+            self.t = self._h_lower_exact
+            self.commutes_with = None
 
     # -- max-affine infimum support -----------------------------------------
 
@@ -147,19 +158,23 @@ class _WSide:
     # -- lifting -------------------------------------------------------------
 
     def lift(self, q: np.ndarray) -> tuple[Optional[np.ndarray], Optional[CommutationCert]]:
+        """The witness x over q, rebuilt on the kept frame of the direction d,
+        and its certificate: x and x + d are decomposed there, lam(d) is reused."""
         inst = self.inst
         if isinstance(self.objective, MaxAffineObjective):
-            if self.sense == "max":
-                vals = [inst.inner_w(wc, q) + a for wc, a, _ in self.pieces_w]
-                i = int(np.argmax(vals))
-                c_active = self.pieces_w[i][2]
-                x = inst.a3_witness(c_active, q)
-                return x, commute_check(inst, x, c_active, self.tol)
-            # infimum: the orbit argmin is itself the lifted point
-            value, x, _ = orbit_min(inst, self._h_fn, q, seed=self.seed)
-            return x, None
-        x = inst.a3_witness(self.lift_dir, q)
-        return x, commute_check(inst, x, self.lift_dir, self.tol)
+            if self.sense == "min":
+                # infimum: the orbit argmin is itself the lifted point
+                value, x, _ = orbit_min(inst, self._h_fn, q, seed=self.seed)
+                return x, None
+            vals = [inst.inner_w(wc, q) + a for wc, _, a, _ in self.pieces_w]
+            lam_d, frame, _, d = self.pieces_w[int(np.argmax(vals))]
+        else:
+            lam_d, frame, d = self.lam_dir, self.frame, self.lift_dir
+        if frame is None:
+            x = inst.a3_witness(d, q)
+        else:
+            x = inst.rebuild(checked_target(inst, q), frame)
+        return x, commute_check(inst, x, d, self.tol, lam_y=lam_d)
 
 
 def orbit_min(inst: FtvnInstance, h: Callable[[np.ndarray], float], q,
@@ -290,7 +305,7 @@ def _solve_polyhedron(inst, objective, spec, phi, combiner, sense, tol, seed, ws
         coeffs, const = affine
         best = None
         total_it = 0
-        for wc, alpha, _ in ws.pieces_w:
+        for wc, _, alpha, _ in ws.pieces_w:
             lp = solve_lp(wc + coeffs, a_ub, b_ub, maximize=True)
             total_it += lp.iterations
             # infeasibility belongs to the set, so the first piece's LP settles it
@@ -313,9 +328,9 @@ def _solve_polyhedron(inst, objective, spec, phi, combiner, sense, tol, seed, ws
                 and isinstance(objective, DistanceObjective) and sense == "min")
     q0, certified = project_polyhedron(ws.w_vec if distance else np.zeros(n), a_ub, b_ub)
     if not certified:
-        feas = solve_lp(np.zeros(n), a_ub, b_ub)
-        if feas.status == "infeasible":
-            return _infeasible_report(sense, {"method": "lp_phase1", "iterations": feas.iterations})
+        empty, trace = _phase1_empty(a_ub, b_ub, tol, q0)
+        if empty:
+            return _infeasible_report(sense, trace)
         if q0 is None:
             raise FtvnError("no projection onto a nonempty polyhedron")
 
@@ -355,6 +370,31 @@ def _solve_polyhedron(inst, objective, spec, phi, combiner, sense, tol, seed, ws
                    combiner.fn, sense)
 
 
+def _phase1_empty(a_ub, b_ub, tol, q0) -> tuple[bool, dict]:
+    """Is {q : a_ub q <= b_ub} empty?  (verdict, trace)
+
+    The phase-1 LP min s over a q - s <= b, s >= 0, with the rows scaled to
+    unit normals, is feasible and bounded for every input, so its optimum s*,
+    the least uniform violation, always exists.  The set is empty when
+    s* > tol (1 + max|b|).  If HiGHS decides the LP by neither method, the
+    violation at the projector's point q0 bounds s* from above, and the
+    trace says the verdict is undecided.
+    """
+    norms = np.linalg.norm(a_ub, axis=1)
+    norms[norms == 0.0] = 1.0
+    a, b = a_ub / norms[:, None], b_ub / norms
+    m, n = a.shape
+    a1 = np.block([[a, -np.ones((m, 1))], [np.zeros((1, n)), -np.ones((1, 1))]])
+    lp = solve_lp(np.append(np.zeros(n), 1.0), a1, np.append(b, 0.0), bounded=True)
+    trace = {"method": "lp_phase1", "iterations": lp.iterations}
+    if lp.status == "optimal":
+        s_star = lp.value
+    else:
+        trace["decided"] = False
+        s_star = math.inf if q0 is None else float(np.max(a @ q0 - b, initial=0.0))
+    return s_star > tol * (1.0 + float(np.max(np.abs(b), initial=0.0))), trace
+
+
 def _probe_around(combiner, ws, phi, q_star, a_ub, b_ub):
     # monotonicity contract check on the t-range seen near the optimum
     t0 = ws.t(q_star)
@@ -376,7 +416,7 @@ def _finish(inst, objective, ws, q_star, value, attained, trace, phi, L, sense) 
         optimizer_v, cert = None, None
     if optimizer_v is not None:
         t_v = _eval_objective_v(inst, objective, optimizer_v)
-        s_v = phi(inst.lam(optimizer_v))
+        s_v = phi(inst.lam(optimizer_v) if cert is None else cert.lam_x)
         if math.isfinite(t_v) and math.isfinite(s_v) and math.isfinite(value):
             gap = abs(L(t_v, s_v) - value)
     return SolveReport(sense=sense, optimal_value=float(value),

@@ -168,7 +168,7 @@ def _kkt_holds(w, q, mu, a, b) -> bool:
 
 @dataclass(frozen=True)
 class LpResult:
-    status: str                 # "optimal" | "unbounded" | "infeasible"
+    status: str                 # "optimal" | "unbounded" | "infeasible" | "unknown"
     x: Optional[np.ndarray]
     value: float
     iterations: int
@@ -189,15 +189,16 @@ def linprog(*args, **kwargs):
     return highs(*args, **kwargs)
 
 
-def _highs(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, bounds=(None, None)):
+def _highs(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, bounds=(None, None),
+           method: str = "highs-ds"):
     # presolve off: on some unbounded LPs over a nonempty ordered polyhedron
     # HiGHS's presolve reports "infeasible" (one such case is in the tests)
-    return linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs-ds",
+    return linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method=method,
                    options={"presolve": False})
 
 
 def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
-             maximize: bool = False) -> LpResult:
+             maximize: bool = False, bounded: bool = False) -> LpResult:
     """min (or max) c.q subject to a_ub @ q <= b_ub, q free.
 
     One HiGHS dual-simplex call: the optimum it returns is a basic solution
@@ -208,6 +209,11 @@ def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
     the recession LP over directions d with a_ub @ d <= 0 in the unit box.
     If the set is nonempty and some such d improves the objective, the LP is
     unbounded; otherwise :class:`FtvnError` carries HiGHS's first message.
+
+    ``bounded`` says the LP is feasible and bounded by construction.  Any
+    dual-simplex outcome but optimal is then retried with HiGHS's
+    interior-point method, and if that is not optimal either the status is
+    "unknown"; no error is raised.
     """
     c = np.asarray(c, dtype=float)
     sign = -1.0 if maximize else 1.0
@@ -216,6 +222,12 @@ def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
     res = _highs(sign * c, a_ub, b_ub)
     status = _LP_STATUS.get(res.status)
     nit = res.nit
+    if bounded and status != "optimal":
+        res = _highs(sign * c, a_ub, b_ub, method="highs-ipm")
+        nit += res.nit
+        status = _LP_STATUS.get(res.status)
+        if status != "optimal":
+            return LpResult("unknown", None, math.nan, nit)
     if status is None:
         # HiGHS (scipy 1.17.1) ends some unbounded LPs with model status
         # "Unknown"; two such cases are in the tests

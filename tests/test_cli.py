@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
+import ftvn.cli
 import ftvn.solvers
 from ftvn import get_instance
 from ftvn.cli import main
@@ -337,6 +338,26 @@ def test_cli_solve_lp_failure_exit2(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: LP solve failed: Iteration limit reached."]
+
+
+def test_cli_internal_error_exit2(tmp_path, capsys, monkeypatch):
+    # an exception no handler expects is a defect: exit 2, not usage's exit
+    # 1, with one stderr line and no traceback
+    def broken(*args, **kwargs):
+        raise RuntimeError("simulated defect\nsecond line")
+
+    monkeypatch.setattr(ftvn.cli, "reduce_solve", broken)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "instance": "rn:2",
+        "objective": {"kind": "linear", "c": {"kind": "rn", "data": [1, 0]}},
+        "set": {"kind": "finite", "points": [[1, 0]]}}))
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "internal error: RuntimeError: simulated defect second line"]
+    assert "Traceback" not in captured.err
 
 
 def test_cli_paperpack_deterministic(tmp_path):

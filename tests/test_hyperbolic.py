@@ -138,3 +138,39 @@ def test_custom_monomials_json():
     assert hyperbolic_from_json({"kind": "det_sym", "n": 2}).dim == 3
     with pytest.raises(KeyError):
         hyperbolic_from_json({"kind": "nope"})
+
+
+@pytest.mark.parametrize("make, n", [(det_sym_polynomial, 3), (coordinate_product_polynomial, 4)])
+def test_stock_witnesses_rebuild_on_the_frame(make, n):
+    # the stock polynomials carry their decomposition: lam stays root
+    # extraction and agrees with it, and the A3 witness is exact
+    hp = make(n)
+    inst = hp.as_instance()
+    assert inst.witness_is_exact
+    rng = np.random.default_rng(4)
+    for _ in range(25):
+        x = rng.standard_normal(hp.dim)
+        eigs, _ = inst.decompose(x)
+        np.testing.assert_allclose(hp.lam(x), eigs, rtol=0, atol=1e-10 * (1 + np.linalg.norm(x)))
+        c = rng.standard_normal(hp.dim)
+        q = hp.lam(rng.standard_normal(hp.dim))
+        w = inst.a3_witness(c, q)
+        np.testing.assert_allclose(hp.lam(w), q, rtol=0, atol=1e-10 * (1 + np.linalg.norm(q)))
+        assert inst.inner_v(c, w) == pytest.approx(float(np.dot(hp.lam(c), q)), abs=1e-9)
+
+
+def test_detsym_axiom_suite_is_exact():
+    # a witness is one 3 x 3 eigendecomposition, no search
+    rep = axiom_suite(det_sym_polynomial(3).as_instance(), seed=42, n_samples=300)
+    assert rep.passed and rep.a3_failures == 0 and rep.notes == ()
+    assert rep.a3_max_lambda_residual <= 1e-12
+
+
+def test_custom_polynomial_keeps_the_search():
+    hp = hyperbolic_from_json({
+        "kind": "custom_monomials", "n": 2, "e": [1.0, 1.0],
+        "monomials": [{"coef": 1.0, "powers": [1, 1]}]})
+    inst = hp.as_instance()
+    assert not inst.witness_is_exact and inst.decompose is None
+    w = inst.a3_witness(np.array([1.0, -1.0]), np.array([3.0, 1.0]))
+    np.testing.assert_allclose(hp.lam(w), [3.0, 1.0], atol=1e-5)

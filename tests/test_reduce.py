@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 import ftvn.reduce
-from ftvn import MonotonicityError, get_instance, lambda_tilde
+import ftvn.solvers
+from ftvn import MonotonicityError, commute_check, get_instance, lambda_tilde
 from ftvn.eja import sort_desc, sym_coords
 from ftvn.reduce import (MaxAffineObjective,
                          envelope_lower_affine, envelope_lower_exact,
@@ -636,3 +639,144 @@ def test_interval_image_flagship(sym2):
     box = interval_image(sym2, c, spec)
     assert box.hi == pytest.approx(2.0, abs=1e-9)
     assert box.lo == pytest.approx(-2.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# one decomposition per element per solve
+
+def _bounded_box(k):
+    # q_1 <= 3, q_k >= 0.5 and one cut: bounded, with nonnegative points
+    return OrderedPolyhedron(halfspaces=((tuple(np.eye(k)[0]), 3.0),
+                                         (tuple(-np.eye(k)[-1]), -0.5),
+                                         (tuple(np.full(k, 1.0 / k)), 2.0)))
+
+
+@pytest.mark.parametrize("name", ["sym:3", "svd:4x3", "svd:2x3"])
+def test_three_decompositions_per_solve(name, monkeypatch):
+    # the lift direction, the lifted point and their sum: one Jacobi
+    # decomposition each, whatever the route and the sense
+    import ftvn.linalg
+    real = ftvn.linalg.jacobi_eigh
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ftvn.linalg, "jacobi_eigh", counting)
+    inst = get_instance(name)
+    box = _bounded_box(inst.dim_w)
+    rng = np.random.default_rng(12)
+    for solve in (reduce_solve_linear, reduce_solve_distance):
+        for sense in ("max", "min"):
+            calls.clear()
+            rep = solve(inst, rng.standard_normal(inst.dim_v), box, sense=sense)
+            assert rep.commutation.verdict, (solve.__name__, sense)
+            assert len(calls) <= 3, (solve.__name__, sense, len(calls))
+    pieces = tuple((rng.standard_normal(inst.dim_v), 0.1 * i) for i in range(4))
+    calls.clear()
+    rep = reduce_solve(inst, MaxAffineObjective(pieces), box, sense="max")
+    assert rep.solver_trace["method"] == "lp_per_piece" and rep.commutation.verdict
+    assert len(calls) <= len(pieces) + 2
+
+
+def _frame_arrays(frame):
+    if frame is None:
+        return []
+    if isinstance(frame, tuple):
+        return list(frame)
+    return [frame.idempotents]
+
+
+@pytest.mark.parametrize("name", ["rn:4", "sym:3", "spin:3", "product:rn:2+sym:2", "svd:3x2"])
+def test_certificate_equals_a_fresh_commute_check(name):
+    # the engine reuses lam(d) and the frame of x + d; the certificate must
+    # still be exactly the public check recomputed from scratch
+    inst = get_instance(name)
+    box = _bounded_box(inst.dim_w)
+    rng = np.random.default_rng(21)
+    for solve in (reduce_solve_linear, reduce_solve_distance):
+        for sense in ("max", "min"):
+            c = rng.standard_normal(inst.dim_v)
+            rep = solve(inst, c, box, sense=sense, seed=3)
+            d = c if rep.commutes_with == "c" else -c
+            fresh = commute_check(inst, rep.optimizer_v, d, 1e-8)
+            got = rep.commutation
+            for field in ("residual_inner", "residual_dist", "residual_addnorm",
+                          "residual_addvec", "verdict"):
+                assert getattr(got, field) == getattr(fresh, field), (solve.__name__, sense, field)
+            np.testing.assert_array_equal(got.lam_x, fresh.lam_x)
+            mine, theirs = _frame_arrays(got.witness), _frame_arrays(fresh.witness)
+            assert len(mine) == len(theirs)
+            for a, b in zip(mine, theirs):
+                np.testing.assert_array_equal(a, b)
+
+
+def test_certificate_computes_lam_of_the_lift(sym3):
+    # a rebuild that misses its target (twice the eigenvalues) shows in the
+    # certificate: lam(x) is the decomposition of x, not the target q
+    doubled = dataclasses.replace(sym3, rebuild=lambda q, frame: sym3.rebuild(2.0 * q, frame))
+    c = np.random.default_rng(5).standard_normal(9)
+    rep = reduce_solve_linear(doubled, c, _bounded_box(3), sense="max")
+    lam_x = rep.commutation.lam_x
+    np.testing.assert_array_equal(lam_x, sym3.lam(rep.optimizer_v))
+    np.testing.assert_allclose(lam_x, 2.0 * rep.optimizer_w, atol=1e-12)
+    assert not np.allclose(lam_x, rep.optimizer_w)
+    assert rep.reduction_gap > 0.1
+
+
+# ---------------------------------------------------------------------------
+# emptiness is always decided
+
+def _unknown_linprog(monkeypatch, first_only=True):
+    real = ftvn.solvers.linprog
+    methods = []
+
+    def unknown(*args, **kwargs):
+        methods.append(kwargs["method"])
+        if len(methods) == 1 or not first_only:
+            return OptimizeResult(status=4, message="simulated unknown", x=None, fun=None, nit=3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ftvn.solvers, "linprog", unknown)
+    return methods
+
+
+EMPTY2 = OrderedPolyhedron(halfspaces=(((1.0, 0.0), -1.0), ((0.0, -1.0), -1.0)))
+BOX2 = OrderedPolyhedron(halfspaces=(((-1.0, 0.0), -1.0), ((1.0, 0.0), 2.0),
+                                     ((0.0, -1.0), 0.0)))
+
+
+def test_phase1_decides_when_highs_is_unknown(rn2, monkeypatch):
+    # HiGHS's dual simplex ends "unknown" on the phase-1 LP; the LP has an
+    # optimum, so the interior-point method decides it and nothing raises
+    methods = _unknown_linprog(monkeypatch)
+    rep = reduce_solve_distance(rn2, np.array([1.0, 2.0]), EMPTY2, sense="min")
+    assert rep.infeasible and rep.solver_trace["method"] == "lp_phase1"
+    assert "decided" not in rep.solver_trace
+    assert methods == ["highs-ds", "highs-ipm"]
+
+    # a nonempty set whose projection is not certified goes on to be solved
+    methods = _unknown_linprog(monkeypatch)
+    real_project = ftvn.reduce.project_polyhedron
+    monkeypatch.setattr(ftvn.reduce, "project_polyhedron",
+                        lambda w, a, b: (real_project(w, a, b)[0], False))
+    rep = reduce_solve_distance(rn2, np.array([3.0, -1.0]), BOX2, sense="min")
+    assert not rep.infeasible and not rep.attained
+    np.testing.assert_allclose(rep.optimizer_w, [2.0, 0.0], atol=1e-12)
+    assert methods == ["highs-ds", "highs-ipm"]
+
+
+def test_phase1_undecided_by_highs_still_reports(rn2, monkeypatch):
+    # both HiGHS methods undecided: the violation at the projector's point
+    # settles the verdict, and the trace says it was not decided by the LP
+    _unknown_linprog(monkeypatch, first_only=False)
+    rep = reduce_solve_distance(rn2, np.array([1.0, 2.0]), EMPTY2, sense="min")
+    assert rep.infeasible and rep.solver_trace == {"method": "lp_phase1", "iterations": 6,
+                                                   "decided": False}
+    real_project = ftvn.reduce.project_polyhedron
+    monkeypatch.setattr(ftvn.reduce, "project_polyhedron",
+                        lambda w, a, b: (real_project(w, a, b)[0], False))
+    rep = reduce_solve_distance(rn2, np.array([3.0, -1.0]), BOX2, sense="min")
+    assert not rep.infeasible
+    np.testing.assert_allclose(rep.optimizer_w, [2.0, 0.0], atol=1e-12)
