@@ -123,20 +123,22 @@ class FtvnInstance:
     All callables operate on bare 1-d numpy coordinate vectors.  ``lam`` must
     be positively homogeneous and satisfy A1/A2; ``a3_witness(c, q)`` returns
     x with lam(x) = q maximizing <c, x>, raising :class:`WitnessError` on
-    failure.  ``witness_is_exact`` is True when the witness is constructive
-    (Jordan, SVD, isometry) and False when it is a numerical search
-    (restricted subspace, hyperbolic fallback).
+    failure.
 
     An instance with a spectral decomposition gives it as two hooks, the
     paper's construction: ``decompose(x) -> (eigs, frame)`` with eigs = lam(x)
     and ``rebuild(q, frame) -> x`` with lam(x) = q, which puts the target
     eigenvalues on the frame's own basis.  ``lam`` and ``a3_witness``, when
     left out, are derived from the hooks at construction: the witness for
-    (c, q) is q rebuilt on c's frame.  :func:`commute_check` takes the frame
-    of x + y as the shared-frame witness of a commuting pair, in place of
-    ``commute_witness``.  The reduction engine works on the hooks directly,
-    so one solve decomposes the lift direction, the lifted point and their
-    sum once each.
+    (c, q) is q rebuilt on c's frame, which makes it exact
+    (:attr:`witness_is_exact`).  An instance without the hooks gives ``lam``
+    and ``a3_witness`` itself, and its witness is taken for a numerical
+    search.  :meth:`spectral` is the one entry point for (lam(x), frame);
+    :func:`commute_check` takes the frame of x + y as the shared-frame
+    witness of a commuting pair.
+
+    ``draw`` samples an element: ``sample`` when given, else a standard
+    normal coordinate vector through ``project_element``.
     """
 
     name: str
@@ -145,12 +147,10 @@ class FtvnInstance:
     lam: Optional[Callable[[np.ndarray], np.ndarray]] = None
     a3_witness: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     inner_v: Callable[[np.ndarray, np.ndarray], float] = lambda x, y: float(np.dot(x, y))
-    witness_is_exact: bool = True
     family: str = ""
     image_contains: Callable[[np.ndarray, float], bool] = lambda q, tol: True
     sample: Optional[Callable[[np.random.Generator], np.ndarray]] = None
     sample_orbit: Optional[Callable[[np.ndarray, np.random.Generator, int], np.ndarray]] = None
-    commute_witness: Optional[Callable[[np.ndarray, np.ndarray, float], Any]] = None
     # maps a coordinate gradient to its inner_v representer (identity for dot)
     riesz: Callable[[np.ndarray], np.ndarray] = lambda g: g
     # projection onto the manifold of valid elements (symmetrization for
@@ -172,6 +172,18 @@ class FtvnInstance:
                     checked_target(self, q), decompose(c)[1]))
         if self.lam is None or self.a3_witness is None:
             raise TypeError(f"{self.name}: give lam and a3_witness, or decompose and rebuild")
+
+    @property
+    def witness_is_exact(self) -> bool:
+        """True when the witness is rebuilt on c's frame, False when it is a
+        numerical search (restricted subspace, custom hyperbolic polynomial)."""
+        return self.rebuild is not None
+
+    def spectral(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
+        """(lam(x), frame of x); the frame is None without the hooks."""
+        if self.decompose is not None:
+            return self.decompose(x)
+        return self.lam(x), None
 
     def element(self, coords) -> ElementV:
         v = as_vec(coords)
@@ -203,7 +215,7 @@ class FtvnInstance:
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         if self.sample is not None:
             return self.sample(rng)
-        return rng.standard_normal(self.dim_v)
+        return self.project_element(rng.standard_normal(self.dim_v))
 
 
 def lambda_tilde(inst: FtvnInstance, c) -> np.ndarray:
@@ -244,22 +256,16 @@ def commute_check(inst: FtvnInstance, x, y, tol: float = DEFAULT_TOL,
 
     ``lam_y`` is lam(y) when the caller already has it.  lam(x) is always
     computed here, so the certificate never takes the caller's word for x.
-    On an instance with a decomposition, x + y is decomposed once and its
-    frame is the shared-frame witness.
+    x + y is decomposed once; on an instance with the hooks its frame is the
+    shared-frame witness.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     xv = inst.check_element(x)
     yv = inst.check_element(y)
-    frame = None
-    if inst.decompose is not None:
-        lx = inst.decompose(xv)[0]
-        ly = inst.decompose(yv)[0] if lam_y is None else lam_y
-        lxy, frame = inst.decompose(xv + yv)
-    else:
-        lx = inst.lam(xv)
-        ly = inst.lam(yv) if lam_y is None else lam_y
-        lxy = inst.lam(xv + yv)
+    lx = inst.lam(xv)
+    ly = inst.lam(yv) if lam_y is None else lam_y
+    lxy, frame = inst.spectral(xv + yv)
     ip_v = inst.inner_v(xv, yv)
     ip_w = inst.inner_w(lx, ly)
     residual_inner = abs(ip_v - ip_w)
@@ -272,8 +278,6 @@ def commute_check(inst: FtvnInstance, x, y, tol: float = DEFAULT_TOL,
     witness = None
     if verdict and frame is not None:
         witness = _frame_witness(inst, xv, yv, lx, ly, frame, tol)
-    elif verdict and inst.commute_witness is not None:
-        witness = inst.commute_witness(xv, yv, tol)
     return CommutationCert(residual_inner, residual_dist, residual_addnorm,
                            residual_addvec, verdict, witness, lam_x=lx)
 

@@ -107,7 +107,6 @@ class JordanAlgebra:
                  unit: np.ndarray,
                  inner_weights: np.ndarray,
                  decompose: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                 sample: Callable[[np.random.Generator], np.ndarray],
                  orbit_rows: Callable[[np.ndarray, np.random.Generator], np.ndarray],
                  project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  parts: tuple = ()):
@@ -119,7 +118,6 @@ class JordanAlgebra:
         self.unit = np.asarray(unit, dtype=float)
         self._w = np.asarray(inner_weights, dtype=float)
         self._decompose = decompose
-        self._sample = sample
         self._orbit_rows = orbit_rows
         self._project = project if project is not None else (lambda x: x)
         self.parts = parts  # the factor algebras of a product, in order; () otherwise
@@ -164,10 +162,8 @@ class JordanAlgebra:
             dim_w=self.rank,
             lam=self.eigvals,
             inner_v=self.inner,
-            witness_is_exact=True,
             family=self.kind,
             image_contains=lambda q, tol: q.size == self.rank and is_sorted_desc(q, tol),
-            sample=self._sample,
             sample_orbit=self.orbit_sample,
             riesz=lambda g: self._project(g) / self._w,
             project_element=self._project,
@@ -201,7 +197,6 @@ def rn_algebra(n: int) -> JordanAlgebra:
         unit=np.ones(n),
         inner_weights=np.ones(n),
         decompose=sort_decompose,
-        sample=lambda rng: rng.standard_normal(n),
         orbit_rows=orbit_rows,
     )
 
@@ -242,10 +237,6 @@ def sym_algebra(n: int) -> JordanAlgebra:
         frame = np.einsum("ji,ki->ijk", v, v).reshape(n, n * n)
         return w, frame
 
-    def sample(rng):
-        g = rng.standard_normal((n, n))
-        return (0.5 * (g + g.T)).ravel()
-
     def orbit_rows(rows, rng):
         count = rows.shape[0]
         z = rng.standard_normal((count, n, n))
@@ -262,7 +253,6 @@ def sym_algebra(n: int) -> JordanAlgebra:
         unit=np.eye(n).ravel(),
         inner_weights=np.ones(n * n),
         decompose=decompose,
-        sample=sample,
         orbit_rows=orbit_rows,
         project=project,
     )
@@ -313,7 +303,6 @@ def spin_algebra(n: int) -> JordanAlgebra:
         unit=np.concatenate(([1.0], np.zeros(n))),
         inner_weights=np.full(n + 1, 2.0),
         decompose=decompose,
-        sample=lambda rng: rng.standard_normal(n + 1),
         orbit_rows=orbit_rows,
     )
 
@@ -347,9 +336,6 @@ def product_algebra(parts: list[JordanAlgebra]) -> JordanAlgebra:
             frame[row, v_off[i]:v_off[i + 1]] = part_row
         return eigs, frame
 
-    def sample(rng):
-        return np.concatenate([p._sample(rng) for p in parts])
-
     def orbit_rows(rows, rng):
         count = rows.shape[0]
         shuffles = np.argsort(rng.random(rows.shape), axis=1)
@@ -368,7 +354,6 @@ def product_algebra(parts: list[JordanAlgebra]) -> JordanAlgebra:
         unit=np.concatenate([p.unit for p in parts]),
         inner_weights=np.concatenate([p._w for p in parts]),
         decompose=decompose,
-        sample=sample,
         orbit_rows=orbit_rows,
         project=project,
         parts=tuple(parts),

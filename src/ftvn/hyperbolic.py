@@ -8,10 +8,11 @@ quadratic form (Gram matrix) by polarization.
 
 The stock polynomials carry their spectral decomposition as the instance's
 decompose/rebuild hooks (coordinate product: a sort; det on symmetric
-matrices: the eigendecomposition), so their A3 witnesses are exact: the
-complete isometric case of Bauschke, Gueler, Lewis and Sendov (2001).  A
-custom polynomial gets a witness search instead.  The searches in this module
-are falsifiers: absence of a counterexample after the search budget is
+matrices: the eigendecomposition).  Their instances take lam from the
+decomposition, and their A3 witnesses are exact: the complete isometric case
+of Bauschke, Gueler, Lewis and Sendov (2001).  A custom polynomial's instance
+takes lam by root extraction and gets a witness search.  The searches in this
+module are falsifiers: absence of a counterexample after the search budget is
 evidence, not proof.
 """
 
@@ -54,9 +55,11 @@ def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
 class HyperbolicPolynomial:
     """A blackbox homogeneous polynomial with a hyperbolicity direction.
 
-    ``decompose`` and ``rebuild``, when given, are the spectral hooks of
-    :class:`~ftvn.core.FtvnInstance` for this root map; ``lam`` stays root
-    extraction, its definition.
+    ``lam`` is root extraction, the root map's definition.  ``decompose``
+    and ``rebuild``, when given, are the spectral hooks of
+    :class:`~ftvn.core.FtvnInstance` for the same map, and the instance then
+    takes lam from ``decompose``; root extraction serves the falsifiers and
+    the Gram check.
     """
 
     def __init__(self, dim: int, degree: int,
@@ -165,19 +168,18 @@ class HyperbolicPolynomial:
     # -- FTvN wrapper -------------------------------------------------------
 
     def as_instance(self) -> FtvnInstance:
-        # with the hooks the witness is rebuilt on c's frame; without, searched
-        exact = self.decompose is not None
+        # with the hooks lam and the witness derive from them; without, lam is
+        # root extraction and the witness a search
+        search = self.decompose is None
         return FtvnInstance(
             name=f"hyp:{self.name}",
             dim_v=self.dim,
             dim_w=self.degree,
-            lam=self.lam,
-            a3_witness=None if exact else self._search_witness,
+            lam=self.lam if search else None,
+            a3_witness=self._search_witness if search else None,
             inner_v=self.inner,
-            witness_is_exact=exact,
             family="hyp",
             image_contains=lambda q, tol: q.size == self.degree and is_sorted_desc(q, tol),
-            sample=lambda rng: rng.standard_normal(self.dim),
             riesz=lambda g: np.linalg.solve(self.gram, g),
             backend=self,
             decompose=self.decompose,

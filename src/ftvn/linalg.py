@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 JACOBI_OFF_TOL = 1e-13
+JACOBI_MAX_SWEEPS = 40
 _EPS = np.finfo(float).eps
 
 
@@ -35,7 +36,7 @@ def is_symmetric(a: np.ndarray) -> bool:
                for r, c in zip(rows, zip(*rows)) for x, y in zip(r, c))
 
 
-def jacobi_eigh(a, max_sweeps: int = 40) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a real symmetric matrix by cyclic Jacobi rotations.
 
     Returns ``(w, v)`` with ``a @ v[:, i] == w[i] * v[:, i]``.  Sweeps run in a
@@ -60,7 +61,7 @@ def jacobi_eigh(a, max_sweeps: int = 40) -> tuple[np.ndarray, np.ndarray]:
     vt = np.eye(n).tolist()  # rows of vt are the eigenvector columns
     copysign, hypot, sqrt = math.copysign, math.hypot, math.sqrt
     span = range(n)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = 0.0
         for i in range(n - 1):
             ri = rows[i]

@@ -81,11 +81,9 @@ class RectMatrixSpace:
             name=self.name,
             dim_v=self.m * self.n,
             dim_w=self.k,
-            witness_is_exact=True,
             family="svd",
             image_contains=lambda q, tol: (q.size == self.k and is_sorted_desc(q, tol)
                                            and q[-1] >= -tol * (1.0 + abs(q[0]))),
-            sample=lambda rng: rng.standard_normal(self.m * self.n),
             sample_orbit=self.orbit_sample,
             backend=self,
             decompose=self.decompose,
@@ -124,25 +122,17 @@ _ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 def rotation_instance() -> FtvnInstance:
     """lam = rotation through 90 degrees about the origin: (V, V, S) with S a
     linear isometry.  Any two elements commute; lam is not idempotent, which
-    separates this system from the sorted-map families."""
-    def witness(c, q):
-        q = np.asarray(q, dtype=float)
-        if q.size != 2:
-            raise WitnessError("rot90: target must lie in R^2")
-        return _ROT.T @ q
-
+    separates this system from the sorted-map families.  The rotation R is
+    the frame of every element: decompose x to (R x, R), rebuild q as R^T q."""
     return FtvnInstance(
         name="rot90",
         dim_v=2,
         dim_w=2,
-        lam=lambda x: _ROT @ x,
-        a3_witness=witness,
-        witness_is_exact=True,
         family="rot90",
         image_contains=lambda q, tol: q.size == 2,
-        sample=lambda rng: rng.standard_normal(2),
         sample_orbit=lambda q, rng, count: np.tile(_ROT.T @ np.asarray(q, float), (count, 1)),
-        commute_witness=lambda x, y, tol: ("isometry",),
+        decompose=lambda x: (_ROT @ x, _ROT),
+        rebuild=lambda q, frame: frame.T @ q,
     )
 
 
@@ -226,7 +216,6 @@ class SubspacePseudoInstance:
             dim_w=3,
             lam=lambda x: sort_desc(x),
             a3_witness=self._a3_witness,
-            witness_is_exact=False,
             family="z",
             image_contains=image_contains,
             sample=sample,

@@ -102,13 +102,6 @@ def _infeasible_report(sense: str, trace: dict) -> SolveReport:
                                 trace, infeasible=True)
 
 
-def _decompose(inst: FtvnInstance, d: np.ndarray) -> tuple[np.ndarray, object]:
-    # (lam(d), frame); the frame is None on an instance without the hooks
-    if inst.decompose is not None:
-        return inst.decompose(d)
-    return inst.lam(d), None
-
-
 class _WSide:
     """The W-side scalar t(q), its lift rule, and the commutation direction.
 
@@ -129,7 +122,7 @@ class _WSide:
             toward_c = (sense == "max") == isinstance(objective, LinearObjective)
             c = objective.c
             self.lift_dir = c if toward_c else -c
-            self.lam_dir, self.frame = _decompose(inst, self.lift_dir)
+            self.lam_dir, self.frame = inst.spectral(self.lift_dir)
             self.w_vec = self.lam_dir if toward_c else -self.lam_dir
             self.commutes_with = "c" if toward_c else "-c"
             if isinstance(objective, LinearObjective):
@@ -138,7 +131,7 @@ class _WSide:
                 self.t = lambda q: self.inst.norm_w(self.w_vec - q)
         elif sense == "max":
             # (lam(c), frame, alpha, c) per piece
-            self.pieces_w = [(*_decompose(inst, c), a, c) for c, a in objective.pieces]
+            self.pieces_w = [(*inst.spectral(c), a, c) for c, a in objective.pieces]
             self.t = lambda q: max(self.inst.inner_w(wc, q) + a
                                    for wc, _, a, _ in self.pieces_w)
             self.commutes_with = "active piece"
@@ -177,8 +170,13 @@ class _WSide:
         return x, commute_check(inst, x, d, self.tol, lam_y=lam_d)
 
 
+# orbit_min's heuristic search: Nelder-Mead starts, and iterations per start
+ORBIT_MIN_STARTS = 8
+ORBIT_MIN_BUDGET = 400
+
+
 def orbit_min(inst: FtvnInstance, h: Callable[[np.ndarray], float], q,
-              seed: int = 0, n_starts: int = 8, budget: int = 400) -> tuple[float, np.ndarray, bool]:
+              seed: int = 0) -> tuple[float, np.ndarray, bool]:
     """min h over the orbit {x : lam(x) = q}.
 
     Exact by permutation enumeration on the coordinate instance (dimension
@@ -200,9 +198,9 @@ def orbit_min(inst: FtvnInstance, h: Callable[[np.ndarray], float], q,
 
     rng = np.random.default_rng(seed)
     if inst.sample_orbit is not None:
-        starts = list(inst.sample_orbit(q, rng, n_starts))
+        starts = list(inst.sample_orbit(q, rng, ORBIT_MIN_STARTS))
     else:
-        starts = [rng.standard_normal(inst.dim_v) for _ in range(n_starts)]
+        starts = [rng.standard_normal(inst.dim_v) for _ in range(ORBIT_MIN_STARTS)]
     scale = 1.0 + float(np.linalg.norm(q))
     proj = inst.project_element
 
@@ -215,7 +213,7 @@ def orbit_min(inst: FtvnInstance, h: Callable[[np.ndarray], float], q,
     best_x = None
     for s in starts:
         res = minimize(objective, s, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": budget})
+                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": ORBIT_MIN_BUDGET})
         if res.fun < best_v:
             best_v = float(res.fun)
             best_x = proj(np.asarray(res.x, dtype=float))
@@ -495,8 +493,12 @@ class VIReport:
     consistent: bool                   # residual >= -tol on exact set => verdict
 
 
+# orbit points sampled per image point where E is not enumerated exactly
+VI_ORBIT_POINTS = 64
+
+
 def _enumerate_E(inst: FtvnInstance, spec: SpectralSetSpec, rng,
-                 n_orbit: int, tol: float) -> tuple[np.ndarray, bool]:
+                 tol: float) -> tuple[np.ndarray, bool]:
     if inst.family == "rn" and inst.dim_v <= 8 and isinstance(spec, (FiniteSet, OrbitOf)):
         qs = image_candidates(spec, inst, tol)
         pts = set()
@@ -515,7 +517,7 @@ def _enumerate_E(inst: FtvnInstance, spec: SpectralSetSpec, rng,
     rows = []
     for q in qs:
         if inst.sample_orbit is not None:
-            rows.append(inst.sample_orbit(np.asarray(q, float), rng, n_orbit))
+            rows.append(inst.sample_orbit(np.asarray(q, float), rng, VI_ORBIT_POINTS))
         else:
             rows.append(np.atleast_2d(inst.a3_witness(inst.draw(rng), np.asarray(q, float))))
     return np.vstack(rows) if rows else np.zeros((0, inst.dim_v)), False
@@ -523,7 +525,7 @@ def _enumerate_E(inst: FtvnInstance, spec: SpectralSetSpec, rng,
 
 def vi_commutation_check(inst: FtvnInstance, G: Callable[[np.ndarray], np.ndarray],
                          set_spec: SpectralSetSpec, a, tol: float = DEFAULT_TOL,
-                         seed: int = 0, n_orbit: int = 64) -> VIReport:
+                         seed: int = 0) -> VIReport:
     """Is a a variational-inequality point of G over E, and does a commute
     with -G(a)?  On an exactly enumerable E the two must agree."""
     av = inst.check_element(a)
@@ -533,7 +535,7 @@ def vi_commutation_check(inst: FtvnInstance, G: Callable[[np.ndarray], np.ndarra
         raise ValueError("a does not belong to the spectral set (lam(a) not in Q)")
     g = np.asarray(G(av), dtype=float)
     rng = np.random.default_rng(seed)
-    pts, exact = _enumerate_E(inst, set_spec, rng, n_orbit, tol)
+    pts, exact = _enumerate_E(inst, set_spec, rng, tol)
     residual = math.inf
     worst = None
     for x in pts:
@@ -556,16 +558,19 @@ class LocalMinReport:
     n_probes: int
 
 
+# the central-difference step relative to 1 + ||a||, and the orbit points probed
+LOCAL_MIN_FD_STEP = 1e-6
+LOCAL_MIN_PROBES = 16
+
+
 def local_min_commutation_check(inst: FtvnInstance, h: Callable[[np.ndarray], float],
-                                set_spec: SpectralSetSpec, a,
-                                fd_step: float = 1e-6, seed: int = 0,
-                                n_probes: int = 16,
+                                set_spec: SpectralSetSpec, a, seed: int = 0,
                                 tol: float = DEFAULT_TOL) -> LocalMinReport:
     """Check the differentiable commutation principle at a candidate local
     minimizer: a must commute with minus its gradient.  Local minimality is
     probed along segments toward orbit points (evidence only)."""
     av = inst.check_element(a)
-    step = fd_step * (1.0 + inst.norm_v(av))
+    step = LOCAL_MIN_FD_STEP * (1.0 + inst.norm_v(av))
     grad_coords = np.empty(inst.dim_v)
     for i in range(inst.dim_v):
         e = np.zeros(inst.dim_v)
@@ -577,7 +582,7 @@ def local_min_commutation_check(inst: FtvnInstance, h: Callable[[np.ndarray], fl
     count = 0
     if inst.sample_orbit is not None:
         rng = np.random.default_rng(seed)
-        pts = inst.sample_orbit(inst.lam(av), rng, n_probes)
+        pts = inst.sample_orbit(inst.lam(av), rng, LOCAL_MIN_PROBES)
         base = h(av)
         for x in pts:
             for t in (1e-3, 1e-2, 5e-2):

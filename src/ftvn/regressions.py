@@ -61,10 +61,10 @@ def _check_gradient_pair(seed: int) -> RegressionResult:
 
     a = np.array([1.0, 0.0])
     spec = FiniteSet(points=[[1.0, 0.0], [0.0, 1.0]])
-    rep = local_min_commutation_check(rn2, h, spec, a, fd_step=1e-6)
+    rep = local_min_commutation_check(rn2, h, spec, a)
     grad_ok = np.linalg.norm(rep.gradient - np.array([0.0, 1.0])) <= 1e-6
     b = np.array([0.0, 1.0])
-    rep_b = local_min_commutation_check(rn2, h, spec, b, fd_step=1e-6)
+    rep_b = local_min_commutation_check(rn2, h, spec, b)
     grad_b_ok = np.linalg.norm(rep_b.gradient - np.array([1.0, 0.0])) <= 1e-6
     h_ok = _close(h(a), -0.5)
     op = operator_commute_check(alg, a, rep.gradient)

@@ -22,6 +22,10 @@ from .core import FtvnError
 
 DYKSTRA_MAX_SWEEPS = 10_000
 DYKSTRA_TOL = 1e-10
+# projected descent: iterations per start, and the finite-difference step
+# relative to 1 + ||q||
+DESCENT_MAX_ITER = 200
+DESCENT_FD_STEP = 1e-6
 
 
 def pav_decreasing(y: np.ndarray) -> np.ndarray:
@@ -262,7 +266,6 @@ def fd_gradient(f: Callable[[np.ndarray], float], q: np.ndarray,
 def projected_descent(f: Callable[[np.ndarray], float],
                       project: Callable[[np.ndarray], Optional[np.ndarray]],
                       starts: Iterable[np.ndarray],
-                      max_iter: int = 200, fd_step: float = 1e-6,
                       first_finite: bool = False) -> tuple[Optional[np.ndarray], float, int]:
     """Multistart projected gradient descent with backtracking.
 
@@ -274,7 +277,7 @@ def projected_descent(f: Callable[[np.ndarray], float],
     the run stops after the first start that converges, i.e. ends at a
     finite value because the gradient vanished or backtracking found no
     descent, and takes no further item from ``starts``.  A start cut off by a
-    non-finite value or gradient, a None projection or ``max_iter`` is not a
+    non-finite value or gradient, a None projection or ``DESCENT_MAX_ITER`` is not a
     minimum, so the run goes on to the next start.  Returns (best point, best value,
     total iterations); the point is None if no start ended finite.
     """
@@ -285,11 +288,11 @@ def projected_descent(f: Callable[[np.ndarray], float],
         q = project(np.asarray(s, dtype=float))
         v = math.inf if q is None else f(q)
         converged = False
-        for _ in range(max_iter):
+        for _ in range(DESCENT_MAX_ITER):
             if not math.isfinite(v):
                 break
             total_it += 1
-            g = fd_gradient(f, q, fd_step * (1.0 + float(np.linalg.norm(q))))
+            g = fd_gradient(f, q, DESCENT_FD_STEP * (1.0 + float(np.linalg.norm(q))))
             if not np.all(np.isfinite(g)):
                 break
             gn = float(np.linalg.norm(g))

@@ -159,14 +159,16 @@ def tabulated_combiner(t_grid, s_grid, values) -> Combiner:
     return Combiner("custom", fn)
 
 
-def probe_monotone(L: Combiner, t_lo: float, t_hi: float, s_values,
-                   n_probe: int = 17) -> None:
+MONOTONE_PROBES = 17
+
+
+def probe_monotone(L: Combiner, t_lo: float, t_hi: float, s_values) -> None:
     """Verify strict monotonicity of t -> L(t, s) on a 17-point grid; abort
     with a contract error on violation rather than returning a wrong reduction."""
     if not math.isfinite(t_lo) or not math.isfinite(t_hi):
         return
     span = max(t_hi - t_lo, 1e-6 * (1.0 + abs(t_lo) + abs(t_hi)))
-    ts = np.linspace(t_lo - 0.05 * span, t_hi + 0.05 * span, n_probe)
+    ts = np.linspace(t_lo - 0.05 * span, t_hi + 0.05 * span, MONOTONE_PROBES)
     for s in s_values:
         if not math.isfinite(s):
             continue

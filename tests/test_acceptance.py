@@ -258,8 +258,8 @@ def test_criterion_8_majorization():
     for name in JORDAN_NAMES:
         alg = algebra_from_name(name)
         for _ in range(1000):
-            x = alg._sample(rng)
-            y = alg._sample(rng)
+            x = alg.instance.draw(rng)
+            y = alg.instance.draw(rng)
             rep = majorization_check(alg, x, y, tol=1e-9)
             if rep.prefix_gaps.size:
                 worst_prefix = min(worst_prefix, float(rep.prefix_gaps.min()))

@@ -9,6 +9,7 @@ from ftvn import (DimensionMismatch, axiom_suite, commute_check,
                   cone_sum_witness, get_instance, lambda_tilde,
                   norm_sublinearity_gap, registered_instances, sublinearity_gap)
 from ftvn.core import ElementV, SpecPoint
+from ftvn.hyperbolic import hyperbolic_from_json
 
 
 def test_lambda_tilde_is_increasing_rearrangement(rn2, rn3):
@@ -210,3 +211,20 @@ def test_registry_lists_families():
         assert head in names
     with pytest.raises(KeyError):
         get_instance("nope:1")
+
+
+def test_witness_is_exact_means_a_rebuild():
+    # one instance per registered head: the witness is exact where it is
+    # rebuilt on c's frame, and a search on the subspace pseudo-instance
+    exact = {"rn:3": True, "sym:2": True, "spin:2": True, "product:rn:2+sym:2": True,
+             "svd:3x2": True, "rot90": True, "hyp:prod:3": True, "hyp:detsym:2": True,
+             "z-counterexample": False}
+    assert {name.partition(":")[0] for name in exact} == set(registered_instances())
+    for name, want in exact.items():
+        inst = get_instance(name)
+        assert inst.witness_is_exact is want, name
+        assert (inst.rebuild is not None) is want, name
+    custom = hyperbolic_from_json({
+        "kind": "custom_monomials", "n": 2, "e": [1.0, 1.0],
+        "monomials": [{"coef": 1.0, "powers": [1, 1]}]}).as_instance()
+    assert custom.witness_is_exact is False

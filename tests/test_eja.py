@@ -23,8 +23,8 @@ def test_jordan_axioms_sampled(algebras):
     rng = np.random.default_rng(0)
     for alg in algebras.values():
         for _ in range(20):
-            x = alg._sample(rng)
-            y = alg._sample(rng)
+            x = alg.instance.draw(rng)
+            y = alg.instance.draw(rng)
             xy = alg.jordan_product(x, y)
             np.testing.assert_allclose(xy, alg.jordan_product(y, x), atol=1e-12)
             x2 = alg.jordan_product(x, x)
@@ -62,7 +62,7 @@ def test_decompose_reconstructs(algebras):
     rng = np.random.default_rng(3)
     for alg in algebras.values():
         for _ in range(15):
-            x = alg._sample(rng)
+            x = alg.instance.draw(rng)
             dec = spectral_decompose(alg, x)
             rebuilt = build_from_frame(alg, dec.eigenvalues, dec.frame)
             assert alg.norm(x - rebuilt) <= 1e-9 * (1 + alg.norm(x))
@@ -168,7 +168,7 @@ def test_strong_commute_examples(rn2):
 def test_strong_commute_same_frame_builds(algebras):
     rng = np.random.default_rng(8)
     for alg in algebras.values():
-        u = alg._sample(rng)
+        u = alg.instance.draw(rng)
         _, frame = alg.decompose(u)
         p = sort_desc(rng.standard_normal(alg.rank))
         q = sort_desc(rng.standard_normal(alg.rank))
@@ -189,7 +189,7 @@ def test_operator_commute_examples():
     assert np.abs(xm @ ym - ym @ xm).max() > 0.5
 
     rng = np.random.default_rng(4)
-    z = sym._sample(rng)
+    z = sym.instance.draw(rng)
     z2 = sym.jordan_product(z, z)
     assert operator_commute_check(sym, z, z2)
 
@@ -235,7 +235,7 @@ def test_majorization_examples(algebras):
     rng = np.random.default_rng(1)
     for alg in algebras.values():
         for _ in range(25):
-            assert majorization_check(alg, alg._sample(rng), alg._sample(rng)).ok
+            assert majorization_check(alg, alg.instance.draw(rng), alg.instance.draw(rng)).ok
 
 
 def test_idempotent_orbit_max():
@@ -261,8 +261,8 @@ def test_fan_theobald_equality_iff_strong_commute(sym3):
     rng = np.random.default_rng(12)
     alg = algebra_from_name("sym:3")
     for _ in range(30):
-        x = alg._sample(rng)
-        y = alg._sample(rng)
+        x = alg.instance.draw(rng)
+        y = alg.instance.draw(rng)
         ip = alg.inner(x, y)
         bound = float(np.dot(alg.eigvals(x), alg.eigvals(y)))
         assert ip <= bound + 1e-9
@@ -275,7 +275,7 @@ def test_product_merges_and_adds_norms():
     rng = np.random.default_rng(6)
     parts = [algebra_from_name("rn:2"), algebra_from_name("spin:2"), algebra_from_name("sym:2")]
     for _ in range(10):
-        xs = [p._sample(rng) for p in parts]
+        xs = [p.instance.draw(rng) for p in parts]
         x = np.concatenate(xs)
         merged = np.concatenate([p.eigvals(xi) for p, xi in zip(parts, xs)])
         np.testing.assert_allclose(alg.eigvals(x), sort_desc(merged), atol=1e-10)

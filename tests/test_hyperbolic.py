@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ftvn import axiom_suite
+from ftvn import axiom_suite, get_instance
 from ftvn.eja import algebra_from_name, sym_coords
 from ftvn.hyperbolic import (DegenerateLeadingCoefficient, HyperbolicPolynomial,
                              NonHyperbolicError, completeness_check,
@@ -142,8 +142,9 @@ def test_custom_monomials_json():
 
 @pytest.mark.parametrize("make, n", [(det_sym_polynomial, 3), (coordinate_product_polynomial, 4)])
 def test_stock_witnesses_rebuild_on_the_frame(make, n):
-    # the stock polynomials carry their decomposition: lam stays root
-    # extraction and agrees with it, and the A3 witness is exact
+    # the stock polynomials carry their decomposition, which gives the
+    # instance its lam: the polynomial's root map agrees with the hooks, and
+    # the A3 witness is exact
     hp = make(n)
     inst = hp.as_instance()
     assert inst.witness_is_exact
@@ -160,10 +161,12 @@ def test_stock_witnesses_rebuild_on_the_frame(make, n):
 
 
 def test_detsym_axiom_suite_is_exact():
-    # a witness is one 3 x 3 eigendecomposition, no search
-    rep = axiom_suite(det_sym_polynomial(3).as_instance(), seed=42, n_samples=300)
-    assert rep.passed and rep.a3_failures == 0 and rep.notes == ()
-    assert rep.a3_max_lambda_residual <= 1e-12
+    # a witness is one eigendecomposition or sort, no search, and lam comes
+    # from the same decomposition, so A3-lambda holds to roundoff at degree 6
+    for name, n_samples in (("hyp:detsym:3", 300), ("hyp:prod:6", 1000)):
+        rep = axiom_suite(get_instance(name), seed=42, n_samples=n_samples)
+        assert rep.passed and rep.a3_failures == 0 and rep.notes == (), name
+        assert rep.a3_max_lambda_residual <= 1e-12, name
 
 
 def test_custom_polynomial_keeps_the_search():

@@ -118,6 +118,12 @@ def test_rotation_instance():
     q = np.array([0.3, -2.0])
     w = rot.a3_witness(np.array([1.0, 1.0]), q)
     np.testing.assert_allclose(rot.lam(w), q, atol=1e-14)
+    # R is the frame of every element, so a commuting pair carries it as
+    # the shared frame; a target outside R^2 is no eigenvalue vector
+    cert = commute_check(rot, probe, q)
+    assert cert.verdict and cert.witness is not None
+    with pytest.raises(WitnessError):
+        rot.a3_witness(probe, np.array([1.0, 0.0, 0.0]))
 
 
 def test_z_counterexample_a1_a2_pass_a3_fails():
