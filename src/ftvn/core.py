@@ -164,12 +164,12 @@ class FtvnInstance:
         if (self.decompose is None) != (self.rebuild is None):
             raise TypeError(f"{self.name}: decompose and rebuild come together")
         if self.decompose is not None:
-            decompose, rebuild = self.decompose, self.rebuild
+            decompose = self.decompose
             if self.lam is None:
                 object.__setattr__(self, "lam", lambda x: decompose(x)[0])
             if self.a3_witness is None:
-                object.__setattr__(self, "a3_witness", lambda c, q: rebuild(
-                    checked_target(self, q), decompose(c)[1]))
+                object.__setattr__(self, "a3_witness",
+                                   lambda c, q: self.witness_on(c, q, decompose(c)[1]))
         if self.lam is None or self.a3_witness is None:
             raise TypeError(f"{self.name}: give lam and a3_witness, or decompose and rebuild")
 
@@ -184,6 +184,14 @@ class FtvnInstance:
         if self.decompose is not None:
             return self.decompose(x)
         return self.lam(x), None
+
+    def witness_on(self, c: np.ndarray, q, frame) -> np.ndarray:
+        """The A3 witness for (c, q) when c's frame from :meth:`spectral` is
+        already at hand: q rebuilt on that frame, or ``a3_witness(c, q)``
+        when the frame is None."""
+        if frame is None:
+            return self.a3_witness(c, q)
+        return self.rebuild(checked_target(self, q), frame)
 
     def element(self, coords) -> ElementV:
         v = as_vec(coords)
@@ -352,7 +360,8 @@ def axiom_suite(inst: FtvnInstance, seed: int, n_samples: int,
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     xs = [inst.draw(rng) for _ in range(n_samples)]
-    lams = [inst.lam(x) for x in xs]
+    # each sample is decomposed once: its lam, and its frame for the A3 witness
+    lams, frames = zip(*[inst.spectral(x) for x in xs])
     norms = [inst.norm_v(x) for x in xs]
 
     a1 = 0.0
@@ -394,7 +403,7 @@ def axiom_suite(inst: FtvnInstance, seed: int, n_samples: int,
         c = xs[i]
         q = lams[(i + 1) % n_samples]
         try:
-            w = inst.a3_witness(c, q)
+            w = inst.witness_on(c, q, frames[i])
         except WitnessError:
             a3_failures += 1
             continue

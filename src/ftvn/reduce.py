@@ -26,7 +26,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .core import (DEFAULT_TOL, CommutationCert, FtvnError, FtvnInstance,
-                   WitnessError, as_vec, checked_target, commute_check, lambda_tilde)
+                   WitnessError, as_vec, commute_check, lambda_tilde)
 from .solvers import project_polyhedron, projected_descent, simplex_weight_grid, solve_lp
 from .solvers import dykstra_project  # noqa: F401  unused; perfbench/spans.py wraps it here
 from .spectral_sets import (Combiner, FiniteSet, GridOracle, OrbitOf,
@@ -125,19 +125,30 @@ class _WSide:
             self.lam_dir, self.frame = inst.spectral(self.lift_dir)
             self.w_vec = self.lam_dir if toward_c else -self.lam_dir
             self.commutes_with = "c" if toward_c else "-c"
+            # inner_w is the dot product, so t's gradient is w or (q - w) / ||q - w||
             if isinstance(objective, LinearObjective):
                 self.t = lambda q: self.inst.inner_w(self.w_vec, q)
+                self.t_grad = lambda q: self.w_vec
             else:
                 self.t = lambda q: self.inst.norm_w(self.w_vec - q)
+                self.t_grad = self._distance_grad
         elif sense == "max":
             # (lam(c), frame, alpha, c) per piece
             self.pieces_w = [(*inst.spectral(c), a, c) for c, a in objective.pieces]
             self.t = lambda q: max(self.inst.inner_w(wc, q) + a
                                    for wc, _, a, _ in self.pieces_w)
+            self.t_grad = None
             self.commutes_with = "active piece"
         else:
             self.t = self._h_lower_exact
+            self.t_grad = None
             self.commutes_with = None
+
+    def _distance_grad(self, q: np.ndarray) -> np.ndarray:
+        # at q = w, 0 is a subgradient of the norm
+        r = q - self.w_vec
+        norm = float(np.linalg.norm(r))
+        return r / norm if norm > 0.0 else np.zeros_like(r)
 
     # -- max-affine infimum support -----------------------------------------
 
@@ -163,10 +174,7 @@ class _WSide:
             lam_d, frame, _, d = self.pieces_w[int(np.argmax(vals))]
         else:
             lam_d, frame, d = self.lam_dir, self.frame, self.lift_dir
-        if frame is None:
-            x = inst.a3_witness(d, q)
-        else:
-            x = inst.rebuild(checked_target(inst, q), frame)
+        x = inst.witness_on(d, q, frame)
         return x, commute_check(inst, x, d, self.tol, lam_y=lam_d)
 
 
@@ -354,11 +362,31 @@ def _solve_polyhedron(inst, objective, spec, phi, combiner, sense, tol, seed, ws
         v = F(q)
         return math.inf if math.isnan(v) else sign * v
 
+    grad = hess = None
+    if combiner.kind == "sum" and ws.t_grad is not None and phi.grad is not None:
+        def grad(q):
+            return sign * (ws.t_grad(q) + phi.grad(q))
+        # a linear t adds nothing to phi's Hessian
+        if convex and isinstance(objective, LinearObjective):
+            hess = phi.hess_diag
+
+    def project(q, h=None):
+        if h is None:
+            return project_polyhedron(q, a_ub, b_ub)[0]
+        # the projection in the metric diag(h) is the Euclidean one of
+        # sqrt(h) q onto the rows a / sqrt(h); only a certified one is used
+        r = np.sqrt(h)
+        y, certified = project_polyhedron(r * q, a_ub / r, b_ub)
+        return y / r if certified else None
+
     pending = iter(starts)
-    q_star, v_signed, iters = projected_descent(
-        F_signed, lambda q: project_polyhedron(q, a_ub, b_ub)[0], pending, first_finite=convex)
+    result = projected_descent(F_signed, project, pending, first_finite=convex,
+                               grad=grad, hess_diag=hess)
+    q_star, v_signed, iters = result
     trace = {"method": "projected_descent", "iterations": iters,
-             "starts": len(starts) - sum(1 for _ in pending), "convex": convex}
+             "starts": len(starts) - sum(1 for _ in pending), "convex": convex,
+             "step": "newton" if hess else "gradient" if grad else "fd",
+             "converged": result.converged}
     value = sign * v_signed
     if not math.isfinite(value):
         # unbounded, or no start ended finite: no optimizer, as for an unbounded LP

@@ -26,6 +26,11 @@ DYKSTRA_TOL = 1e-10
 # relative to 1 + ||q||
 DESCENT_MAX_ITER = 200
 DESCENT_FD_STEP = 1e-6
+# projected Newton: Armijo's share of the model decrease a step must achieve,
+# and the model decrease, relative to 1 + |f|, below which f cannot tell a
+# step from rounding
+ARMIJO_SHARE = 1e-4
+NEWTON_TOL = 1e-14
 
 
 def pav_decreasing(y: np.ndarray) -> np.ndarray:
@@ -251,7 +256,7 @@ def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# derivative-free projected descent (heuristic path)
+# projected descent (heuristic path; projected Newton on a separable convex f)
 
 def fd_gradient(f: Callable[[np.ndarray], float], q: np.ndarray,
                 step: float) -> np.ndarray:
@@ -263,26 +268,78 @@ def fd_gradient(f: Callable[[np.ndarray], float], q: np.ndarray,
     return g
 
 
+class DescentResult(tuple):
+    """``(best point, best value, total iterations)``, the tuple callers
+    unpack, with ``converged``: whether the start that gave the point
+    converged."""
+
+    converged: bool
+
+    def __new__(cls, q, value, iterations, converged):
+        out = super().__new__(cls, (q, value, iterations))
+        out.converged = converged
+        return out
+
+
+def _newton_step(f, q, v, g, p) -> tuple[np.ndarray, float, bool]:
+    """From q toward p, its projected Newton point: (point, value, converged).
+
+    p minimizes the quadratic model of f at q over the set, so the model
+    decreases by at least -g.(p - q) >= 0 along the segment; Armijo's test
+    backtracks on it.
+    """
+    d = p - q
+    decrease = -float(g @ d)
+    noise = NEWTON_TOL * (1.0 + abs(v))
+    if decrease <= noise:
+        # near the minimum the model is exact and f can no longer see the
+        # step: take it unless f rises beyond rounding, and stop there
+        pv = f(p)
+        return (p, pv, True) if pv <= v + noise else (q, v, True)
+    t = 1.0
+    for _ in range(30):
+        cand = q + t * d
+        cv = f(cand)
+        if cv <= v - ARMIJO_SHARE * t * decrease:
+            return cand, cv, False
+        t *= 0.5
+    return q, v, True
+
+
 def projected_descent(f: Callable[[np.ndarray], float],
-                      project: Callable[[np.ndarray], Optional[np.ndarray]],
+                      project: Callable[..., Optional[np.ndarray]],
                       starts: Iterable[np.ndarray],
-                      first_finite: bool = False) -> tuple[Optional[np.ndarray], float, int]:
-    """Multistart projected gradient descent with backtracking.
+                      first_finite: bool = False,
+                      grad: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                      hess_diag: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                      ) -> DescentResult:
+    """Multistart projected descent with backtracking.
+
+    The gradient is ``grad`` when given, else central finite differences.
+    With ``hess_diag`` (the Hessian of f is that diagonal H) an iteration
+    where H is positive is a projected Newton step (Bertsekas 1982):
+    ``project(z, h)`` is the projection of z = q - g / h in the metric H, and
+    the step backtracks from it by Armijo's test.  A start converges there
+    once the step's model decrease is at the rounding level of f.  Where the
+    metric projection returns None, or H is not positive, the iteration takes
+    a gradient step instead.
 
     Deterministic: starts are consumed in order and ties resolve to the
-    earliest start.  A start ends as soon as its value or its
-    finite-difference gradient is non-finite, so nothing non-finite is ever
-    projected, and as soon as ``project`` returns None (it found no point).
+    earliest start.  A start ends as soon as its value, its gradient or its
+    Hessian is non-finite, so nothing non-finite is ever projected, and as
+    soon as ``project(q)`` returns None (it found no point).
     With ``first_finite`` (a convex f, whose local minima are all global)
     the run stops after the first start that converges, i.e. ends at a
     finite value because the gradient vanished or backtracking found no
     descent, and takes no further item from ``starts``.  A start cut off by a
-    non-finite value or gradient, a None projection or ``DESCENT_MAX_ITER`` is not a
-    minimum, so the run goes on to the next start.  Returns (best point, best value,
-    total iterations); the point is None if no start ended finite.
+    non-finite value or derivative, a None projection or ``DESCENT_MAX_ITER``
+    is not a minimum, so the run goes on to the next start.  Returns (best
+    point, best value, total iterations) as a :class:`DescentResult`; the
+    point is None if no start ended finite.
     """
     best_q = None
     best_v = math.inf
+    best_converged = False
     total_it = 0
     for s in starts:
         q = project(np.asarray(s, dtype=float))
@@ -292,9 +349,22 @@ def projected_descent(f: Callable[[np.ndarray], float],
             if not math.isfinite(v):
                 break
             total_it += 1
-            g = fd_gradient(f, q, DESCENT_FD_STEP * (1.0 + float(np.linalg.norm(q))))
+            if grad is None:
+                g = fd_gradient(f, q, DESCENT_FD_STEP * (1.0 + float(np.linalg.norm(q))))
+            else:
+                g = np.asarray(grad(q), dtype=float)
             if not np.all(np.isfinite(g)):
                 break
+            if hess_diag is not None:
+                h = np.asarray(hess_diag(q), dtype=float)
+                if not np.all(np.isfinite(h)):
+                    break
+                p = project(q - g / h, h) if np.all(h > 0.0) else None
+                if p is not None:
+                    q, v, converged = _newton_step(f, q, v, g, p)
+                    if converged:
+                        break
+                    continue
             gn = float(np.linalg.norm(g))
             if gn < 1e-12:
                 converged = True
@@ -319,9 +389,10 @@ def projected_descent(f: Callable[[np.ndarray], float],
         if v < best_v - 1e-15:
             best_v = v
             best_q = q
+            best_converged = converged
         if first_finite and converged:
             break
-    return best_q, best_v, total_it
+    return DescentResult(best_q, best_v, total_it, best_converged)
 
 
 def simplex_weight_grid(k: int, resolution: int = 32):

@@ -191,12 +191,20 @@ class SpectralFunctionSpec:
     LP route; coeffs None means identically zero.  ``convex`` makes a summed
     minimization of a linear or distance objective convex, so its projected
     descent stops after the first start that converges to a finite value.
+
+    ``grad`` and ``hess_diag`` are optional derivatives of phi: its gradient,
+    and the diagonal of its Hessian, which is all of it for a separable phi.
+    Both must be non-finite where phi is.  The descent uses the gradient in
+    place of finite differences, and with the Hessian it takes projected
+    Newton steps on a convex problem with a linear objective.
     """
 
     phi: Callable[[np.ndarray], float]
     convex: bool = False
     affine: Optional[tuple] = None
     kind: str = "custom"
+    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    hess_diag: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, q) -> float:
         return float(self.phi(np.asarray(q, dtype=float)))
@@ -211,15 +219,26 @@ class SpectralFunctionSpec:
 
 
 ZERO_FN = SpectralFunctionSpec(phi=lambda q: 0.0, convex=True, affine=(None, 0.0),
-                               kind="zero")
+                               kind="zero", grad=lambda q: np.zeros(q.size))
 
 
 def neg_logdet_fn() -> SpectralFunctionSpec:
+    """phi(q) = -sum log q_i, +inf unless q > 0; gradient -1/q, Hessian 1/q^2."""
     def phi(q):
         if np.any(q <= 0.0):
             return math.inf
         return float(-np.sum(np.log(q)))
-    return SpectralFunctionSpec(phi=phi, convex=True, kind="neg_logdet")
+
+    def grad(q):
+        with np.errstate(divide="ignore"):
+            return np.where(q > 0.0, -1.0 / q, -math.inf)
+
+    def hess_diag(q):
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.where(q > 0.0, 1.0 / q ** 2, math.inf)
+
+    return SpectralFunctionSpec(phi=phi, convex=True, kind="neg_logdet", grad=grad,
+                                hess_diag=hess_diag)
 
 
 def table_fn(points, values, tol: float = 1e-9) -> SpectralFunctionSpec:

@@ -42,19 +42,28 @@ def test_traced_functions_resolve_and_return_work_counts():
     assert all(callable(fn) for fn in fns.values())
 
     square = lambda q: float(np.sum((q - 3.0) ** 2))
+    # a box projection is also the projection in any diagonal metric
+    box = lambda q, h=None: np.minimum(q, 1.0)
     samples = {
-        "solvers.lp": lambda f: f(np.array([1.0]), np.array([[1.0]]), np.array([1.0]),
-                                  maximize=True),
-        "solvers.dykstra": lambda f: f(np.array([2.0, 0.0]), ordered_polyhedron_projectors(
-            [(np.array([1.0, 0.0]), 1.0)], 2)),
-        "solvers.descent": lambda f: f(square, lambda q: np.minimum(q, 1.0), [np.zeros(2)]),
+        "solvers.lp": [lambda f: f(np.array([1.0]), np.array([[1.0]]), np.array([1.0]),
+                                   maximize=True)],
+        "solvers.dykstra": [lambda f: f(np.array([2.0, 0.0]), ordered_polyhedron_projectors(
+            [(np.array([1.0, 0.0]), 1.0)], 2))],
+        # finite differences, then projected Newton steps from the derivatives
+        "solvers.descent": [
+            lambda f: f(square, box, [np.zeros(2)]),
+            lambda f: f(square, box, [np.zeros(2)], first_finite=True,
+                        grad=lambda q: 2.0 * (q - 3.0),
+                        hess_diag=lambda q: np.full(q.size, 2.0)),
+        ],
     }
     extractors = {name: work for name, (_, _, work) in spans.MODULE_TARGETS.items()
                   if work is not None}
     assert set(extractors) == set(samples)
     for name, work in extractors.items():
-        count = work(samples[name](fns[name]))
-        assert math.isfinite(count) and count >= 1, name
+        for sample in samples[name]:
+            count = work(sample(fns[name]))
+            assert math.isfinite(count) and count >= 1, name
 
 
 def test_workload_instances_take_traced_fields():

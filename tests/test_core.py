@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -173,19 +174,34 @@ def test_axiom_suite_records_seed(rn3):
     assert rep1.seed == 5
 
 
-def test_axiom_suite_lam_calls():
-    # per sample: lam(x), lam(alpha x), lam(-x) and lam(witness); the A3
-    # target reuses lam(x) of the direction instead of recomputing it
-    sym4 = get_instance("sym:4")
-    calls = []
+def test_axiom_suite_lam_calls(monkeypatch):
+    # per sample one decomposition of x, whose lam and frame serve A1, A2 and
+    # the A3 witness, then lam(alpha x), lam(-x) and lam(witness): 4 kernel
+    # calls and 3 lam calls
+    cases = [("sym:4", "ftvn.eja.eigh_desc"), ("svd:4x3", "ftvn.nds.svd_jacobi"),
+             ("product:rn:3+sym:3", "ftvn.eja.eigh_desc")]
+    for name, kernel in cases:
+        inst = get_instance(name)
+        expected = axiom_suite(inst, seed=9, n_samples=25)
+        lam_calls, kernel_calls = [], []
 
-    def counting(x):
-        calls.append(1)
-        return sym4.lam(x)
+        def counting(x):
+            lam_calls.append(1)
+            return inst.lam(x)
 
-    rep = axiom_suite(dataclasses.replace(sym4, lam=counting), seed=9, n_samples=25)
-    assert len(calls) == 4 * 25
-    assert rep == axiom_suite(sym4, seed=9, n_samples=25)
+        module, attr = kernel.rsplit(".", 1)
+        original = getattr(importlib.import_module(module), attr)
+
+        def counting_kernel(*args, original=original):
+            kernel_calls.append(1)
+            return original(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(kernel, counting_kernel)
+            rep = axiom_suite(dataclasses.replace(inst, lam=counting), seed=9, n_samples=25)
+        assert len(lam_calls) == 3 * 25, name
+        assert len(kernel_calls) == 4 * 25, name
+        assert rep == expected, name
 
 
 def test_element_types_immutable(rn2):

@@ -9,15 +9,15 @@ import ftvn.reduce
 import ftvn.solvers
 from ftvn import MonotonicityError, commute_check, get_instance, lambda_tilde
 from ftvn.eja import sort_desc, sym_coords
-from ftvn.reduce import (MaxAffineObjective,
-                         envelope_lower_affine, envelope_lower_exact,
+from ftvn.reduce import (DistanceObjective, LinearObjective, MaxAffineObjective,
+                         _WSide, envelope_lower_affine, envelope_lower_exact,
                          envelope_upper, hausdorff_spectral, interval_image,
                          orbit_distance, orbit_linear, orbit_min, reduce_solve,
                          reduce_solve_distance, reduce_solve_linear)
-from ftvn.solvers import (dykstra_project, ordered_polyhedron_projectors,
+from ftvn.solvers import (dykstra_project, fd_gradient, ordered_polyhedron_projectors,
                           project_polyhedron, projected_descent, solve_lp)
 from ftvn.spectral_sets import (FiniteSet, GridOracle, OrbitOf,
-                                OrderedPolyhedron, PRODUCT,
+                                OrderedPolyhedron, PRODUCT, ZERO_FN,
                                 SpectralFunctionSpec, neg_logdet_fn, table_fn)
 
 from conftest import brute_orbit_rn
@@ -322,12 +322,21 @@ def test_convex_descent_falls_through_infinite_starts(rn2, monkeypatch):
     assert 1 < rep.solver_trace["starts"] < 32 and seen
     assert rep.optimal_value == pytest.approx(2.0 - math.log(2.0), abs=1e-8)
 
-    # a box just inside q > 0: the anchor start has a finite value, but its
-    # finite-difference probe crosses q = 0, so it is cut off short of the
-    # minimum and a later start must find it
+    # a box just inside q > 0: the anchor start has a finite value.  With
+    # neg_logdet's derivatives its Newton steps double q and converge there
     rep = reduce_solve_linear(rn2, np.array([1.0, 0.5]), _box(2, 1e-7, 4.0),
                               phi=neg_logdet_fn(), sense="min", seed=0)
+    assert rep.solver_trace["convex"] is True and rep.solver_trace["starts"] == 1
+    assert rep.solver_trace["step"] == "newton" and rep.solver_trace["converged"]
+    assert rep.optimal_value == pytest.approx(2.0 - math.log(2.0), abs=1e-8)
+    # the same phi without derivatives: the anchor's finite-difference probe
+    # crosses q = 0, so it is cut off short of the minimum and a later start
+    # must find it
+    rep = reduce_solve_linear(rn2, np.array([1.0, 0.5]), _box(2, 1e-7, 4.0),
+                              phi=SpectralFunctionSpec(phi=neg_logdet_fn().phi, convex=True),
+                              sense="min", seed=0)
     assert rep.solver_trace["convex"] is True and rep.solver_trace["starts"] > 1
+    assert rep.solver_trace["step"] == "fd"
     assert rep.optimal_value == pytest.approx(2.0 - math.log(2.0), abs=1e-8)
 
     # phi is +inf on the whole set: every start ends there and no optimizer exists
@@ -415,6 +424,77 @@ def test_convex_descent_matches_all_starts():
 
         _, best, _ = projected_descent(f, project, starts)
         assert rep.optimal_value == pytest.approx(best, rel=1e-9, abs=1e-9), k
+
+
+def test_derivative_hooks_match_finite_differences(sym3):
+    # neg_logdet's gradient and Hessian diagonal, and the gradient of each
+    # objective's t on the W side, against central differences at seeded points
+    rng = np.random.default_rng(17)
+    phi = neg_logdet_fn()
+    for _ in range(20):
+        q = np.sort(rng.uniform(0.2, 3.0, 3))[::-1]
+        step = 1e-6 * (1.0 + float(np.linalg.norm(q)))
+        np.testing.assert_allclose(phi.grad(q), fd_gradient(phi, q, step), atol=1e-7)
+        hess_fd = [fd_gradient(lambda p: float(phi.grad(p)[i]), q, step)[i] for i in range(3)]
+        np.testing.assert_allclose(phi.hess_diag(q), hess_fd, rtol=1e-6)
+        np.testing.assert_array_equal(ZERO_FN.grad(q), np.zeros(3))
+
+        m = rng.standard_normal((3, 3))
+        c = sym_coords(m + m.T)
+        for sense, w in (("max", sym3.lam(c)), ("min", lambda_tilde(sym3, c))):
+            # at sense min the W vector is -lam(-c)
+            ws = _WSide(sym3, LinearObjective(c), sense, 1e-8, 0)
+            np.testing.assert_allclose(ws.w_vec, w, atol=1e-12)
+            np.testing.assert_allclose(ws.t_grad(q), fd_gradient(ws.t, q, step), atol=1e-7)
+        ws = _WSide(sym3, DistanceObjective(c), "min", 1e-8, 0)
+        np.testing.assert_allclose(ws.t_grad(q), fd_gradient(ws.t, q, step), atol=1e-7)
+
+    # non-finite wherever phi is, finite elsewhere
+    for q in ([1.0, 0.0], [2.0, -0.5], [-1.0, -2.0]):
+        q = np.array(q)
+        for hook in (phi.grad, phi.hess_diag):
+            out = hook(q)
+            assert not np.any(np.isfinite(out[q <= 0.0])), (hook, q)
+            assert np.all(np.isfinite(out[q > 0.0])), (hook, q)
+
+
+def test_convex_descent_reaches_frank_wolfe_tolerance():
+    # ROADMAP's Baseline generator at sense min: neg_logdet plus a linear
+    # objective on rn:2-rn:5, over the box 0.1 <= q <= 3 and three cuts through
+    # a sorted point.  F is convex, so the Frank-Wolfe gap g.q - min_s g.s
+    # over the set, with g the gradient of F at q, bounds F(q) - F*; HiGHS
+    # gives the min over the halfspaces and the ordering rows built here
+    from scipy.optimize import linprog
+
+    empty = []
+    for s in range(40):
+        rng = np.random.default_rng(s)
+        n = int(rng.integers(2, 6))
+        halfspaces = list(_box(n, 0.1, 3.0).halfspaces)
+        for _ in range(3):
+            a = rng.standard_normal(n)
+            p = np.sort(rng.uniform(0.5, 2.0, n))[::-1]
+            halfspaces.append((a, float(a @ p) + 0.3))
+        c = rng.standard_normal(n)
+        inst = get_instance(f"rn:{n}")
+        rep = reduce_solve_linear(inst, c, OrderedPolyhedron(halfspaces=tuple(halfspaces)),
+                                  phi=neg_logdet_fn(), sense="min", seed=s)
+        if rep.infeasible:
+            empty.append(s)
+            continue
+        assert rep.solver_trace["step"] == "newton" and rep.solver_trace["converged"], s
+        q = rep.optimizer_w
+        w = np.sort(c)  # -lam(-c): c in increasing order
+        value = float(w @ q - np.sum(np.log(q)))
+        assert rep.optimal_value == pytest.approx(value, rel=1e-12), s
+        g = w - 1.0 / q
+        ordering = np.eye(n, k=1)[:-1] - np.eye(n)[:-1]  # q_{i+1} - q_i <= 0
+        lp = linprog(g, A_ub=np.vstack([[a for a, _ in halfspaces], ordering]),
+                     b_ub=np.concatenate([[b for _, b in halfspaces], np.zeros(n - 1)]),
+                     bounds=(None, None), method="highs")
+        assert lp.status == 0, s
+        assert float(g @ q) - lp.fun <= 1e-8 * (1.0 + abs(value)), s
+    assert empty == [14, 16, 35]
 
 
 def test_descent_never_projects_non_finite_points(sym2, monkeypatch):
