@@ -15,12 +15,14 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from .core import FtvnError, MonotonicityError, WitnessError, axiom_suite, get_instance
-from .reduce import (envelope_lower_affine, envelope_lower_exact, envelope_upper,
-                     hausdorff_spectral, reduce_solve, vi_commutation_check)
+from .reduce import (MaxAffineObjective, envelope_lower_affine, envelope_lower_exact,
+                     envelope_upper, hausdorff_spectral, reduce_solve,
+                     vi_commutation_check)
 from .regressions import run_pack
 from .serialize import (SCHEMA, axiom_report_json, canonical_dumps,
                         element_from_json, farr, fnum, problem_from_json,
@@ -108,16 +110,13 @@ def _jsonable(value):
 def _cmd_envelope(args) -> int:
     obj = _load_json(args.input)
     inst = get_instance(obj["instance"])
-    pieces = [(element_from_json(inst, p["c"]), float(p.get("alpha", 0.0)))
-              for p in obj["pieces"]]
+    objective = MaxAffineObjective(tuple(
+        (element_from_json(inst, p["c"]), float(p.get("alpha", 0.0))) for p in obj["pieces"]))
     q = np.asarray(obj["q"], dtype=float)
-    upper = envelope_upper(inst, pieces, q)
-    lower_affine = envelope_lower_affine(inst, pieces, q)
-
-    def h(x):
-        return max(inst.inner_v(c, x) + a for c, a in pieces)
-
-    lower_exact, exact = envelope_lower_exact(inst, h, q, seed=int(obj.get("seed", 0)))
+    upper = envelope_upper(inst, objective.pieces, q)
+    lower_affine = envelope_lower_affine(inst, objective.pieces, q)
+    lower_exact, exact = envelope_lower_exact(inst, partial(objective.value_v, inst), q,
+                                              seed=int(obj.get("seed", 0)))
     doc = {"schema": SCHEMA,
            "manifest": _manifest("envelope", args.input, obj.get("seed", 0), None, args.out),
            "q": farr(q),

@@ -154,13 +154,12 @@ class JordanAlgebra:
         return eigs, JordanFrame(rows)
 
     def _build_instance(self) -> FtvnInstance:
-        # a3_witness derives from the decompose/rebuild hooks, and commute_check
-        # takes its shared frame from them
+        # lam and a3_witness derive from the decompose/rebuild hooks, and
+        # commute_check takes its shared frame from them
         return FtvnInstance(
             name=self.name,
             dim_v=self.dim_v,
             dim_w=self.rank,
-            lam=self.eigvals,
             inner_v=self.inner,
             family=self.kind,
             image_contains=lambda q, tol: q.size == self.rank and is_sorted_desc(q, tol),
@@ -217,6 +216,16 @@ def sym_coords(matrix) -> np.ndarray:
     return (0.5 * (m + m.T)).ravel()
 
 
+def haar_batch(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """``count`` Haar-random n x n orthogonal matrices: QR of Gaussian
+    matrices, with the signs of R's diagonal moved into Q."""
+    z = rng.standard_normal((count, n, n))
+    q, r = np.linalg.qr(z)
+    d = np.sign(np.einsum("kii->ki", r))
+    d[d == 0] = 1.0
+    return q * d[:, None, :]
+
+
 def sym_algebra(n: int) -> JordanAlgebra:
     if n < 1:
         raise ValueError("rank must be positive")
@@ -239,11 +248,7 @@ def sym_algebra(n: int) -> JordanAlgebra:
 
     def orbit_rows(rows, rng):
         count = rows.shape[0]
-        z = rng.standard_normal((count, n, n))
-        qm, rm = np.linalg.qr(z)
-        d = np.sign(np.einsum("kii->ki", rm))
-        d[d == 0] = 1.0
-        qm = qm * d[:, None, :]
+        qm = haar_batch(rng, count, n)
         mats = np.einsum("kij,kj,klj->kil", qm, rows, qm)
         return mats.reshape(count, n * n)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FtvnInstance, WitnessError, as_vec, register_instance
-from .eja import dedup_points, is_sorted_desc, sort_desc
+from .eja import dedup_points, haar_batch, is_sorted_desc, sort_desc
 from .linalg import svd_jacobi
 
 
@@ -69,8 +69,8 @@ class RectMatrixSpace:
 
     def orbit_sample(self, q, rng: np.random.Generator, count: int) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        u = _haar_batch(rng, count, self.m)
-        v = _haar_batch(rng, count, self.n)
+        u = haar_batch(rng, count, self.m)
+        v = haar_batch(rng, count, self.n)
         diag = np.zeros((count, self.m, self.n))
         diag[:, np.arange(self.k), np.arange(self.k)] = q
         mats = u @ diag @ np.transpose(v, (0, 2, 1))
@@ -89,14 +89,6 @@ class RectMatrixSpace:
             decompose=self.decompose,
             rebuild=self.rebuild,
         )
-
-
-def _haar_batch(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    z = rng.standard_normal((count, n, n))
-    q, r = np.linalg.qr(z)
-    d = np.sign(np.einsum("kii->ki", r))
-    d[d == 0] = 1.0
-    return q * d[:, None, :]
 
 
 def singular_map(space: RectMatrixSpace, x) -> np.ndarray:

@@ -21,13 +21,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from functools import partial
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .core import (DEFAULT_TOL, CommutationCert, FtvnError, FtvnInstance,
                    WitnessError, as_vec, commute_check, lambda_tilde)
-from .solvers import project_polyhedron, projected_descent, simplex_weight_grid, solve_lp
+from .solvers import (fd_gradient, project_polyhedron, projected_descent,
+                      simplex_weight_grid, solve_lp, unit_rows)
 from .solvers import dykstra_project  # noqa: F401  unused; perfbench/spans.py wraps it here
 from .spectral_sets import (Combiner, FiniteSet, GridOracle, OrbitOf,
                             OrderedPolyhedron, SpectralFunctionSpec,
@@ -42,6 +44,9 @@ class LinearObjective:
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(as_vec(self.c), dtype=float))
 
+    def value_v(self, inst: FtvnInstance, x: np.ndarray) -> float:
+        return inst.inner_v(self.c, x)
+
 
 @dataclass(frozen=True)
 class DistanceObjective:
@@ -49,6 +54,9 @@ class DistanceObjective:
 
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(as_vec(self.c), dtype=float))
+
+    def value_v(self, inst: FtvnInstance, x: np.ndarray) -> float:
+        return inst.norm_v(self.c - x)
 
 
 @dataclass(frozen=True)
@@ -62,6 +70,9 @@ class MaxAffineObjective:
         if not ps:
             raise ValueError("a max_affine objective needs at least one piece")
         object.__setattr__(self, "pieces", ps)
+
+    def value_v(self, inst: FtvnInstance, x: np.ndarray) -> float:
+        return max(inst.inner_v(c, x) + a for c, a in self.pieces)
 
 
 Objective = Union[LinearObjective, DistanceObjective, MaxAffineObjective]
@@ -81,14 +92,6 @@ class SolveReport:
     solver_trace: dict
 
 
-def _eval_objective_v(inst: FtvnInstance, objective: Objective, x: np.ndarray) -> float:
-    if isinstance(objective, LinearObjective):
-        return inst.inner_v(objective.c, x)
-    if isinstance(objective, DistanceObjective):
-        return inst.norm_v(objective.c - x)
-    return max(inst.inner_v(c, x) + a for c, a in objective.pieces)
-
-
 def _no_optimizer_report(sense: str, value: float, trace: dict,
                          infeasible: bool = False) -> SolveReport:
     return SolveReport(sense=sense, optimal_value=value, optimizer_w=None,
@@ -102,80 +105,83 @@ def _infeasible_report(sense: str, trace: dict) -> SolveReport:
                                 trace, infeasible=True)
 
 
+class _Piece(NamedTuple):
+    """One affine piece t(q) = <w, q> + alpha on the W side, and its lift:
+    the direction d, lam(d) and d's frame, decomposed once per solve."""
+
+    w: np.ndarray
+    alpha: float
+    d: np.ndarray
+    lam_d: np.ndarray
+    frame: Any
+
+
 class _WSide:
     """The W-side scalar t(q), its lift rule, and the commutation direction.
 
-    Each lift direction is decomposed once, here: its eigenvalues make the
-    W-side vector and its frame is kept for the lift.
+    A linear sup over E is the sup of <lam(c), q> over lam(E), and a
+    max-affine sup is the largest of such linear sups, one per piece; so
+    both are lists of pieces, and a linear or distance objective is one
+    piece with alpha = 0.  A max-affine inf has no pieces: its t and its
+    lift are the orbit minimum.
     """
 
     def __init__(self, inst: FtvnInstance, objective: Objective, sense: str,
                  tol: float, seed: int):
         self.inst = inst
-        self.objective = objective
-        self.sense = sense
         self.tol = tol
-        self.seed = seed
-        if isinstance(objective, (LinearObjective, DistanceObjective)):
-            # a linear sup and a distance inf commute with c; the other two
-            # with -c, whose W-side vector is lam~(c) = -lam(-c)
-            toward_c = (sense == "max") == isinstance(objective, LinearObjective)
-            c = objective.c
-            self.lift_dir = c if toward_c else -c
-            self.lam_dir, self.frame = inst.spectral(self.lift_dir)
-            self.w_vec = self.lam_dir if toward_c else -self.lam_dir
-            self.commutes_with = "c" if toward_c else "-c"
-            # inner_w is the dot product, so t's gradient is w or (q - w) / ||q - w||
-            if isinstance(objective, LinearObjective):
-                self.t = lambda q: self.inst.inner_w(self.w_vec, q)
-                self.t_grad = lambda q: self.w_vec
-            else:
-                self.t = lambda q: self.inst.norm_w(self.w_vec - q)
-                self.t_grad = self._distance_grad
-        elif sense == "max":
-            # (lam(c), frame, alpha, c) per piece
-            self.pieces_w = [(*inst.spectral(c), a, c) for c, a in objective.pieces]
-            self.t = lambda q: max(self.inst.inner_w(wc, q) + a
-                                   for wc, _, a, _ in self.pieces_w)
-            self.t_grad = None
+        self.pieces: list[_Piece] = []
+        self.t_grad = None
+        self.commutes_with = None
+        if isinstance(objective, MaxAffineObjective) and sense == "min":
+            h = partial(objective.value_v, inst)
+            self._orbit_min = lambda q: orbit_min(inst, h, q, seed=seed)
+            self.t = lambda q: self._orbit_min(q)[0]
+            return
+        # (d, alpha, w = lam(d) rather than -lam(d)) per piece.  A linear sup
+        # and a distance inf commute with c; the other two with -c, whose
+        # W-side vector is lam~(c) = -lam(-c)
+        if isinstance(objective, MaxAffineObjective):
+            lifts = [(c, a, True) for c, a in objective.pieces]
             self.commutes_with = "active piece"
         else:
-            self.t = self._h_lower_exact
-            self.t_grad = None
-            self.commutes_with = None
+            toward_c = (sense == "max") == isinstance(objective, LinearObjective)
+            lifts = [(objective.c if toward_c else -objective.c, 0.0, toward_c)]
+            self.commutes_with = "c" if toward_c else "-c"
+        for d, alpha, toward in lifts:
+            lam_d, frame = inst.spectral(d)
+            self.pieces.append(_Piece(lam_d if toward else -lam_d, alpha, d, lam_d, frame))
+        # inner_w is the dot product, so t's gradient is w or (q - w) / ||q - w||
+        w = self.pieces[0].w
+        if isinstance(objective, LinearObjective):
+            self.t = lambda q: inst.inner_w(w, q)
+            self.t_grad = lambda q: w
+        elif isinstance(objective, DistanceObjective):
+            self.t = lambda q: inst.norm_w(w - q)
+            self.t_grad = self._distance_grad
+        else:
+            self.t = lambda q: max(self._piece_values(q))
 
     def _distance_grad(self, q: np.ndarray) -> np.ndarray:
         # at q = w, 0 is a subgradient of the norm
-        r = q - self.w_vec
+        r = q - self.pieces[0].w
         norm = float(np.linalg.norm(r))
         return r / norm if norm > 0.0 else np.zeros_like(r)
 
-    # -- max-affine infimum support -----------------------------------------
-
-    def _h_fn(self, x: np.ndarray) -> float:
-        return max(self.inst.inner_v(c, x) + a for c, a in self.objective.pieces)
-
-    def _h_lower_exact(self, q: np.ndarray) -> float:
-        value, _, _ = orbit_min(self.inst, self._h_fn, q, seed=self.seed)
-        return value
-
-    # -- lifting -------------------------------------------------------------
+    def _piece_values(self, q: np.ndarray) -> list[float]:
+        return [self.inst.inner_w(p.w, q) + p.alpha for p in self.pieces]
 
     def lift(self, q: np.ndarray) -> tuple[Optional[np.ndarray], Optional[CommutationCert]]:
-        """The witness x over q, rebuilt on the kept frame of the direction d,
-        and its certificate: x and x + d are decomposed there, lam(d) is reused."""
+        """The witness x over q, rebuilt on the kept frame of the active
+        piece's direction d, and its certificate: x and x + d are decomposed
+        there, lam(d) is reused.  Without pieces (a max-affine inf) the orbit
+        argmin is itself the lifted point, and has no certificate."""
         inst = self.inst
-        if isinstance(self.objective, MaxAffineObjective):
-            if self.sense == "min":
-                # infimum: the orbit argmin is itself the lifted point
-                value, x, _ = orbit_min(inst, self._h_fn, q, seed=self.seed)
-                return x, None
-            vals = [inst.inner_w(wc, q) + a for wc, _, a, _ in self.pieces_w]
-            lam_d, frame, _, d = self.pieces_w[int(np.argmax(vals))]
-        else:
-            lam_d, frame, d = self.lam_dir, self.frame, self.lift_dir
-        x = inst.witness_on(d, q, frame)
-        return x, commute_check(inst, x, d, self.tol, lam_y=lam_d)
+        if not self.pieces:
+            return self._orbit_min(q)[1], None
+        p = self.pieces[int(np.argmax(self._piece_values(q)))]
+        x = inst.witness_on(p.d, q, p.frame)
+        return x, commute_check(inst, x, p.d, self.tol, lam_y=p.lam_d)
 
 
 # orbit_min's heuristic search: Nelder-Mead starts, and iterations per start
@@ -267,64 +273,30 @@ def reduce_solve(inst: FtvnInstance, objective: Objective, set_spec: SpectralSet
     raise TypeError(f"unsupported spectral set spec {type(set_spec).__name__}")
 
 
-def _cone_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # q_{i+1} - q_i <= 0 rows of the nonincreasing cone
-    if n < 2:
-        return np.zeros((0, n)), np.zeros(0)
-    rows = np.zeros((n - 1, n))
-    for i in range(n - 1):
-        rows[i, i] = -1.0
-        rows[i, i + 1] = 1.0
-    return rows, np.zeros(n - 1)
-
-
-def _polyhedron_matrices(spec: OrderedPolyhedron) -> tuple[np.ndarray, np.ndarray]:
-    cone_a, cone_b = _cone_rows(spec.dim)
-    normals = np.array([a for a, _ in spec.halfspaces])
-    offsets = np.array([b for _, b in spec.halfspaces])
-    return np.vstack([normals, cone_a]), np.concatenate([offsets, cone_b])
-
-
 def _solve_polyhedron(inst, objective, spec, phi, combiner, sense, tol, seed, ws, F):
-    a_ub, b_ub = _polyhedron_matrices(spec)
+    a_ub, b_ub = spec.rows()
     n = spec.dim
     affine = phi.affine_parts(n)
 
-    if (combiner.kind == "sum" and affine is not None
-            and isinstance(objective, LinearObjective)):
+    # a linear objective is one affine piece; a max-affine sup takes the best
+    # piece, and infeasibility belongs to the set, so the first LP settles it
+    if (combiner.kind == "sum" and affine is not None and ws.pieces
+            and not isinstance(objective, DistanceObjective)):
         coeffs, const = affine
-        lp = solve_lp(ws.w_vec + coeffs, a_ub, b_ub, maximize=(sense == "max"))
-        trace = {"method": "lp_simplex", "iterations": lp.iterations}
-        if lp.status == "infeasible":
-            return _infeasible_report(sense, trace)
-        if lp.status == "unbounded":
-            return _no_optimizer_report(sense, math.inf if sense == "max" else -math.inf,
-                                        trace)
-        q_star = lp.x
-        value = lp.value + const
-        _probe_around(combiner, ws, phi, q_star, a_ub, b_ub)
-        return _finish(inst, objective, ws, q_star, value, True, trace, phi,
-                       combiner.fn, sense)
-
-    if (combiner.kind == "sum" and affine is not None
-            and isinstance(objective, MaxAffineObjective) and sense == "max"):
-        coeffs, const = affine
+        trace = {"method": "lp_per_piece" if isinstance(objective, MaxAffineObjective)
+                 else "lp_simplex", "iterations": 0}
         best = None
-        total_it = 0
-        for wc, _, alpha, _ in ws.pieces_w:
-            lp = solve_lp(wc + coeffs, a_ub, b_ub, maximize=True)
-            total_it += lp.iterations
-            # infeasibility belongs to the set, so the first piece's LP settles it
+        for p in ws.pieces:
+            lp = solve_lp(p.w + coeffs, a_ub, b_ub, maximize=(sense == "max"))
+            trace["iterations"] += lp.iterations
             if lp.status == "infeasible":
-                return _infeasible_report(sense, {"method": "lp_per_piece",
-                                                  "iterations": total_it})
+                return _infeasible_report(sense, trace)
             if lp.status == "unbounded":
-                return _no_optimizer_report(sense, math.inf, {"method": "lp_per_piece",
-                                                              "iterations": total_it})
-            cand = lp.value + alpha + const
-            if best is None or cand > best[0]:
+                return _no_optimizer_report(sense, math.inf if sense == "max" else -math.inf,
+                                            trace)
+            cand = lp.value + p.alpha + const
+            if best is None or (cand > best[0] if sense == "max" else cand < best[0]):
                 best = (cand, lp.x)
-        trace = {"method": "lp_per_piece", "iterations": total_it}
         _probe_around(combiner, ws, phi, best[1], a_ub, b_ub)
         return _finish(inst, objective, ws, best[1], best[0], True, trace, phi,
                        combiner.fn, sense)
@@ -332,7 +304,7 @@ def _solve_polyhedron(inst, objective, spec, phi, combiner, sense, tol, seed, ws
     # a certified projection shows the set nonempty; only without one does an LP decide
     distance = (combiner.kind == "sum" and phi.kind == "zero"
                 and isinstance(objective, DistanceObjective) and sense == "min")
-    q0, certified = project_polyhedron(ws.w_vec if distance else np.zeros(n), a_ub, b_ub)
+    q0, certified = project_polyhedron(ws.pieces[0].w if distance else np.zeros(n), a_ub, b_ub)
     if not certified:
         empty, trace = _phase1_empty(a_ub, b_ub, tol, q0)
         if empty:
@@ -406,9 +378,7 @@ def _phase1_empty(a_ub, b_ub, tol, q0) -> tuple[bool, dict]:
     violation at the projector's point q0 bounds s* from above, and the
     trace says the verdict is undecided.
     """
-    norms = np.linalg.norm(a_ub, axis=1)
-    norms[norms == 0.0] = 1.0
-    a, b = a_ub / norms[:, None], b_ub / norms
+    a, b = unit_rows(a_ub, b_ub)
     m, n = a.shape
     a1 = np.block([[a, -np.ones((m, 1))], [np.zeros((1, n)), -np.ones((1, 1))]])
     lp = solve_lp(np.append(np.zeros(n), 1.0), a1, np.append(b, 0.0), bounded=True)
@@ -441,7 +411,7 @@ def _finish(inst, objective, ws, q_star, value, attained, trace, phi, L, sense) 
             raise
         optimizer_v, cert = None, None
     if optimizer_v is not None:
-        t_v = _eval_objective_v(inst, objective, optimizer_v)
+        t_v = objective.value_v(inst, optimizer_v)
         s_v = phi(inst.lam(optimizer_v) if cert is None else cert.lam_x)
         if math.isfinite(t_v) and math.isfinite(s_v) and math.isfinite(value):
             gap = abs(L(t_v, s_v) - value)
@@ -534,7 +504,7 @@ def _enumerate_E(inst: FtvnInstance, spec: SpectralSetSpec, rng,
             pts.update(itertools.permutations(q.tolist()))
         return np.array(sorted(pts)), True
     if isinstance(spec, OrderedPolyhedron):
-        a_ub, b_ub = _polyhedron_matrices(spec)
+        a_ub, b_ub = spec.rows()
         anchor, _ = project_polyhedron(np.zeros(inst.dim_w), a_ub, b_ub)
         qs = [anchor]
         for _ in range(15):
@@ -598,13 +568,7 @@ def local_min_commutation_check(inst: FtvnInstance, h: Callable[[np.ndarray], fl
     minimizer: a must commute with minus its gradient.  Local minimality is
     probed along segments toward orbit points (evidence only)."""
     av = inst.check_element(a)
-    step = LOCAL_MIN_FD_STEP * (1.0 + inst.norm_v(av))
-    grad_coords = np.empty(inst.dim_v)
-    for i in range(inst.dim_v):
-        e = np.zeros(inst.dim_v)
-        e[i] = step
-        grad_coords[i] = (h(av + e) - h(av - e)) / (2.0 * step)
-    grad = inst.riesz(grad_coords)
+    grad = inst.riesz(fd_gradient(h, av, LOCAL_MIN_FD_STEP * (1.0 + inst.norm_v(av))))
     cert = commute_check(inst, av, -grad, tol)
     probe_min = math.inf
     count = 0

@@ -112,6 +112,13 @@ def ordered_polyhedron_projectors(halfspaces, n: int):
 PROJECTION_KKT_TOL = 1e-9
 
 
+def unit_rows(a_ub: np.ndarray, b_ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a_ub @ q <= b_ub scaled to unit normals; zero rows stay."""
+    norms = np.linalg.norm(a_ub, axis=1)
+    norms[norms == 0.0] = 1.0
+    return a_ub / norms[:, None], b_ub / norms
+
+
 def project_polyhedron(w: np.ndarray, a_ub: np.ndarray,
                        b_ub: np.ndarray) -> tuple[Optional[np.ndarray], bool]:
     """Euclidean projection of w onto {q : a_ub @ q <= b_ub}.
@@ -138,9 +145,7 @@ def project_polyhedron(w: np.ndarray, a_ub: np.ndarray,
     from scipy.optimize import nnls  # deferred: see linprog
     # unit normals make each h_i a distance: a row written with a tiny normal
     # would otherwise make ||q - w|| / s so large that d rounds to 0
-    norms = np.linalg.norm(a_ub, axis=1)
-    norms[norms == 0.0] = 1.0
-    a, b = a_ub / norms[:, None], b_ub / norms
+    a, b = unit_rows(a_ub, b_ub)
     h = a @ w - b
     s = float(np.max(np.abs(h)))
     target = np.zeros(w.size + 1)

@@ -46,6 +46,17 @@ class OrderedPolyhedron:
     def dim(self) -> int:
         return self.halfspaces[0][0].size
 
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a_ub, b_ub) with the set = {q : a_ub @ q <= b_ub}: the halfspaces,
+        then the rows q_{i+1} - q_i <= 0 of the nonincreasing cone."""
+        n = self.dim
+        i = np.arange(n - 1)
+        cone = np.zeros((n - 1, n))
+        cone[i, i] = -1.0
+        cone[i, i + 1] = 1.0
+        return (np.vstack([np.array([a for a, _ in self.halfspaces]), cone]),
+                np.concatenate([np.array([b for _, b in self.halfspaces]), np.zeros(n - 1)]))
+
 
 @dataclass(frozen=True)
 class OrbitOf:
@@ -116,10 +127,8 @@ def membership_w(spec: SpectralSetSpec, inst: FtvnInstance, q: np.ndarray,
                        for p in pts)
         return any(np.linalg.norm(p - q) <= tol * (1.0 + np.linalg.norm(p)) for p in pts)
     if isinstance(spec, OrderedPolyhedron):
-        scale = 1.0 + float(np.linalg.norm(q))
-        if np.any(np.diff(q) > tol * scale):
-            return False
-        return all(float(np.dot(a, q)) <= b + tol * scale for a, b in spec.halfspaces)
+        a_ub, b_ub = spec.rows()
+        return bool(np.all(a_ub @ q <= b_ub + tol * (1.0 + float(np.linalg.norm(q)))))
     if isinstance(spec, OrbitOf):
         return bool(np.linalg.norm(inst.lam(spec.u) - q) <= tol * (1.0 + np.linalg.norm(q)))
     if isinstance(spec, GridOracle):

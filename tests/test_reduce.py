@@ -444,7 +444,7 @@ def test_derivative_hooks_match_finite_differences(sym3):
         for sense, w in (("max", sym3.lam(c)), ("min", lambda_tilde(sym3, c))):
             # at sense min the W vector is -lam(-c)
             ws = _WSide(sym3, LinearObjective(c), sense, 1e-8, 0)
-            np.testing.assert_allclose(ws.w_vec, w, atol=1e-12)
+            np.testing.assert_allclose(ws.pieces[0].w, w, atol=1e-12)
             np.testing.assert_allclose(ws.t_grad(q), fd_gradient(ws.t, q, step), atol=1e-7)
         ws = _WSide(sym3, DistanceObjective(c), "min", 1e-8, 0)
         np.testing.assert_allclose(ws.t_grad(q), fd_gradient(ws.t, q, step), atol=1e-7)
@@ -790,6 +790,39 @@ def test_certificate_equals_a_fresh_commute_check(name):
             assert len(mine) == len(theirs)
             for a, b in zip(mine, theirs):
                 np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ["rn:4", "sym:3", "svd:4x3"])
+def test_one_piece_max_affine_is_the_linear_solve(name):
+    # a linear sup is the max-affine sup of the one piece (c, 0): the same
+    # value, optimizer and certificate, bit for bit, over a polyhedron and
+    # over a finite set; only the route label and commutes_with name differ
+    inst = get_instance(name)
+    rng = np.random.default_rng(31)
+    points = np.abs(rng.standard_normal((4, inst.dim_w)))
+    for spec in (_bounded_box(inst.dim_w), FiniteSet(points=points, permutation_invariant=True)):
+        c = inst.project_element(rng.standard_normal(inst.dim_v))
+        lin = reduce_solve_linear(inst, c, spec, sense="max")
+        one = reduce_solve(inst, MaxAffineObjective(((c, 0.0),)), spec, sense="max")
+        assert lin.solver_trace["method"] in ("lp_simplex", "exhaustive")
+        label = {"lp_simplex": "lp_per_piece"}.get(lin.solver_trace["method"], "exhaustive")
+        assert one.solver_trace == {**lin.solver_trace, "method": label}
+        assert (lin.commutes_with, one.commutes_with) == ("c", "active piece")
+        assert one.optimal_value == lin.optimal_value
+        assert one.reduction_gap == lin.reduction_gap
+        assert one.attained == lin.attained and not one.infeasible
+        np.testing.assert_array_equal(one.optimizer_w, lin.optimizer_w)
+        np.testing.assert_array_equal(one.optimizer_v, lin.optimizer_v)
+        got, want = one.commutation, lin.commutation
+        assert want.verdict
+        for field in ("residual_inner", "residual_dist", "residual_addnorm",
+                      "residual_addvec", "verdict"):
+            assert getattr(got, field) == getattr(want, field), (name, field)
+        np.testing.assert_array_equal(got.lam_x, want.lam_x)
+        mine, theirs = _frame_arrays(got.witness), _frame_arrays(want.witness)
+        assert len(mine) == len(theirs) > 0
+        for a, b in zip(mine, theirs):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_certificate_computes_lam_of_the_lift(sym3):

@@ -6,7 +6,6 @@ from scipy.optimize import OptimizeResult, linprog, minimize
 
 import ftvn.solvers
 from ftvn import FtvnError
-from ftvn.reduce import _polyhedron_matrices
 from ftvn.solvers import (dykstra_project, ordered_polyhedron_projectors,
                           pav_decreasing, project_halfspace, project_polyhedron,
                           projected_descent, simplex_weight_grid, solve_lp)
@@ -50,7 +49,7 @@ def test_dykstra_matches_slsqp_oracle():
                   (np.array([0.0, -1.0]), 0.0),
                   (np.array([1.0, 1.0]), 3.0)]
     projs = ordered_polyhedron_projectors(halfspaces, 2)
-    a_ub, b_ub = _polyhedron_matrices(OrderedPolyhedron(halfspaces=tuple(halfspaces)))
+    a_ub, b_ub = OrderedPolyhedron(halfspaces=tuple(halfspaces)).rows()
     rng = np.random.default_rng(1)
     cons = [{"type": "ineq", "fun": lambda q, a=a, b=b: b - np.dot(a, q)}
             for a, b in halfspaces]
@@ -82,7 +81,7 @@ def test_projection_sweep_against_highs_and_dykstra():
             halfspaces.append((tuple(scale * rng.standard_normal(n)),
                                float(scale * rng.uniform(-1, 2))))
         spec = OrderedPolyhedron(halfspaces=tuple(halfspaces))
-        a_ub, b_ub = _polyhedron_matrices(spec)
+        a_ub, b_ub = spec.rows()
         w = rng.standard_normal(n) * (3.0 if well else 10.0 ** rng.uniform(0, 4))
         q, certified = project_polyhedron(w, a_ub, b_ub)
         feas = linprog(np.zeros(n), A_ub=a_ub, b_ub=b_ub, bounds=(None, None),
@@ -130,7 +129,7 @@ def test_lp_against_vertex_enumeration():
         halfspaces = [(row, 5.0) for row in np.vstack([np.eye(n), -np.eye(n)])]
         halfspaces += [(rng.standard_normal(n), abs(rng.standard_normal()) + 0.5)
                        for _ in range(3)]
-        a_ub, b_ub = _polyhedron_matrices(OrderedPolyhedron(halfspaces=tuple(halfspaces)))
+        a_ub, b_ub = OrderedPolyhedron(halfspaces=tuple(halfspaces)).rows()
         assert a_ub.shape == (2 * n + 3 + n - 1, n)
         c = rng.standard_normal(n)
         res = solve_lp(c, a_ub, b_ub, maximize=bool(trial % 2))
@@ -155,7 +154,7 @@ def test_lp_infeasible_and_unbounded():
     spec = OrderedPolyhedron(halfspaces=(
         ((-0.02, -0.44, 0.01, -0.45, 0.86, 2.02, -0.13), -0.21),
         ((0.9, -1.23, -1.38, 1.63, -1.79, -1.47, 0.98), 1.26)))
-    a_ub, b_ub = _polyhedron_matrices(spec)
+    a_ub, b_ub = spec.rows()
     c = np.array([-1.51, -0.29, 0.1, -1.7, 0.13, -0.43, 1.78])
     point = np.array([5.3, 4.3, 3.3, 2.3, 1.3, 0.3, -0.7])
     ray = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
@@ -173,7 +172,7 @@ def test_lp_infeasible_and_unbounded():
         halfspaces = tuple((tuple(rng.standard_normal(n)), float(rng.uniform(-1, 2)))
                            for _ in range(k))
         c = rng.standard_normal(n)
-        a_ub, b_ub = _polyhedron_matrices(OrderedPolyhedron(halfspaces=halfspaces))
+        a_ub, b_ub = OrderedPolyhedron(halfspaces=halfspaces).rows()
         res = solve_lp(c, a_ub, b_ub, maximize=maximize)
         assert res.status == "unbounded" and res.value == (np.inf if maximize else -np.inf)
 
