@@ -1,23 +1,20 @@
 """Spectral-set optimization over Fan-Theobald-von Neumann systems."""
 
 from .core import (AxiomReport, CommutationCert, DimensionMismatch, ElementV,
-                   FtvnError, FtvnInstance, MonotonicityError, SpecPoint,
-                   WitnessError, axiom_suite, commute_check, cone_sum_witness,
-                   get_instance, lambda_tilde, norm_sublinearity_gap,
-                   registered_instances, register_instance, sublinearity_gap)
+                   FtvnError, FtvnInstance, MonotonicityError, WitnessError,
+                   axiom_suite, commute_check, cone_sum_witness, get_instance,
+                   lambda_tilde, norm_sublinearity_gap, registered_instances,
+                   register_instance, sublinearity_gap)
 from . import eja, hyperbolic, nds  # noqa: F401  (instance registration)
-from .eja import (JordanAlgebra, JordanFrame, SpectralDecomposition,
-                  algebra_from_name, build_from_frame, eja_a3_witness,
+from .eja import (JordanAlgebra, JordanFrame, algebra_from_name,
                   idempotent_orbit_max, majorization_check,
-                  operator_commute_check, q_cap_qdown, sigma_orbit, sort_desc,
-                  spectral_decompose, strong_commute_check)
+                  operator_commute_check, q_cap_qdown, sigma_orbit, sort_desc)
 from .hyperbolic import (CompletenessReport, HyperbolicPolynomial,
                          IsometricReport, NonHyperbolicError,
                          completeness_check, coordinate_product_polynomial,
-                         det_sym_polynomial, hyp_lambda, hyperbolic_from_json,
+                         det_sym_polynomial, hyperbolic_from_json,
                          isometric_falsify)
-from .nds import (RectMatrixSpace, SubspacePseudoInstance, nds_a3_witness,
-                  nds_commute_check, rotation_instance, singular_map,
+from .nds import (RectMatrixSpace, SubspacePseudoInstance, rotation_instance,
                   z_counterexample_instance)
 from .reduce import (DistanceObjective, IntervalImage, LinearObjective,
                      LocalMinReport, MaxAffineObjective, SolveReport,

@@ -20,13 +20,13 @@ from functools import partial
 import numpy as np
 
 from .core import FtvnError, MonotonicityError, WitnessError, axiom_suite, get_instance
-from .reduce import (MaxAffineObjective, envelope_lower_affine, envelope_lower_exact,
-                     envelope_upper, hausdorff_spectral, reduce_solve,
-                     vi_commutation_check)
+from .reduce import (envelope_lower_affine, envelope_lower_exact, envelope_upper,
+                     hausdorff_spectral, reduce_solve, vi_commutation_check)
 from .regressions import run_pack
 from .serialize import (SCHEMA, axiom_report_json, canonical_dumps,
-                        element_from_json, farr, fnum, problem_from_json,
-                        set_spec_for, solve_report_json, vi_report_json)
+                        element_from_json, farr, fnum, objective_from_json,
+                        problem_from_json, set_spec_for, solve_report_json,
+                        vi_report_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,8 +110,7 @@ def _jsonable(value):
 def _cmd_envelope(args) -> int:
     obj = _load_json(args.input)
     inst = get_instance(obj["instance"])
-    objective = MaxAffineObjective(tuple(
-        (element_from_json(inst, p["c"]), float(p.get("alpha", 0.0))) for p in obj["pieces"]))
+    objective = objective_from_json(inst, {"kind": "max_affine", "pieces": obj["pieces"]})
     q = np.asarray(obj["q"], dtype=float)
     upper = envelope_upper(inst, objective.pieces, q)
     lower_affine = envelope_lower_affine(inst, objective.pieces, q)

@@ -45,7 +45,7 @@ class MonotonicityError(FtvnError):
 
 
 def as_vec(x) -> np.ndarray:
-    """Accept an ElementV/SpecPoint or a bare array-like; return a 1-d float array."""
+    """Accept an ElementV or a bare array-like; return a 1-d float array."""
     coords = getattr(x, "coords", x)
     v = np.asarray(coords, dtype=float)
     if v.ndim != 1:
@@ -71,17 +71,6 @@ class ElementV:
 
     coords: np.ndarray
     tag: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _frozen_vec(self.coords))
-
-
-@dataclass(frozen=True)
-class SpecPoint:
-    """A point of W (the image side).  For Jordan / singular-value /
-    hyperbolic instances the coordinates are nonincreasing by convention."""
-
-    coords: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _frozen_vec(self.coords))

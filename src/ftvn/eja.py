@@ -23,8 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (DEDUP_TOL, DEFAULT_TOL, FtvnInstance, as_vec, commute_check,
-                   register_instance)
+from .core import DEDUP_TOL, DEFAULT_TOL, FtvnInstance, as_vec, register_instance
 from .linalg import eigh_desc, is_symmetric
 
 
@@ -38,15 +37,6 @@ class JordanFrame:
         arr = np.array(self.idempotents, dtype=float)
         arr.flags.writeable = False
         object.__setattr__(self, "idempotents", arr)
-
-    def __len__(self):
-        return self.idempotents.shape[0]
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    eigenvalues: np.ndarray  # nonincreasing
-    frame: JordanFrame
 
 
 def sort_desc(q) -> np.ndarray:
@@ -133,12 +123,11 @@ class JordanAlgebra:
     def norm(self, x) -> float:
         return math.sqrt(max(self.inner(x, x), 0.0))
 
-    def decompose(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (nonincreasing) and frame rows reconstructing x."""
-        return self._decompose(as_vec(x))
-
-    def eigvals(self, x) -> np.ndarray:
-        return self._decompose(as_vec(x))[0]
+    def decompose(self, x) -> tuple[np.ndarray, JordanFrame]:
+        """The instance's ``decompose`` hook: eigenvalues (nonincreasing) and
+        the Jordan frame whose idempotents rebuild x."""
+        eigs, rows = self._decompose(as_vec(x))
+        return eigs, JordanFrame(rows)
 
     def orbit_sample(self, q, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` elements sharing the eigenvalues of q, stacked as rows."""
@@ -147,11 +136,6 @@ class JordanAlgebra:
         return self._orbit_rows(rows, rng)
 
     # -- FTvN instance wrapper ----------------------------------------------
-
-    def frame_decompose(self, x) -> tuple[np.ndarray, JordanFrame]:
-        """The instance's ``decompose`` hook: eigenvalues and their Jordan frame."""
-        eigs, rows = self.decompose(x)
-        return eigs, JordanFrame(rows)
 
     def _build_instance(self) -> FtvnInstance:
         # lam and a3_witness derive from the decompose/rebuild hooks, and
@@ -167,7 +151,7 @@ class JordanAlgebra:
             riesz=lambda g: self._project(g) / self._w,
             project_element=self._project,
             backend=self,
-            decompose=self.frame_decompose,
+            decompose=self.decompose,
             rebuild=lambda q, frame: q @ frame.idempotents,
         )
 
@@ -331,7 +315,7 @@ def product_algebra(parts: list[JordanAlgebra]) -> JordanAlgebra:
     def decompose(x):
         items = []
         for i, (p, xi) in enumerate(zip(parts, slices_v(x))):
-            eigs, frame = p.decompose(xi)
+            eigs, frame = p._decompose(xi)
             for j in range(p.rank):
                 items.append((-eigs[j], i, j, frame[j]))
         items.sort(key=lambda t: (t[0], t[1], t[2]))
@@ -368,34 +352,6 @@ def product_algebra(parts: list[JordanAlgebra]) -> JordanAlgebra:
 # ---------------------------------------------------------------------------
 # operations
 
-def spectral_decompose(alg: JordanAlgebra, x) -> SpectralDecomposition:
-    eigs, frame = alg.decompose(x)
-    return SpectralDecomposition(eigenvalues=eigs, frame=JordanFrame(frame))
-
-
-def build_from_frame(alg: JordanAlgebra, q, frame: JordanFrame) -> np.ndarray:
-    """Rebuild sum_i q_i e_i from coefficients and an ordered frame."""
-    q = np.asarray(q, dtype=float)
-    if q.size != len(frame):
-        raise ValueError(f"coefficient vector has length {q.size}, frame has {len(frame)}")
-    return q @ frame.idempotents
-
-
-def eja_a3_witness(alg: JordanAlgebra, c, q) -> np.ndarray:
-    """The constructive witness: target eigenvalues rebuilt on c's frame.
-
-    Exact: lam(result) = q and <c, result> = <lam(c), q>, because the frame
-    is orthonormal under the trace inner product.
-    """
-    return alg.instance.a3_witness(as_vec(c), as_vec(q))
-
-
-def strong_commute_check(alg: JordanAlgebra, x, y, tol: float = DEFAULT_TOL):
-    """Commutativity in the FTvN sense = strong operator commutativity here;
-    the certificate carries a shared frame when the verdict is positive."""
-    return commute_check(alg.instance, x, y, tol)
-
-
 def operator_commute_check(alg: JordanAlgebra, x, y, tol: float = DEFAULT_TOL) -> bool:
     """Do the multiplication operators L_x and L_y commute?
 
@@ -423,8 +379,9 @@ def majorization_check(alg: JordanAlgebra, x, y, tol: float = DEFAULT_TOL) -> Ma
     """lam(x+y) against lam(x) + lam(y): prefix sums dominated, totals equal."""
     xv = as_vec(x)
     yv = as_vec(y)
-    s = np.cumsum(alg.eigvals(xv) + alg.eigvals(yv))
-    t = np.cumsum(alg.eigvals(xv + yv))
+    lam = alg.instance.lam
+    s = np.cumsum(lam(xv) + lam(yv))
+    t = np.cumsum(lam(xv + yv))
     prefix = (s - t)[:-1]
     trace_gap = float(s[-1] - t[-1])
     scale = 1.0 + alg.norm(xv) + alg.norm(yv)
@@ -437,7 +394,7 @@ def idempotent_orbit_max(alg: JordanAlgebra, c, k: int) -> tuple[float, np.ndarr
     attained at the sum of the first k idempotents of c's own frame."""
     if not 1 <= k <= alg.rank:
         raise ValueError(f"k must lie in 1..{alg.rank}")
-    eigs, frame = alg.decompose(c)
+    eigs, frame = alg._decompose(as_vec(c))
     value = float(np.sum(eigs[:k]))
     idem = np.sum(frame[:k], axis=0)
     return value, idem

@@ -243,10 +243,6 @@ def orbit_additivity_search(hp: HyperbolicPolynomial, y, target, rng,
     return best_x, math.sqrt(max(best_f, 0.0))
 
 
-def hyp_lambda(hp: HyperbolicPolynomial, x) -> np.ndarray:
-    return hp.lam(x)
-
-
 @dataclass(frozen=True)
 class CompletenessReport:
     complete: bool                    # no null direction found within budget

@@ -47,13 +47,10 @@ class RectMatrixSpace:
             raise ValueError(f"expected a {self.m}x{self.n} matrix, got {a.shape}")
         return a.ravel()
 
-    def singular_values(self, x) -> np.ndarray:
-        return self.decompose(x)[0]
-
     def gamma(self, x) -> np.ndarray:
         """The m x n matrix carrying sigma(x) on its leading diagonal."""
         out = np.zeros((self.m, self.n))
-        out[np.arange(self.k), np.arange(self.k)] = self.singular_values(x)
+        out[np.arange(self.k), np.arange(self.k)] = self.decompose(x)[0]
         return out
 
     def decompose(self, x) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -89,20 +86,6 @@ class RectMatrixSpace:
             decompose=self.decompose,
             rebuild=self.rebuild,
         )
-
-
-def singular_map(space: RectMatrixSpace, x) -> np.ndarray:
-    return space.singular_values(x)
-
-
-def nds_a3_witness(space: RectMatrixSpace, c, q) -> np.ndarray:
-    """X = U diag(q) V^T built from a full SVD of c; attains the trace bound."""
-    return space.instance.a3_witness(as_vec(c), as_vec(q))
-
-
-def nds_commute_check(space: RectMatrixSpace, x, y, tol: float = 1e-8):
-    from .core import commute_check
-    return commute_check(space.instance, x, y, tol)
 
 
 # ---------------------------------------------------------------------------

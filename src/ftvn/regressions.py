@@ -17,8 +17,8 @@ import numpy as np
 
 from .core import axiom_suite, commute_check, get_instance
 from .eja import algebra_from_name, idempotent_orbit_max, operator_commute_check, sym_coords
-from .hyperbolic import (completeness_check, det_sym_polynomial, hyp_lambda,
-                         isometric_falsify, mat_to_svec)
+from .hyperbolic import (completeness_check, det_sym_polynomial, isometric_falsify,
+                         mat_to_svec)
 from .reduce import (envelope_lower_affine, envelope_lower_exact, envelope_upper,
                      interval_image, local_min_commutation_check,
                      reduce_solve_linear)
@@ -93,15 +93,15 @@ def _check_idempotent_orbit(seed: int) -> RegressionResult:
 
 
 def _check_det_roots(seed: int) -> RegressionResult:
-    alg = algebra_from_name("sym:3")
+    sym3 = get_instance("sym:3")
     hp = det_sym_polynomial(3)
     rng = np.random.default_rng([seed, 4])
     worst = 0.0
     for _ in range(100):
         g = rng.standard_normal((3, 3))
         m = 0.5 * (g + g.T)
-        lam_hyp = hyp_lambda(hp, mat_to_svec(m))
-        lam_eja = alg.eigvals(sym_coords(m))
+        lam_hyp = hp.lam(mat_to_svec(m))
+        lam_eja = sym3.lam(sym_coords(m))
         worst = max(worst, float(np.max(np.abs(lam_hyp - lam_eja))))
     return RegressionResult("det-root-crosscheck-sym3", worst <= 1e-8,
                             {"max_abs_gap": worst, "n_samples": 100})

@@ -26,6 +26,9 @@ from .spectral_sets import (Combiner, FiniteSet, GridOracle, OrbitOf,
 
 SCHEMA = "ftvn/1"
 
+# An input element may sit this far off its projection, relative to its size.
+ELEMENT_DRIFT_TOL = 1e-10
+
 
 def fnum(x) -> dict:
     x = float(x)
@@ -55,6 +58,16 @@ def _checked_element(inst: FtvnInstance, coords) -> np.ndarray:
         raise ValueError(str(exc)) from None
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{inst.name}: element has a non-finite entry")
+    # an element off the instance's element space (a flat sym:N list that is
+    # not symmetric, a z point off the plane) would solve as its projection
+    # while the certificate judged the element itself; an identity projection
+    # (rn, svd) returns v itself and moves nothing
+    projected = inst.project_element(v)
+    if projected is not v:
+        drift = float(np.abs(projected - v).max())
+        if drift > ELEMENT_DRIFT_TOL * (1.0 + float(np.abs(v).max())):
+            raise ValueError(f"{inst.name}: element is not in the instance's element "
+                             f"space (its projection moves it by {drift:.3e})")
     return v
 
 
@@ -109,81 +122,71 @@ def element_to_json(inst: FtvnInstance, coords) -> dict:
 # ---------------------------------------------------------------------------
 # problem pieces
 
-def set_spec_from_json(obj) -> Any:
-    kind = obj["kind"]
-    if kind == "finite":
-        return FiniteSet(points=np.asarray(obj["points"], dtype=float),
-                         permutation_invariant=bool(obj.get("permutation_invariant", False)))
-    if kind == "polyhedron":
-        hs = tuple((np.asarray(h["normal"], dtype=float), float(h["offset"]))
-                   for h in obj["halfspaces"])
-        return OrderedPolyhedron(halfspaces=hs)
-    if kind == "orbit":
-        return obj  # resolved against the instance by set_spec_for
-    if kind == "grid":
-        member = obj["membership"]
-        if member["kind"] == "ball":
-            center = np.asarray(member["center"], dtype=float)
-            radius = float(member["radius"])
-            fn = lambda q: bool(np.linalg.norm(q - center) <= radius)
-        elif member["kind"] == "halfspaces":
-            hs = [(np.asarray(h["normal"], dtype=float), float(h["offset"]))
-                  for h in member["halfspaces"]]
-            fn = lambda q: all(float(np.dot(a, q)) <= b + 1e-12 for a, b in hs)
-        else:
-            raise KeyError(f"unknown grid membership {member['kind']!r}")
-        return GridOracle(membership=fn, box=np.asarray(obj["box"], dtype=float),
-                          resolution=int(obj["resolution"]))
-    raise KeyError(f"unknown set kind {kind!r}")
-
-
 def set_spec_for(inst: FtvnInstance, obj) -> Any:
-    """A set spec read from JSON and checked against the instance's W-side
-    dimension, with an orbit spec resolved to :class:`OrbitOf`.
+    """A set spec read from JSON, each kind checked as it is built against
+    the instance's W-side dimension; an orbit's element is read on the
+    instance itself.
 
     A set of the wrong width or with a non-finite entry is a usage error
     (``ValueError`` naming the set), not an empty set or a solver failure.
     """
-    spec = set_spec_from_json(obj)
-    if isinstance(spec, dict):
-        return OrbitOf(element_from_json(inst, spec["u"]))
     n = inst.dim_w
-    if isinstance(spec, FiniteSet) and spec.points.size:
-        if spec.points.shape[1] != n:
-            raise ValueError(f"finite set: points have {spec.points.shape[1]} "
-                             f"coordinates, expected {n}")
-        if not np.all(np.isfinite(spec.points)):
-            raise ValueError("finite set: a point has a non-finite entry")
-    if isinstance(spec, OrderedPolyhedron):
-        for i, (normal, _) in enumerate(spec.halfspaces):
+    kind = obj["kind"]
+    if kind == "finite":
+        points = np.atleast_2d(np.asarray(obj["points"], dtype=float))
+        if points.size:
+            if points.shape[1] != n:
+                raise ValueError(f"finite set: points have {points.shape[1]} "
+                                 f"coordinates, expected {n}")
+            if not np.all(np.isfinite(points)):
+                raise ValueError("finite set: a point has a non-finite entry")
+        return FiniteSet(points=points,
+                         permutation_invariant=bool(obj.get("permutation_invariant", False)))
+    if kind == "polyhedron":
+        hs = tuple((np.asarray(h["normal"], dtype=float), float(h["offset"]))
+                   for h in obj["halfspaces"])
+        for i, (normal, _) in enumerate(hs):
             if normal.shape != (n,):
                 raise ValueError(f"polyhedron set: halfspace {i} has a normal of "
                                  f"length {normal.size}, expected {n}")
-        if not (np.isfinite([a for a, _ in spec.halfspaces]).all()
-                and all(math.isfinite(b) for _, b in spec.halfspaces)):
+        if not (np.isfinite([a for a, _ in hs]).all()
+                and all(math.isfinite(b) for _, b in hs)):
             raise ValueError("polyhedron set: a halfspace has a non-finite entry")
-    if isinstance(spec, GridOracle):
-        if spec.box.shape != (n, 2):
-            raise ValueError(f"grid set: box has shape {spec.box.shape}, expected ({n}, 2)")
-        if not np.all(np.isfinite(spec.box)):
+        return OrderedPolyhedron(halfspaces=hs)
+    if kind == "orbit":
+        return OrbitOf(element_from_json(inst, obj["u"]))
+    if kind == "grid":
+        box = np.asarray(obj["box"], dtype=float)
+        if box.shape != (n, 2):
+            raise ValueError(f"grid set: box has shape {box.shape}, expected ({n}, 2)")
+        if not np.all(np.isfinite(box)):
             raise ValueError("grid set: the box has a non-finite entry")
         member = obj["membership"]
         if member["kind"] == "ball":
-            vectors = [("ball center", member["center"])]
-            scalars = [member["radius"]]
+            center = _grid_vector("ball center", member["center"], n)
+            radius = float(member["radius"])
+            scalars = [radius]
+            fn = lambda q: bool(np.linalg.norm(q - center) <= radius)
+        elif member["kind"] == "halfspaces":
+            hs = [(_grid_vector(f"halfspace {i} normal", h["normal"], n), float(h["offset"]))
+                  for i, h in enumerate(member["halfspaces"])]
+            scalars = [b for _, b in hs]
+            fn = lambda q: all(float(np.dot(a, q)) <= b + 1e-12 for a, b in hs)
         else:
-            vectors = [(f"halfspace {i} normal", h["normal"])
-                       for i, h in enumerate(member["halfspaces"])]
-            scalars = [h["offset"] for h in member["halfspaces"]]
-        for name, vec in vectors:
-            vec = np.asarray(vec, dtype=float)
-            if vec.shape != (n,):
-                raise ValueError(f"grid set: {name} has length {vec.size}, expected {n}")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"grid set: {name} has a non-finite entry")
-        if not all(math.isfinite(float(b)) for b in scalars):
+            raise KeyError(f"unknown grid membership {member['kind']!r}")
+        if not all(math.isfinite(b) for b in scalars):
             raise ValueError("grid set: membership has a non-finite radius or offset")
-    return spec
+        return GridOracle(membership=fn, box=box, resolution=int(obj["resolution"]))
+    raise KeyError(f"unknown set kind {kind!r}")
+
+
+def _grid_vector(name: str, obj, n: int) -> np.ndarray:
+    vec = np.asarray(obj, dtype=float)
+    if vec.shape != (n,):
+        raise ValueError(f"grid set: {name} has length {vec.size}, expected {n}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"grid set: {name} has a non-finite entry")
+    return vec
 
 
 def phi_from_json(obj) -> SpectralFunctionSpec:

@@ -16,7 +16,7 @@ from ftvn import get_instance
 from ftvn.cli import main
 from ftvn.eja import sym_coords
 from ftvn.serialize import (canonical_dumps, element_from_json, element_to_json,
-                            fnum, problem_from_json, set_spec_from_json)
+                            fnum, problem_from_json, set_spec_for)
 from ftvn.spectral_sets import FiniteSet, GridOracle, OrderedPolyhedron
 
 
@@ -68,18 +68,19 @@ def test_asymmetric_matrix_rejected():
 
 
 def test_set_spec_json():
-    spec = set_spec_from_json({"kind": "finite", "points": [[1, 0]],
-                               "permutation_invariant": True})
+    rn2 = get_instance("rn:2")
+    spec = set_spec_for(rn2, {"kind": "finite", "points": [[1, 0]],
+                              "permutation_invariant": True})
     assert isinstance(spec, FiniteSet) and spec.permutation_invariant
 
-    spec = set_spec_from_json({"kind": "polyhedron", "halfspaces": [
+    spec = set_spec_for(rn2, {"kind": "polyhedron", "halfspaces": [
         {"normal": [1, 0], "offset": 2}]})
     assert isinstance(spec, OrderedPolyhedron)
 
-    spec = set_spec_from_json({"kind": "grid", "box": [[-1, 1], [-1, 1]],
-                               "resolution": 5,
-                               "membership": {"kind": "ball", "center": [0, 0],
-                                              "radius": 1.0}})
+    spec = set_spec_for(rn2, {"kind": "grid", "box": [[-1, 1], [-1, 1]],
+                              "resolution": 5,
+                              "membership": {"kind": "ball", "center": [0, 0],
+                                             "radius": 1.0}})
     assert isinstance(spec, GridOracle)
     assert spec.membership(np.zeros(2))
     assert not spec.membership(np.array([2.0, 0.0]))
@@ -151,6 +152,27 @@ def test_cli_solve_flagship(tmp_path, capsys):
     assert rep["attained"] is True
     assert rep["commutation"]["verdict"] is True
     assert rep["optimizer_v"]["kind"] == "sym"
+
+
+def test_cli_solve_flat_symmetric_list(tmp_path, capsys):
+    # a symmetric matrix written as its flat row-major list solves like the
+    # structured form
+    problem = {
+        "instance": "sym:2",
+        "objective": {"kind": "linear", "c": [1, 0, 0, -1]},
+        "set": {"kind": "polyhedron", "halfspaces": [
+            {"normal": [-1, 0], "offset": -1},
+            {"normal": [1, 0], "offset": 2},
+            {"normal": [0, -1], "offset": 0}]},
+        "sense": "max"}
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(problem))
+    code, doc = _run(capsys, ["solve", str(path)])
+    assert code == 0
+    rep = doc["report"]
+    assert rep["optimal_value"]["dec"] == pytest.approx(2.0, abs=1e-9)
+    assert rep["commutation"]["verdict"] is True
+    assert rep["commutation"]["witness_present"] is True
 
 
 def test_cli_solve_orbit_problem(tmp_path, capsys):
@@ -274,9 +296,24 @@ def test_cli_usage_errors(tmp_path, capsys):
         ({"instance": "rn:2", "set": box,
           "objective": {"kind": "distance", "c": {"kind": "rn", "data": [math.inf, 0]}}},
          "non-finite"),
+        # a flat coordinate list is checked like the structured forms: an
+        # element its instance's projection moves is no element
+        ({"instance": "sym:2", "set": box,
+          "objective": {"kind": "linear", "c": [1, 2, 0, -1]}}, "element space"),
+        ({"instance": "product:rn:2+sym:2",
+          "set": {"kind": "polyhedron",
+                  "halfspaces": [{"normal": [1, 0, 0, 0], "offset": 1}]},
+          "objective": {"kind": "linear",
+                        "c": {"kind": "product", "parts": [[1, 0], [1, 2, 0, -1]]}}},
+         "element space"),
+        ({"instance": "z-counterexample", "set": {"kind": "finite", "points": [[3, 2, 1]]},
+          "objective": {"kind": "linear", "c": [0, 1, 0]}}, "element space"),
         # set specs are checked against the instance before any solver sees them
         ({"instance": "rn:2", "objective": {"kind": "linear", "c": rn_c},
           "set": {"kind": "finite", "points": [[1, 0, 0]]}}, "finite set"),
+        # checked before duplicates are merged, which would drop the NaN point
+        ({"instance": "rn:2", "objective": {"kind": "linear", "c": rn_c},
+          "set": {"kind": "finite", "points": [[1, 0], [math.nan, 0]]}}, "finite set"),
         ({"instance": "rn:2", "objective": {"kind": "linear", "c": rn_c},
           "set": {"kind": "polyhedron",
                   "halfspaces": [{"normal": [1, 0, 0], "offset": 1}]}}, "polyhedron set"),

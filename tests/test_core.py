@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from ftvn import (DimensionMismatch, axiom_suite, commute_check,
                   cone_sum_witness, get_instance, lambda_tilde,
                   norm_sublinearity_gap, registered_instances, sublinearity_gap)
-from ftvn.core import ElementV, SpecPoint
+from ftvn.core import ElementV
 from ftvn.hyperbolic import hyperbolic_from_json
 
 
@@ -208,9 +208,6 @@ def test_element_types_immutable(rn2):
     e = ElementV(np.array([1.0, 2.0]), tag="rn:2")
     with pytest.raises(ValueError):
         e.coords[0] = 5.0
-    p = SpecPoint(np.array([2.0, 1.0]))
-    with pytest.raises(ValueError):
-        p.coords[0] = 5.0
     with pytest.raises(ValueError):
         ElementV(np.array([np.inf, 0.0]))
 

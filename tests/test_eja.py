@@ -3,11 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from ftvn.eja import (JordanFrame, algebra_from_name, build_from_frame,
-                      eja_a3_witness, idempotent_orbit_max, majorization_check,
-                      operator_commute_check, q_cap_qdown, sigma_orbit,
-                      sort_desc, spectral_decompose, strong_commute_check,
-                      sym_coords)
+from ftvn import commute_check
+from ftvn.eja import (JordanFrame, algebra_from_name, idempotent_orbit_max,
+                      majorization_check, operator_commute_check, q_cap_qdown,
+                      sigma_orbit, sort_desc, sym_coords)
 
 from conftest import random_symmetric
 
@@ -40,35 +39,36 @@ def test_jordan_axioms_sampled(algebras):
 
 def test_spectral_decompose_sym2_hand_value():
     alg = algebra_from_name("sym:2")
-    dec = spectral_decompose(alg, sym_coords(np.array([[0.0, 1.0], [1.0, 0.0]])))
-    np.testing.assert_allclose(dec.eigenvalues, [1.0, -1.0], atol=1e-12)
+    eigs, _ = alg.instance.decompose(sym_coords(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    np.testing.assert_allclose(eigs, [1.0, -1.0], atol=1e-12)
 
 
 def test_spectral_decompose_spin_closed_form():
     alg = algebra_from_name("spin:2")
     x = np.array([1.0, 1.0, 0.0])  # x0=1, xbar=(1,0)
-    dec = spectral_decompose(alg, x)
-    np.testing.assert_allclose(dec.eigenvalues, [2.0, 0.0], atol=1e-14)
+    eigs, _ = alg.instance.decompose(x)
+    np.testing.assert_allclose(eigs, [2.0, 0.0], atol=1e-14)
     assert alg.inner(x, x) == pytest.approx(4.0)  # trace-norm^2 = 2(x0^2+|xbar|^2)
 
 
 def test_unit_decomposes_to_ones(algebras):
     for alg in algebras.values():
-        dec = spectral_decompose(alg, alg.unit)
-        np.testing.assert_allclose(dec.eigenvalues, 1.0, atol=1e-12)
+        eigs, _ = alg.instance.decompose(alg.unit)
+        np.testing.assert_allclose(eigs, 1.0, atol=1e-12)
 
 
 def test_decompose_reconstructs(algebras):
     rng = np.random.default_rng(3)
     for alg in algebras.values():
+        inst = alg.instance
         for _ in range(15):
-            x = alg.instance.draw(rng)
-            dec = spectral_decompose(alg, x)
-            rebuilt = build_from_frame(alg, dec.eigenvalues, dec.frame)
+            x = inst.draw(rng)
+            eigs, frame = inst.decompose(x)
+            rebuilt = inst.rebuild(eigs, frame)
             assert alg.norm(x - rebuilt) <= 1e-9 * (1 + alg.norm(x))
-            assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
+            assert np.all(np.diff(eigs) <= 1e-12)
             # frame orthonormality under the trace inner product
-            rows = dec.frame.idempotents
+            rows = frame.idempotents
             for i in range(alg.rank):
                 for j in range(alg.rank):
                     expect = 1.0 if i == j else 0.0
@@ -84,10 +84,10 @@ def test_frame_degeneracy_by_perturbation():
     alg = algebra_from_name("sym:3")
     x = sym_coords(np.diag([2.0, 2.0, -1.0]))
     eps = 1e-6
-    dec = spectral_decompose(alg, x)
-    dec_pert = spectral_decompose(alg, x + eps * alg.unit)
-    np.testing.assert_allclose(dec_pert.eigenvalues - eps, dec.eigenvalues, atol=1e-9)
-    rebuilt = build_from_frame(alg, dec.eigenvalues, dec.frame)
+    eigs, frame = alg.instance.decompose(x)
+    eigs_pert, _ = alg.instance.decompose(x + eps * alg.unit)
+    np.testing.assert_allclose(eigs_pert - eps, eigs, atol=1e-9)
+    rebuilt = alg.instance.rebuild(eigs, frame)
     assert alg.norm(x - rebuilt) <= 1e-9
 
 
@@ -96,35 +96,34 @@ def test_spin_degenerate_axis_default():
     # an orthonormal reconstructing frame
     alg = algebra_from_name("spin:3")
     x = np.array([2.0, 0.0, 0.0, 0.0])
-    dec = spectral_decompose(alg, x)
-    np.testing.assert_allclose(dec.eigenvalues, [2.0, 2.0])
-    rebuilt = build_from_frame(alg, dec.eigenvalues, dec.frame)
+    eigs, frame = alg.instance.decompose(x)
+    np.testing.assert_allclose(eigs, [2.0, 2.0])
+    rebuilt = alg.instance.rebuild(eigs, frame)
     assert alg.norm(x - rebuilt) <= 1e-12
-    rows = dec.frame.idempotents
+    rows = frame.idempotents
     assert alg.inner(rows[0], rows[1]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_build_from_frame_examples():
-    rn = algebra_from_name("rn:3")
-    dec = spectral_decompose(rn, np.array([5.0, 1.0, 3.0]))
-    np.testing.assert_allclose(build_from_frame(rn, np.zeros(3), dec.frame), 0.0)
-    x = build_from_frame(rn, np.array([1.0, 3.0, 2.0]),
-                         JordanFrame(np.eye(3)))
+    rn = algebra_from_name("rn:3").instance
+    _, frame = rn.decompose(np.array([5.0, 1.0, 3.0]))
+    np.testing.assert_allclose(rn.rebuild(np.zeros(3), frame), 0.0)
+    x = rn.rebuild(np.array([1.0, 3.0, 2.0]), JordanFrame(np.eye(3)))
     np.testing.assert_allclose(x, [1.0, 3.0, 2.0])
-    np.testing.assert_allclose(rn.eigvals(x), [3.0, 2.0, 1.0])
+    np.testing.assert_allclose(rn.lam(x), [3.0, 2.0, 1.0])
 
-    sym = algebra_from_name("sym:2")
-    dec = spectral_decompose(sym, sym_coords(np.array([[0.0, 1.0], [1.0, 0.0]])))
-    y = build_from_frame(sym, np.array([5.0, -5.0]), dec.frame)
+    sym = algebra_from_name("sym:2").instance
+    _, frame = sym.decompose(sym_coords(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    y = sym.rebuild(np.array([5.0, -5.0]), frame)
     np.testing.assert_allclose(y.reshape(2, 2), [[0.0, 5.0], [5.0, 0.0]], atol=1e-10)
 
     with pytest.raises(ValueError):
-        build_from_frame(sym, np.ones(3), dec.frame)
+        sym.rebuild(np.ones(3), frame)
 
 
 def test_a3_witness_examples():
     rn = algebra_from_name("rn:3")
-    x = eja_a3_witness(rn, np.array([3.0, 1.0, 2.0]), np.array([1.0, 0.0, -1.0]))
+    x = rn.instance.a3_witness(np.array([3.0, 1.0, 2.0]), np.array([1.0, 0.0, -1.0]))
     np.testing.assert_allclose(x, [1.0, -1.0, 0.0])
     # enumeration oracle over all 6 permutations confirms the maximum
     c = np.array([3.0, 1.0, 2.0])
@@ -132,13 +131,13 @@ def test_a3_witness_examples():
     assert np.dot(c, x) == pytest.approx(max(vals))
 
     sym = algebra_from_name("sym:2")
-    w = eja_a3_witness(sym, sym_coords(np.diag([1.0, -1.0])), np.array([2.0, 0.0]))
+    w = sym.instance.a3_witness(sym_coords(np.diag([1.0, -1.0])), np.array([2.0, 0.0]))
     np.testing.assert_allclose(w.reshape(2, 2), np.diag([2.0, 0.0]), atol=1e-12)
     assert sym.inner(sym_coords(np.diag([1.0, -1.0])), w) == pytest.approx(2.0)
 
     # c = unit: any frame works, the inner product is the coefficient total
     q = np.array([0.5, 0.2])
-    w = eja_a3_witness(sym, sym.unit, q)
+    w = sym.instance.a3_witness(sym.unit, q)
     assert sym.inner(sym.unit, w) == pytest.approx(q.sum())
 
 
@@ -146,33 +145,33 @@ def test_a3_witness_rejects_unsorted():
     rn = algebra_from_name("rn:3")
     from ftvn import WitnessError
     with pytest.raises(WitnessError):
-        eja_a3_witness(rn, np.ones(3), np.array([0.0, 1.0, -1.0]))
+        rn.instance.a3_witness(np.ones(3), np.array([0.0, 1.0, -1.0]))
 
 
 def test_strong_commute_examples(rn2):
-    cert = strong_commute_check(algebra_from_name("rn:2"),
-                                np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    cert = commute_check(algebra_from_name("rn:2").instance,
+                         np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert not cert.verdict
 
-    sym = algebra_from_name("sym:2")
+    sym = algebra_from_name("sym:2").instance
     x = sym_coords(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    cert = strong_commute_check(sym, x, 2 * x)
+    cert = commute_check(sym, x, 2 * x)
     assert cert.verdict
     assert isinstance(cert.witness, JordanFrame)
     # witness frame simultaneously rebuilds both elements in eigen-order
     frame = cert.witness.idempotents
-    np.testing.assert_allclose(sym.eigvals(x) @ frame, x, atol=1e-8)
-    np.testing.assert_allclose(sym.eigvals(2 * x) @ frame, 2 * x, atol=1e-8)
+    np.testing.assert_allclose(sym.lam(x) @ frame, x, atol=1e-8)
+    np.testing.assert_allclose(sym.lam(2 * x) @ frame, 2 * x, atol=1e-8)
 
 
 def test_strong_commute_same_frame_builds(algebras):
     rng = np.random.default_rng(8)
     for alg in algebras.values():
-        u = alg.instance.draw(rng)
-        _, frame = alg.decompose(u)
+        inst = alg.instance
+        _, frame = inst.decompose(inst.draw(rng))
         p = sort_desc(rng.standard_normal(alg.rank))
         q = sort_desc(rng.standard_normal(alg.rank))
-        cert = strong_commute_check(alg, p @ frame, q @ frame)
+        cert = commute_check(inst, inst.rebuild(p, frame), inst.rebuild(q, frame))
         assert cert.verdict
 
 
@@ -199,7 +198,7 @@ def test_operator_vs_strong_split():
     rn = algebra_from_name("rn:2")
     a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     assert operator_commute_check(rn, a, b)
-    assert not strong_commute_check(rn, a, b).verdict
+    assert not commute_check(rn.instance, a, b).verdict
 
 
 def test_perm_helpers():
@@ -264,9 +263,9 @@ def test_fan_theobald_equality_iff_strong_commute(sym3):
         x = alg.instance.draw(rng)
         y = alg.instance.draw(rng)
         ip = alg.inner(x, y)
-        bound = float(np.dot(alg.eigvals(x), alg.eigvals(y)))
+        bound = float(np.dot(alg.instance.lam(x), alg.instance.lam(y)))
         assert ip <= bound + 1e-9
-        cert = strong_commute_check(alg, x, y)
+        cert = commute_check(alg.instance, x, y)
         assert cert.verdict == (abs(ip - bound) <= 1e-7 * (1 + alg.norm(x) * alg.norm(y)))
 
 
@@ -277,8 +276,8 @@ def test_product_merges_and_adds_norms():
     for _ in range(10):
         xs = [p.instance.draw(rng) for p in parts]
         x = np.concatenate(xs)
-        merged = np.concatenate([p.eigvals(xi) for p, xi in zip(parts, xs)])
-        np.testing.assert_allclose(alg.eigvals(x), sort_desc(merged), atol=1e-10)
+        merged = np.concatenate([p.instance.lam(xi) for p, xi in zip(parts, xs)])
+        np.testing.assert_allclose(alg.instance.lam(x), sort_desc(merged), atol=1e-10)
         assert alg.norm(x) ** 2 == pytest.approx(sum(p.norm(xi) ** 2
                                                      for p, xi in zip(parts, xs)))
 
@@ -288,6 +287,6 @@ def test_sym_eigendecomposition_oracle():
     rng = np.random.default_rng(2)
     for _ in range(20):
         m = random_symmetric(rng, 3)
-        mine = alg.eigvals(sym_coords(m))
+        mine = alg.instance.lam(sym_coords(m))
         oracle = np.sort(np.linalg.eigvalsh(m))[::-1]
         np.testing.assert_allclose(mine, oracle, atol=1e-10 * (1 + np.abs(m).max()))

@@ -6,23 +6,23 @@ from ftvn.eja import algebra_from_name, sym_coords
 from ftvn.hyperbolic import (DegenerateLeadingCoefficient, HyperbolicPolynomial,
                              NonHyperbolicError, completeness_check,
                              coordinate_product_polynomial, det_sym_polynomial,
-                             hyp_lambda, hyperbolic_from_json, isometric_falsify,
-                             mat_to_svec, svec_to_mat)
+                             hyperbolic_from_json, isometric_falsify, mat_to_svec,
+                             svec_to_mat)
 
 from conftest import random_symmetric
 
 
 def test_coordinate_product_roots():
     hp = coordinate_product_polynomial(3)
-    np.testing.assert_allclose(hyp_lambda(hp, np.array([3.0, 1.0, 2.0])),
+    np.testing.assert_allclose(hp.lam(np.array([3.0, 1.0, 2.0])),
                                [3.0, 2.0, 1.0], atol=1e-9)
-    np.testing.assert_allclose(hyp_lambda(hp, np.zeros(3)), 0.0)
+    np.testing.assert_allclose(hp.lam(np.zeros(3)), 0.0)
 
 
 def test_det_sym2_hand_value():
     hp = det_sym_polynomial(2)
     x = mat_to_svec(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    np.testing.assert_allclose(hyp_lambda(hp, x), [1.0, -1.0], atol=1e-9)
+    np.testing.assert_allclose(hp.lam(x), [1.0, -1.0], atol=1e-9)
 
 
 def test_det_roots_match_eigensolver():
@@ -32,8 +32,8 @@ def test_det_roots_match_eigensolver():
     rng = np.random.default_rng(0)
     for _ in range(30):
         m = random_symmetric(rng, 3)
-        np.testing.assert_allclose(hyp_lambda(hp, mat_to_svec(m)),
-                                   alg.eigvals(sym_coords(m)), atol=1e-8)
+        np.testing.assert_allclose(hp.lam(mat_to_svec(m)),
+                                   alg.instance.lam(sym_coords(m)), atol=1e-8)
 
 
 def test_homogeneity_and_norm_preservation():
@@ -42,10 +42,10 @@ def test_homogeneity_and_norm_preservation():
     for _ in range(20):
         x = rng.standard_normal(3)
         alpha = abs(rng.standard_normal())
-        np.testing.assert_allclose(hyp_lambda(hp, alpha * x),
-                                   alpha * hyp_lambda(hp, x), atol=1e-8)
+        np.testing.assert_allclose(hp.lam(alpha * x),
+                                   alpha * hp.lam(x), atol=1e-8)
         # svec scaling makes the flat norm the Frobenius norm = root norm
-        assert np.linalg.norm(hyp_lambda(hp, x)) == pytest.approx(
+        assert np.linalg.norm(hp.lam(x)) == pytest.approx(
             np.linalg.norm(x), abs=1e-8)
 
 
@@ -132,7 +132,7 @@ def test_custom_monomials_json():
     hp = hyperbolic_from_json({
         "kind": "custom_monomials", "n": 2, "e": [1.0, 1.0],
         "monomials": [{"coef": 1.0, "powers": [1, 1]}]})
-    np.testing.assert_allclose(hyp_lambda(hp, np.array([2.0, 5.0])),
+    np.testing.assert_allclose(hp.lam(np.array([2.0, 5.0])),
                                [5.0, 2.0], atol=1e-9)
     assert hyperbolic_from_json({"kind": "coordinate_product", "n": 3}).degree == 3
     assert hyperbolic_from_json({"kind": "det_sym", "n": 2}).dim == 3

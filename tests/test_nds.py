@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from ftvn import WitnessError, axiom_suite, commute_check, get_instance
-from ftvn.nds import (RectMatrixSpace, nds_a3_witness, nds_commute_check,
-                      rotation_instance, singular_map, z_counterexample_instance)
+from ftvn.nds import RectMatrixSpace, rotation_instance, z_counterexample_instance
 
 
 @pytest.fixture(scope="module")
@@ -14,12 +13,12 @@ def space22():
 
 
 def test_singular_map_examples(space22):
-    np.testing.assert_allclose(singular_map(space22, np.zeros(4)), 0.0)
+    np.testing.assert_allclose(space22.instance.lam(np.zeros(4)), 0.0)
     np.testing.assert_allclose(
-        singular_map(space22, space22.coords(np.array([[0.0, 3.0], [0.0, 0.0]]))),
+        space22.instance.lam(space22.coords(np.array([[0.0, 3.0], [0.0, 0.0]]))),
         [3.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(
-        singular_map(space22, space22.coords(np.diag([1.0, -2.0]))),
+        space22.instance.lam(space22.coords(np.diag([1.0, -2.0]))),
         [2.0, 1.0], atol=1e-12)
 
 
@@ -29,12 +28,12 @@ def test_singular_map_properties():
         space = RectMatrixSpace(m, n)
         for _ in range(15):
             x = rng.standard_normal((m, n))
-            s = singular_map(space, x.ravel())
+            s = space.instance.lam(x.ravel())
             assert np.all(s >= -1e-12)
             assert np.all(np.diff(s) <= 1e-12)
             assert np.linalg.norm(s) == pytest.approx(np.linalg.norm(x))
             # transposition symmetry
-            st = singular_map(RectMatrixSpace(n, m), x.T.ravel())
+            st = RectMatrixSpace(n, m).instance.lam(x.T.ravel())
             np.testing.assert_allclose(s, st, atol=1e-10)
             # gamma is idempotent
             g = space.gamma(x.ravel())
@@ -42,24 +41,24 @@ def test_singular_map_properties():
 
 
 def test_nds_a3_witness_examples(space22):
-    x = nds_a3_witness(space22, space22.coords(np.eye(2)), np.array([2.0, 1.0]))
+    x = space22.instance.a3_witness(space22.coords(np.eye(2)), np.array([2.0, 1.0]))
     np.testing.assert_allclose(x.reshape(2, 2), np.diag([2.0, 1.0]), atol=1e-10)
     assert np.dot(space22.coords(np.eye(2)), x) == pytest.approx(3.0)
 
     c = space22.coords(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    w = nds_a3_witness(space22, c, np.array([3.0, 0.0]))
+    w = space22.instance.a3_witness(c, np.array([3.0, 0.0]))
     assert np.dot(c, w) == pytest.approx(3.0)
     # sampled orthogonal pairs never beat the bound
     rng = np.random.default_rng(1)
     pts = space22.orbit_sample(np.array([3.0, 0.0]), rng, 400)
     assert np.max(pts @ c) <= 3.0 + 1e-9
 
-    np.testing.assert_allclose(nds_a3_witness(space22, c, np.zeros(2)), 0.0, atol=1e-12)
+    np.testing.assert_allclose(space22.instance.a3_witness(c, np.zeros(2)), 0.0, atol=1e-12)
 
     with pytest.raises(WitnessError):
-        nds_a3_witness(space22, c, np.array([1.0, 2.0]))  # not sorted
+        space22.instance.a3_witness(c, np.array([1.0, 2.0]))  # not sorted
     with pytest.raises(WitnessError):
-        nds_a3_witness(space22, c, np.array([1.0, -2.0]))  # negative
+        space22.instance.a3_witness(c, np.array([1.0, -2.0]))  # negative
 
 
 def test_von_neumann_inequality(space22):
@@ -67,27 +66,27 @@ def test_von_neumann_inequality(space22):
     for _ in range(40):
         x = rng.standard_normal(4)
         y = rng.standard_normal(4)
-        assert np.dot(x, y) <= np.dot(space22.singular_values(x),
-                                      space22.singular_values(y)) + 1e-9
+        assert np.dot(x, y) <= np.dot(space22.instance.lam(x),
+                                      space22.instance.lam(y)) + 1e-9
 
 
 def test_nds_commute_examples(space22):
     x = space22.coords(np.diag([2.0, 1.0]))
-    assert nds_commute_check(space22, x, x).verdict
+    assert commute_check(space22.instance, x, x).verdict
 
     y = space22.coords(np.diag([1.0, 2.0]))
-    cert = nds_commute_check(space22, x, y)
+    cert = commute_check(space22.instance, x, y)
     assert not cert.verdict
     assert cert.residual_inner == pytest.approx(1.0)  # <X,Y>=4 vs <(2,1),(2,1)>=5
 
     z = space22.coords(np.diag([4.0, 2.0]))
-    cert = nds_commute_check(space22, x, z)
+    cert = commute_check(space22.instance, x, z)
     assert cert.verdict
     u, v = cert.witness
     np.testing.assert_allclose(
-        (u @ np.diag(space22.singular_values(x)) @ v.T).ravel(), x, atol=1e-8)
+        (u @ np.diag(space22.instance.lam(x)) @ v.T).ravel(), x, atol=1e-8)
     np.testing.assert_allclose(
-        (u @ np.diag(space22.singular_values(z)) @ v.T).ravel(), z, atol=1e-8)
+        (u @ np.diag(space22.instance.lam(z)) @ v.T).ravel(), z, atol=1e-8)
 
 
 def test_nds_commute_witness_with_zero_singular_values(space22):
@@ -95,13 +94,13 @@ def test_nds_commute_witness_with_zero_singular_values(space22):
     # both matrices (exercises null-space basis completion)
     x = space22.coords(np.diag([1.0, 0.0]))
     y = space22.coords(np.diag([2.0, 0.0]))
-    cert = nds_commute_check(space22, x, y)
+    cert = commute_check(space22.instance, x, y)
     assert cert.verdict
     u, v = cert.witness
     np.testing.assert_allclose(
-        (u @ np.diag(space22.singular_values(x)) @ v.T).ravel(), x, atol=1e-9)
+        (u @ np.diag(space22.instance.lam(x)) @ v.T).ravel(), x, atol=1e-9)
     np.testing.assert_allclose(
-        (u @ np.diag(space22.singular_values(y)) @ v.T).ravel(), y, atol=1e-9)
+        (u @ np.diag(space22.instance.lam(y)) @ v.T).ravel(), y, atol=1e-9)
 
 
 def test_rotation_instance():
@@ -183,7 +182,7 @@ def test_rect_space_transposed_construction():
     wide = RectMatrixSpace(2, 4)
     rng = np.random.default_rng(9)
     x = rng.standard_normal((2, 4))
-    s = wide.singular_values(x.ravel())
+    s = wide.instance.lam(x.ravel())
     np.testing.assert_allclose(s, np.linalg.svd(x, compute_uv=False), atol=1e-10)
     assert wide.instance.dim_w == 2
 
