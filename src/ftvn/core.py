@@ -236,6 +236,26 @@ def checked_target(inst: FtvnInstance, q) -> np.ndarray:
     return q
 
 
+# An element may sit this far off its projection, relative to its size.
+ELEMENT_DRIFT_TOL = 1e-10
+
+
+def check_element_space(inst: FtvnInstance, v: np.ndarray) -> None:
+    """ValueError when v is off the instance's element space.
+
+    Such an element (a flat sym:N list that is not symmetric, a z point off
+    the plane) would solve as its projection while the certificate judged
+    the element itself.  An identity projection (rn, svd) returns v itself
+    and moves nothing.
+    """
+    projected = inst.project_element(v)
+    if projected is not v:
+        drift = float(np.abs(projected - v).max())
+        if drift > ELEMENT_DRIFT_TOL * (1.0 + float(np.abs(v).max())):
+            raise ValueError(f"{inst.name}: element is not in the instance's element "
+                             f"space (its projection moves it by {drift:.3e})")
+
+
 def _frame_witness(inst: FtvnInstance, x, y, lx, ly, frame, tol: float):
     """The frame of x + y when it rebuilds both x from lam(x) and y from
     lam(y) to sqrt(tol) of their size, else None."""

@@ -27,7 +27,8 @@ from typing import Any, Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .core import (DEFAULT_TOL, CommutationCert, FtvnError, FtvnInstance,
-                   WitnessError, as_vec, commute_check, lambda_tilde)
+                   WitnessError, as_vec, check_element_space, commute_check,
+                   lambda_tilde)
 from .solvers import (fd_gradient, project_polyhedron, projected_descent,
                       simplex_weight_grid, solve_lp, unit_rows)
 from .solvers import dykstra_project  # noqa: F401  unused; perfbench/spans.py wraps it here
@@ -208,7 +209,7 @@ def orbit_min(inst: FtvnInstance, h: Callable[[np.ndarray], float], q,
                 best_v = v
                 best_x = x
         return best_v, best_x, True
-    from scipy.optimize import minimize  # deferred: see solvers.linprog
+    from scipy.optimize import minimize  # deferred: see solvers._highs
 
     rng = np.random.default_rng(seed)
     if inst.sample_orbit is not None:
@@ -238,9 +239,19 @@ def reduce_solve(inst: FtvnInstance, objective: Objective, set_spec: SpectralSet
                  phi: SpectralFunctionSpec = ZERO_FN, combiner: Combiner = SUM,
                  sense: str = "max", tol: float = DEFAULT_TOL,
                  seed: int = 0) -> SolveReport:
-    """Solve sup/inf of L(f, phi o lam) over E = lam^-1(Q), certify by commutation."""
+    """Solve sup/inf of L(f, phi o lam) over E = lam^-1(Q), certify by commutation.
+
+    ValueError when sense is neither "max" nor "min", or when c (every
+    piece's c, for a max-affine objective) is off the instance's element
+    space: the value would be that of c's projection, and the certificate
+    would find no shared frame.
+    """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
+    directions = ([c for c, _ in objective.pieces] if isinstance(objective, MaxAffineObjective)
+                  else [objective.c])
+    for c in directions:
+        check_element_space(inst, c)
     ws = _WSide(inst, objective, sense, tol, seed)
     L = combiner.fn
 

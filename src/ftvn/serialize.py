@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .core import (AxiomReport, CommutationCert, DimensionMismatch, FtvnInstance,
-                   get_instance)
+                   check_element_space, get_instance)
 from .eja import JordanAlgebra, sym_coords
 from .nds import RectMatrixSpace
 from .reduce import (DistanceObjective, LinearObjective, MaxAffineObjective,
@@ -25,9 +25,6 @@ from .spectral_sets import (Combiner, FiniteSet, GridOracle, OrbitOf,
                             table_fn)
 
 SCHEMA = "ftvn/1"
-
-# An input element may sit this far off its projection, relative to its size.
-ELEMENT_DRIFT_TOL = 1e-10
 
 
 def fnum(x) -> dict:
@@ -58,16 +55,7 @@ def _checked_element(inst: FtvnInstance, coords) -> np.ndarray:
         raise ValueError(str(exc)) from None
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{inst.name}: element has a non-finite entry")
-    # an element off the instance's element space (a flat sym:N list that is
-    # not symmetric, a z point off the plane) would solve as its projection
-    # while the certificate judged the element itself; an identity projection
-    # (rn, svd) returns v itself and moves nothing
-    projected = inst.project_element(v)
-    if projected is not v:
-        drift = float(np.abs(projected - v).max())
-        if drift > ELEMENT_DRIFT_TOL * (1.0 + float(np.abs(v).max())):
-            raise ValueError(f"{inst.name}: element is not in the instance's element "
-                             f"space (its projection moves it by {drift:.3e})")
+    check_element_space(inst, v)
     return v
 
 

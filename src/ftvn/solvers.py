@@ -2,11 +2,12 @@
 
 All of these operate on the W-side (low-dimensional sorted-eigenvalue
 coordinates), so robustness matters more than scale: the LP is one HiGHS
-dual-simplex call (scipy's ``linprog``; two more when HiGHS cannot decide),
-and the Euclidean projection onto a polyhedron is one NNLS solve of its
-least-distance program, whose KKT conditions are checked before the point is
-called exact.  Pool-adjacent-violators and Dykstra alternation are kept as the
-reference projector the tests compare against.
+dual-simplex run, driven through the HiGHS binding that scipy vendors (two
+more when HiGHS cannot decide), and the Euclidean projection onto a
+polyhedron is one NNLS solve of its least-distance program, whose KKT
+conditions are checked before the point is called exact.
+Pool-adjacent-violators and Dykstra alternation are kept as the reference
+projector the tests compare against.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -142,7 +143,7 @@ def project_polyhedron(w: np.ndarray, a_ub: np.ndarray,
     w = np.asarray(w, dtype=float)
     if np.all(a_ub @ w <= b_ub):
         return w, True
-    from scipy.optimize import nnls  # deferred: see linprog
+    from scipy.optimize import nnls  # deferred: see _highs
     # unit normals make each h_i a distance: a row written with a tiny normal
     # would otherwise make ||q - w|| / s so large that d rounds to 0
     a, b = unit_rows(a_ub, b_ub)
@@ -191,24 +192,81 @@ class LpResult:
 _LP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call.
+class _HighsResult(NamedTuple):
+    """The part of a HiGHS solve that :func:`solve_lp` reads; ``status`` is
+    scipy's code: 0 optimal, 2 infeasible, 3 unbounded, 4 anything else."""
 
-    Importing scipy.optimize takes most of the time and memory of
-    ``import ftvn``, and only the LP and the derivative-free searches
-    (``reduce.orbit_min``, ``hyperbolic``) need it, so those import it where
-    they call it.
-    """
-    from scipy.optimize import linprog as highs
-    return highs(*args, **kwargs)
+    status: int
+    x: Optional[np.ndarray]     # None unless optimal
+    fun: Optional[float]        # None unless optimal
+    nit: int
+    message: str                # HiGHS's model status
 
 
 def _highs(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, bounds=(None, None),
-           method: str = "highs-ds"):
-    # presolve off: on some unbounded LPs over a nonempty ordered polyhedron
-    # HiGHS's presolve reports "infeasible" (one such case is in the tests)
-    return linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method=method,
-                   options={"presolve": False})
+           method: str = "highs-ds") -> _HighsResult:
+    """min c.q subject to a_ub @ q <= b_ub and bounds[0] <= q <= bounds[1]
+    (None: no bound), one fresh HiGHS object per call.
+
+    HiGHS runs through the binding scipy vendors, the one scipy's
+    ``linprog`` calls, with the options ``linprog(method=method,
+    options={"presolve": False})`` passes, so status, point, value and
+    iteration count are the same, except on a model HiGHS refuses to load;
+    the per-call option and input checks of ``linprog`` are left out.
+
+    The binding is imported on the first call: importing scipy.optimize
+    takes most of the time and memory of ``import ftvn``, and only the LP,
+    the projection and the derivative-free searches (``reduce.orbit_min``,
+    ``hyperbolic``) need it, so each imports it where it is called.
+    """
+    from scipy.optimize._highspy import _core as highspy
+    m, n = a_ub.shape
+    lo, hi = bounds
+    inf = highspy.kHighsInf
+    lp = highspy.HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = m
+    lp.col_cost_ = c
+    lp.col_lower_ = np.full(n, -inf if lo is None else lo)
+    lp.col_upper_ = np.full(n, inf if hi is None else hi)
+    lp.row_lower_ = np.full(m, -inf)
+    lp.row_upper_ = b_ub
+    # the nonzeros of a_ub column by column (compressed sparse columns)
+    cols, rows = np.nonzero(a_ub.T)
+    matrix = lp.a_matrix_
+    matrix.format_ = highspy.MatrixFormat.kColwise
+    matrix.num_col_ = n
+    matrix.num_row_ = m
+    matrix.start_ = np.searchsorted(cols, np.arange(n + 1))
+    matrix.index_ = rows
+    matrix.value_ = a_ub.T[cols, rows]
+    # set on the fresh object one by one: building a HighsOptions object to
+    # pass costs about a sixth of a small LP.  Presolve off: on some
+    # unbounded LPs over a nonempty ordered polyhedron HiGHS's presolve
+    # reports "infeasible" (one such case is in the tests)
+    solver = highspy._Highs()
+    options = {"output_flag": False, "presolve": "off",
+               "solver": "ipm" if method == "highs-ipm" else "simplex",
+               "simplex_strategy": 1}  # dual simplex
+    for name, value in options.items():
+        solver.setOptionValue(name, value)
+    if solver.passModel(lp) == highspy.HighsStatus.kError:
+        # HiGHS refuses the model, say for an entry of a_ub at or above
+        # 1e15; linprog calls that "infeasible", which the set need not be
+        model_status = highspy.HighsModelStatus.kModelError
+    else:
+        solver.run()
+        model_status = solver.getModelStatus()
+    info = solver.getInfo()
+    status = {highspy.HighsModelStatus.kOptimal: 0, highspy.HighsModelStatus.kInfeasible: 2,
+              highspy.HighsModelStatus.kUnbounded: 3}.get(model_status, 4)
+    x = fun = None
+    if status == 0:
+        x = np.array(solver.getSolution().col_value)
+        fun = info.objective_function_value
+    return _HighsResult(status, x, fun,
+                        info.simplex_iteration_count or info.ipm_iteration_count,
+                        solver.modelStatusToString(model_status))
 
 
 def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
@@ -233,7 +291,7 @@ def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
     sign = -1.0 if maximize else 1.0
     a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
     b_ub = np.asarray(b_ub, dtype=float)
-    res = _highs(sign * c, a_ub, b_ub)
+    res = _highs(sign * c, a_ub, b_ub, method="highs-ds")
     status = _LP_STATUS.get(res.status)
     nit = res.nit
     if bounded and status != "optimal":
@@ -245,8 +303,9 @@ def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
     if status is None:
         # HiGHS (scipy 1.17.1) ends some unbounded LPs with model status
         # "Unknown"; two such cases are in the tests
-        feas = _highs(np.zeros_like(c), a_ub, b_ub)
-        ray = _highs(sign * c, a_ub, np.zeros_like(b_ub), bounds=(-1.0, 1.0))
+        feas = _highs(np.zeros_like(c), a_ub, b_ub, method="highs-ds")
+        ray = _highs(sign * c, a_ub, np.zeros_like(b_ub), bounds=(-1.0, 1.0),
+                     method="highs-ds")
         nit += feas.nit + ray.nit
         # the margin stays above HiGHS's 1e-7 feasibility tolerance on a_ub @ d
         if not (feas.status == 0 and ray.status == 0

@@ -363,7 +363,7 @@ def test_cli_solve_lp_failure_exit2(tmp_path, capsys, monkeypatch):
         return OptimizeResult(status=1, message="Iteration limit reached.",
                               x=None, fun=None, nit=0)
 
-    monkeypatch.setattr(ftvn.solvers, "linprog", failing)
+    monkeypatch.setattr(ftvn.solvers, "_highs", failing)
     problem = {
         "instance": "rn:2",
         "objective": {"kind": "linear", "c": {"kind": "rn", "data": [1, 0]}},

@@ -750,10 +750,12 @@ def test_three_decompositions_per_solve(name, monkeypatch):
     for solve in (reduce_solve_linear, reduce_solve_distance):
         for sense in ("max", "min"):
             calls.clear()
-            rep = solve(inst, rng.standard_normal(inst.dim_v), box, sense=sense)
+            rep = solve(inst, inst.project_element(rng.standard_normal(inst.dim_v)), box,
+                        sense=sense)
             assert rep.commutation.verdict, (solve.__name__, sense)
             assert len(calls) <= 3, (solve.__name__, sense, len(calls))
-    pieces = tuple((rng.standard_normal(inst.dim_v), 0.1 * i) for i in range(4))
+    pieces = tuple((inst.project_element(rng.standard_normal(inst.dim_v)), 0.1 * i)
+                   for i in range(4))
     calls.clear()
     rep = reduce_solve(inst, MaxAffineObjective(pieces), box, sense="max")
     assert rep.solver_trace["method"] == "lp_per_piece" and rep.commutation.verdict
@@ -777,7 +779,7 @@ def test_certificate_equals_a_fresh_commute_check(name):
     rng = np.random.default_rng(21)
     for solve in (reduce_solve_linear, reduce_solve_distance):
         for sense in ("max", "min"):
-            c = rng.standard_normal(inst.dim_v)
+            c = inst.project_element(rng.standard_normal(inst.dim_v))
             rep = solve(inst, c, box, sense=sense, seed=3)
             d = c if rep.commutes_with == "c" else -c
             fresh = commute_check(inst, rep.optimizer_v, d, 1e-8)
@@ -829,7 +831,7 @@ def test_certificate_computes_lam_of_the_lift(sym3):
     # a rebuild that misses its target (twice the eigenvalues) shows in the
     # certificate: lam(x) is the decomposition of x, not the target q
     doubled = dataclasses.replace(sym3, rebuild=lambda q, frame: sym3.rebuild(2.0 * q, frame))
-    c = np.random.default_rng(5).standard_normal(9)
+    c = sym3.project_element(np.random.default_rng(5).standard_normal(9))
     rep = reduce_solve_linear(doubled, c, _bounded_box(3), sense="max")
     lam_x = rep.commutation.lam_x
     np.testing.assert_array_equal(lam_x, sym3.lam(rep.optimizer_v))
@@ -838,11 +840,27 @@ def test_certificate_computes_lam_of_the_lift(sym3):
     assert rep.reduction_gap > 0.1
 
 
+def test_direction_off_the_element_space_raises(sym3):
+    # a flat sym:3 c that is not symmetric would solve as its symmetric part,
+    # with no shared-frame witness for c itself: the library refuses it, with
+    # the message the CLI gives for such an element
+    c = np.random.default_rng(5).standard_normal(9)
+    box = _bounded_box(3)
+    message = "sym:3: element is not in the instance's element space"
+    for solve in (reduce_solve_linear, reduce_solve_distance):
+        with pytest.raises(ValueError, match=message):
+            solve(sym3, c, box)
+    pieces = ((sym3.project_element(c), 0.0), (c, 1.0))
+    with pytest.raises(ValueError, match=message):
+        reduce_solve(sym3, MaxAffineObjective(pieces), box)
+    assert reduce_solve_linear(sym3, sym3.project_element(c), box).commutation.verdict
+
+
 # ---------------------------------------------------------------------------
 # emptiness is always decided
 
 def _unknown_linprog(monkeypatch, first_only=True):
-    real = ftvn.solvers.linprog
+    real = ftvn.solvers._highs
     methods = []
 
     def unknown(*args, **kwargs):
@@ -851,7 +869,7 @@ def _unknown_linprog(monkeypatch, first_only=True):
             return OptimizeResult(status=4, message="simulated unknown", x=None, fun=None, nit=3)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ftvn.solvers, "linprog", unknown)
+    monkeypatch.setattr(ftvn.solvers, "_highs", unknown)
     return methods
 
 

@@ -141,6 +141,17 @@ def test_lp_against_vertex_enumeration():
         assert np.all(np.diff(res.x) <= 1e-9 * (1.0 + np.abs(res.x).max()))
 
 
+def _random_ordered_lp(seed):
+    # seeded LPs over ordered polyhedra: n in 2..8, 1..n random cuts
+    rng = np.random.default_rng([7, seed])
+    n = int(rng.integers(2, 9))
+    k = rng.integers(1, n + 1)
+    halfspaces = tuple((tuple(rng.standard_normal(n)), float(rng.uniform(-1, 2)))
+                       for _ in range(k))
+    a_ub, b_ub = OrderedPolyhedron(halfspaces=halfspaces).rows()
+    return rng.standard_normal(n), a_ub, b_ub
+
+
 def test_lp_infeasible_and_unbounded():
     res = solve_lp(np.array([1.0]),
                    np.array([[1.0], [-1.0]]), np.array([-2.0, 1.0]))
@@ -166,13 +177,8 @@ def test_lp_infeasible_and_unbounded():
     # 1.17.1) ends with model status "Unknown": solve_lp decides them with a
     # feasibility LP and a recession LP over the unit box
     for s, n, maximize in ((10986, 3, False), (19803, 4, True)):
-        rng = np.random.default_rng([7, s])
-        assert rng.integers(2, 9) == n
-        k = rng.integers(1, n + 1)
-        halfspaces = tuple((tuple(rng.standard_normal(n)), float(rng.uniform(-1, 2)))
-                           for _ in range(k))
-        c = rng.standard_normal(n)
-        a_ub, b_ub = OrderedPolyhedron(halfspaces=halfspaces).rows()
+        c, a_ub, b_ub = _random_ordered_lp(s)
+        assert c.size == n
         res = solve_lp(c, a_ub, b_ub, maximize=maximize)
         assert res.status == "unbounded" and res.value == (np.inf if maximize else -np.inf)
 
@@ -186,9 +192,18 @@ def test_lp_highs_failure_raises(monkeypatch, status):
         return OptimizeResult(status=status, message=f"simulated HiGHS status {status}",
                               x=None, fun=None, nit=7)
 
-    monkeypatch.setattr(ftvn.solvers, "linprog", failing)
+    monkeypatch.setattr(ftvn.solvers, "_highs", failing)
     with pytest.raises(FtvnError, match=f"simulated HiGHS status {status}"):
         solve_lp(np.array([1.0]), np.array([[1.0]]), np.array([1.0]))
+
+
+def test_lp_model_highs_refuses_raises():
+    # HiGHS refuses to load a matrix entry of 1e15 or more; that is a solver
+    # failure, not the "infeasible" linprog reports: q = 0 is feasible here
+    a_ub, b_ub = np.array([[1e308, 1e308], [-1.0, 1.0]]), np.array([1e308, 0.0])
+    assert np.all(a_ub @ np.zeros(2) <= b_ub)
+    with pytest.raises(FtvnError, match="LP solve failed: Model error"):
+        solve_lp(np.array([1.0, 0.0]), a_ub, b_ub, maximize=True)
 
 
 @pytest.mark.parametrize("maximize, status", [(False, "unbounded"), (True, None)])
@@ -197,7 +212,7 @@ def test_lp_unknown_status_decided_by_recession(monkeypatch, maximize, status):
     # on the real HiGHS.  min q1 over {q1 <= 1} has the improving ray -e1 and
     # is unbounded; max q1 is attained, so no direction improves and the
     # first message stands
-    real = ftvn.solvers.linprog
+    real = ftvn.solvers._highs
     calls = []
 
     def unknown_first(*args, **kwargs):
@@ -206,7 +221,7 @@ def test_lp_unknown_status_decided_by_recession(monkeypatch, maximize, status):
             return OptimizeResult(status=4, message="simulated unknown", x=None, fun=None, nit=3)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ftvn.solvers, "linprog", unknown_first)
+    monkeypatch.setattr(ftvn.solvers, "_highs", unknown_first)
     c, a_ub, b_ub = np.array([1.0, 0.0]), np.array([[1.0, 0.0]]), np.array([1.0])
     if status is None:
         with pytest.raises(FtvnError, match="simulated unknown"):
@@ -215,6 +230,59 @@ def test_lp_unknown_status_decided_by_recession(monkeypatch, maximize, status):
         res = solve_lp(c, a_ub, b_ub, maximize=maximize)
         assert res.status == status and res.value == -np.inf and res.x is None
     assert len(calls) == 3
+
+
+def _matches_linprog(c, a_ub, b_ub, bounds=(None, None), method="highs-ds"):
+    got = ftvn.solvers._highs(c, a_ub, b_ub, bounds=bounds, method=method)
+    want = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method=method,
+                   options={"presolve": False})
+    assert (got.status, got.nit) == (want.status, want.nit)
+    if want.status == 0:
+        np.testing.assert_array_equal(got.x, want.x)
+        assert got.fun == want.fun
+    else:
+        assert got.x is None and got.fun is None
+    return got
+
+
+def test_highs_binding_matches_linprog():
+    # the binding is driven with the options linprog passes, so every answer
+    # is linprog's: status code, point and value bit for bit, iterations
+    statuses = set()
+    for seed in range(1000):
+        c, a_ub, b_ub = _random_ordered_lp(seed)
+        for sign in (1.0, -1.0):
+            statuses.add(_matches_linprog(sign * c, a_ub, b_ub).status)
+        if seed % 50 == 0:
+            # the recession LP over the unit box, and the phase-1 LP by ipm
+            _matches_linprog(c, a_ub, np.zeros_like(b_ub), bounds=(-1.0, 1.0))
+            a, b = ftvn.solvers.unit_rows(a_ub, b_ub)
+            m, n = a.shape
+            a1 = np.block([[a, -np.ones((m, 1))], [np.zeros((1, n)), -np.ones((1, 1))]])
+            res = _matches_linprog(np.append(np.zeros(n), 1.0), a1, np.append(b, 0.0),
+                                   method="highs-ipm")
+            assert res.status == 0
+    assert {0, 2, 3} <= statuses
+    # the two HiGHS-Unknown cases: scipy's code 4, HiGHS's own status string
+    for seed, sign in ((10986, 1.0), (19803, -1.0)):
+        c, a_ub, b_ub = _random_ordered_lp(seed)
+        res = _matches_linprog(sign * c, a_ub, b_ub)
+        assert res.status == 4 and res.message == "Unknown"
+
+
+def test_highs_keeps_no_state_between_calls():
+    # a fresh HiGHS object per call: solving B, or an ipm LP, in between
+    # leaves A's answer unchanged bit for bit
+    lp_a, lp_b = _random_ordered_lp(3), _random_ordered_lp(4)
+    first = solve_lp(*lp_a, maximize=True)
+    assert first.status == "optimal"
+    for other in (lambda: solve_lp(*lp_b),
+                  lambda: ftvn.solvers._highs(*lp_b, method="highs-ipm")):
+        other()
+        again = solve_lp(*lp_a, maximize=True)
+        assert (again.status, again.value, again.iterations) == \
+            (first.status, first.value, first.iterations)
+        np.testing.assert_array_equal(again.x, first.x)
 
 
 def test_lp_flagship_polytope():
