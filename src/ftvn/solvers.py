@@ -190,6 +190,13 @@ class LpResult:
 
 
 _LP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+# the binding below is private to scipy; these are the versions whose
+# results the tests compare with linprog's (pyproject.toml pins the same)
+_SCIPY_TESTED = ">=1.17.1,<1.18"
+# presolve off: on some unbounded LPs over a nonempty ordered polyhedron
+# HiGHS's presolve reports "infeasible" (one such case is in the tests).
+# simplex_strategy 1 is the dual simplex; ipm ignores it
+_HIGHS_OPTIONS = {"output_flag": False, "presolve": "off", "simplex_strategy": 1}
 
 
 class _HighsResult(NamedTuple):
@@ -219,7 +226,11 @@ def _highs(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, bounds=(None, None
     the projection and the derivative-free searches (``reduce.orbit_min``,
     ``hyperbolic``) need it, so each imports it where it is called.
     """
-    from scipy.optimize._highspy import _core as highspy
+    try:
+        from scipy.optimize._highspy import _core as highspy
+    except ImportError as exc:
+        raise FtvnError(f"LP solve needs scipy's HiGHS binding "
+                        f"(scipy {_SCIPY_TESTED}): {exc}") from None
     m, n = a_ub.shape
     lo, hi = bounds
     inf = highspy.kHighsInf
@@ -241,15 +252,13 @@ def _highs(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, bounds=(None, None
     matrix.index_ = rows
     matrix.value_ = a_ub.T[cols, rows]
     # set on the fresh object one by one: building a HighsOptions object to
-    # pass costs about a sixth of a small LP.  Presolve off: on some
-    # unbounded LPs over a nonempty ordered polyhedron HiGHS's presolve
-    # reports "infeasible" (one such case is in the tests)
+    # pass costs about a sixth of a small LP.  An option HiGHS rejects is an
+    # error, not a warning: without presolve="off" the answers can be wrong
     solver = highspy._Highs()
-    options = {"output_flag": False, "presolve": "off",
-               "solver": "ipm" if method == "highs-ipm" else "simplex",
-               "simplex_strategy": 1}  # dual simplex
+    options = dict(_HIGHS_OPTIONS, solver="ipm" if method == "highs-ipm" else "simplex")
     for name, value in options.items():
-        solver.setOptionValue(name, value)
+        if solver.setOptionValue(name, value) != highspy.HighsStatus.kOk:
+            raise FtvnError(f"LP solve failed: HiGHS rejects option {name}={value!r}")
     if solver.passModel(lp) == highspy.HighsStatus.kError:
         # HiGHS refuses the model, say for an entry of a_ub at or above
         # 1e15; linprog calls that "infeasible", which the set need not be

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,6 +206,25 @@ def test_lp_model_highs_refuses_raises():
     assert np.all(a_ub @ np.zeros(2) <= b_ub)
     with pytest.raises(FtvnError, match="LP solve failed: Model error"):
         solve_lp(np.array([1.0, 0.0]), a_ub, b_ub, maximize=True)
+
+
+@pytest.mark.parametrize("option", [{"presolve": "sometimes"}, {"no_such_option": 1}])
+def test_lp_rejected_option_raises(monkeypatch, option):
+    # an option HiGHS rejects (a bad value, or a name a HiGHS upgrade
+    # dropped) would leave presolve on or the solver unset: an error, not a
+    # quiet solve with other settings
+    monkeypatch.setattr(ftvn.solvers, "_HIGHS_OPTIONS",
+                        dict(ftvn.solvers._HIGHS_OPTIONS, **option))
+    with pytest.raises(FtvnError, match="HiGHS rejects option"):
+        solve_lp(np.array([1.0]), np.array([[1.0]]), np.array([1.0]), maximize=True)
+
+
+def test_lp_missing_binding_raises(monkeypatch):
+    # a scipy without the private binding ends the solve with an FtvnError
+    # that names the scipy versions the binding is known to work on
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", None)
+    with pytest.raises(FtvnError, match="needs scipy's HiGHS binding"):
+        solve_lp(np.array([1.0]), np.array([[1.0]]), np.array([1.0]), maximize=True)
 
 
 @pytest.mark.parametrize("maximize, status", [(False, "unbounded"), (True, None)])
