@@ -126,8 +126,9 @@ class FtvnInstance:
     :func:`commute_check` takes the frame of x + y as the shared-frame
     witness of a commuting pair.
 
-    ``draw`` samples an element: ``sample`` when given, else a standard
-    normal coordinate vector through ``project_element``.
+    ``draw`` samples an element: a standard normal coordinate vector through
+    ``project_element``.  :meth:`sample_orbit` samples the orbit of q through
+    the hooks.
     """
 
     name: str
@@ -136,10 +137,7 @@ class FtvnInstance:
     lam: Optional[Callable[[np.ndarray], np.ndarray]] = None
     a3_witness: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     inner_v: Callable[[np.ndarray, np.ndarray], float] = lambda x, y: float(np.dot(x, y))
-    family: str = ""
     image_contains: Callable[[np.ndarray, float], bool] = lambda q, tol: True
-    sample: Optional[Callable[[np.random.Generator], np.ndarray]] = None
-    sample_orbit: Optional[Callable[[np.ndarray, np.random.Generator, int], np.ndarray]] = None
     # maps a coordinate gradient to its inner_v representer (identity for dot)
     riesz: Callable[[np.ndarray], np.ndarray] = lambda g: g
     # projection onto the manifold of valid elements (symmetrization for
@@ -210,9 +208,17 @@ class FtvnInstance:
         return math.sqrt(max(self.inner_w(v, v), 0.0))
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        if self.sample is not None:
-            return self.sample(rng)
         return self.project_element(rng.standard_normal(self.dim_v))
+
+    def sample_orbit(self, q, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` elements with eigenvalues q, stacked as rows: q rebuilt on
+        the frames of ``count`` drawn elements.  q is not checked against the
+        image.  TypeError without the hooks."""
+        if self.rebuild is None:
+            raise TypeError(f"{self.name}: orbit sampling needs decompose and rebuild")
+        q = np.asarray(q, dtype=float)
+        return np.array([self.rebuild(q, self.decompose(self.draw(rng))[1])
+                         for _ in range(count)]).reshape(count, self.dim_v)
 
 
 def lambda_tilde(inst: FtvnInstance, c) -> np.ndarray:

@@ -97,18 +97,18 @@ class JordanAlgebra:
                  unit: np.ndarray,
                  inner_weights: np.ndarray,
                  decompose: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                 orbit_rows: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+                 simple: bool = False,
                  project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  parts: tuple = ()):
         self.kind = kind
         self.name = name
         self.rank = rank
+        self.simple = simple  # no nontrivial ideal: rn:1, sym:N, spin:N with N >= 2
         self.dim_v = dim_v
         self.jordan_product = jordan_product
         self.unit = np.asarray(unit, dtype=float)
         self._w = np.asarray(inner_weights, dtype=float)
         self._decompose = decompose
-        self._orbit_rows = orbit_rows
         self._project = project if project is not None else (lambda x: x)
         self.parts = parts  # the factor algebras of a product, in order; () otherwise
         self.instance = self._build_instance()
@@ -129,12 +129,6 @@ class JordanAlgebra:
         eigs, rows = self._decompose(as_vec(x))
         return eigs, JordanFrame(rows)
 
-    def orbit_sample(self, q, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` elements sharing the eigenvalues of q, stacked as rows."""
-        q = np.asarray(q, dtype=float)
-        rows = np.tile(q, (count, 1))
-        return self._orbit_rows(rows, rng)
-
     # -- FTvN instance wrapper ----------------------------------------------
 
     def _build_instance(self) -> FtvnInstance:
@@ -145,9 +139,7 @@ class JordanAlgebra:
             dim_v=self.dim_v,
             dim_w=self.rank,
             inner_v=self.inner,
-            family=self.kind,
             image_contains=lambda q, tol: q.size == self.rank and is_sorted_desc(q, tol),
-            sample_orbit=self.orbit_sample,
             riesz=lambda g: self._project(g) / self._w,
             project_element=self._project,
             backend=self,
@@ -170,17 +162,13 @@ def rn_algebra(n: int) -> JordanAlgebra:
     if n < 1:
         raise ValueError("rank must be positive")
 
-    def orbit_rows(rows, rng):
-        shuffles = np.argsort(rng.random(rows.shape), axis=1)
-        return np.take_along_axis(rows, shuffles, axis=1)
-
     return JordanAlgebra(
         kind="rn", name=f"rn:{n}", rank=n, dim_v=n,
         jordan_product=lambda x, y: x * y,
         unit=np.ones(n),
         inner_weights=np.ones(n),
         decompose=sort_decompose,
-        orbit_rows=orbit_rows,
+        simple=n == 1,
     )
 
 
@@ -198,16 +186,6 @@ def sym_coords(matrix) -> np.ndarray:
     if not is_symmetric(m):
         raise ValueError("matrix is not symmetric")
     return (0.5 * (m + m.T)).ravel()
-
-
-def haar_batch(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """``count`` Haar-random n x n orthogonal matrices: QR of Gaussian
-    matrices, with the signs of R's diagonal moved into Q."""
-    z = rng.standard_normal((count, n, n))
-    q, r = np.linalg.qr(z)
-    d = np.sign(np.einsum("kii->ki", r))
-    d[d == 0] = 1.0
-    return q * d[:, None, :]
 
 
 def sym_algebra(n: int) -> JordanAlgebra:
@@ -230,19 +208,13 @@ def sym_algebra(n: int) -> JordanAlgebra:
         frame = np.einsum("ji,ki->ijk", v, v).reshape(n, n * n)
         return w, frame
 
-    def orbit_rows(rows, rng):
-        count = rows.shape[0]
-        qm = haar_batch(rng, count, n)
-        mats = np.einsum("kij,kj,klj->kil", qm, rows, qm)
-        return mats.reshape(count, n * n)
-
     return JordanAlgebra(
         kind="sym", name=f"sym:{n}", rank=n, dim_v=n * n,
         jordan_product=jp,
         unit=np.eye(n).ravel(),
         inner_weights=np.ones(n * n),
         decompose=decompose,
-        orbit_rows=orbit_rows,
+        simple=True,
         project=project,
     )
 
@@ -270,29 +242,13 @@ def spin_algebra(n: int) -> JordanAlgebra:
                                  np.concatenate(([1.0], -axis))])
         return eigs, frame
 
-    def orbit_rows(rows, rng):
-        count = rows.shape[0]
-        hi = rows.max(axis=1)
-        lo = rows.min(axis=1)
-        axes = rng.standard_normal((count, n))
-        nrm = np.linalg.norm(axes, axis=1)
-        bad = nrm < 1e-12
-        if np.any(bad):
-            axes[bad] = default_axis
-            nrm[bad] = 1.0
-        axes /= nrm[:, None]
-        out = np.empty((count, n + 1))
-        out[:, 0] = 0.5 * (hi + lo)
-        out[:, 1:] = 0.5 * (hi - lo)[:, None] * axes
-        return out
-
     return JordanAlgebra(
         kind="spin", name=f"spin:{n}", rank=2, dim_v=n + 1,
         jordan_product=jp,
         unit=np.concatenate(([1.0], np.zeros(n))),
         inner_weights=np.full(n + 1, 2.0),
         decompose=decompose,
-        orbit_rows=orbit_rows,
+        simple=n >= 2,
     )
 
 
@@ -302,7 +258,6 @@ def product_algebra(parts: list[JordanAlgebra]) -> JordanAlgebra:
     rank = sum(p.rank for p in parts)
     dim_v = sum(p.dim_v for p in parts)
     v_off = np.cumsum([0] + [p.dim_v for p in parts])
-    r_off = np.cumsum([0] + [p.rank for p in parts])
     name = "product:" + "+".join(p.name for p in parts)
 
     def slices_v(x):
@@ -325,15 +280,6 @@ def product_algebra(parts: list[JordanAlgebra]) -> JordanAlgebra:
             frame[row, v_off[i]:v_off[i + 1]] = part_row
         return eigs, frame
 
-    def orbit_rows(rows, rng):
-        count = rows.shape[0]
-        shuffles = np.argsort(rng.random(rows.shape), axis=1)
-        mixed = np.take_along_axis(rows, shuffles, axis=1)
-        blocks = []
-        for i, p in enumerate(parts):
-            blocks.append(p._orbit_rows(mixed[:, r_off[i]:r_off[i + 1]], rng))
-        return np.concatenate(blocks, axis=1)
-
     def project(x):
         return np.concatenate([p._project(xi) for p, xi in zip(parts, slices_v(x))])
 
@@ -343,7 +289,6 @@ def product_algebra(parts: list[JordanAlgebra]) -> JordanAlgebra:
         unit=np.concatenate([p.unit for p in parts]),
         inner_weights=np.concatenate([p._w for p in parts]),
         decompose=decompose,
-        orbit_rows=orbit_rows,
         project=project,
         parts=tuple(parts),
     )

@@ -178,7 +178,6 @@ class HyperbolicPolynomial:
             lam=self.lam if search else None,
             a3_witness=self._search_witness if search else None,
             inner_v=self.inner,
-            family="hyp",
             image_contains=lambda q, tol: q.size == self.degree and is_sorted_desc(q, tol),
             riesz=lambda g: np.linalg.solve(self.gram, g),
             backend=self,

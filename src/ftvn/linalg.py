@@ -123,7 +123,7 @@ def eigh_desc(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _complete_orthonormal(u_cols: list[np.ndarray], m: int, count: int) -> list[np.ndarray]:
-    # extend a partial orthonormal family by Gram-Schmidt over coordinate axes
+    # extend a partial orthonormal set by Gram-Schmidt over coordinate axes
     out = []
     basis = list(u_cols)
     for k in range(m):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FtvnInstance, WitnessError, as_vec, register_instance
-from .eja import dedup_points, haar_batch, is_sorted_desc, sort_desc
+from .eja import dedup_points, is_sorted_desc, sort_desc
 from .linalg import svd_jacobi
 
 
@@ -64,24 +64,13 @@ class RectMatrixSpace:
         u, v = frame
         return (u @ np.diag(np.clip(q, 0.0, None)) @ v.T).ravel()
 
-    def orbit_sample(self, q, rng: np.random.Generator, count: int) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        u = haar_batch(rng, count, self.m)
-        v = haar_batch(rng, count, self.n)
-        diag = np.zeros((count, self.m, self.n))
-        diag[:, np.arange(self.k), np.arange(self.k)] = q
-        mats = u @ diag @ np.transpose(v, (0, 2, 1))
-        return mats.reshape(count, self.m * self.n)
-
     def _build_instance(self) -> FtvnInstance:
         return FtvnInstance(
             name=self.name,
             dim_v=self.m * self.n,
             dim_w=self.k,
-            family="svd",
             image_contains=lambda q, tol: (q.size == self.k and is_sorted_desc(q, tol)
                                            and q[-1] >= -tol * (1.0 + abs(q[0]))),
-            sample_orbit=self.orbit_sample,
             backend=self,
             decompose=self.decompose,
             rebuild=self.rebuild,
@@ -103,9 +92,7 @@ def rotation_instance() -> FtvnInstance:
         name="rot90",
         dim_v=2,
         dim_w=2,
-        family="rot90",
         image_contains=lambda q, tol: q.size == 2,
-        sample_orbit=lambda q, rng, count: np.tile(_ROT.T @ np.asarray(q, float), (count, 1)),
         decompose=lambda x: (_ROT @ x, _ROT),
         rebuild=lambda q, frame: frame.T @ q,
     )
@@ -175,13 +162,12 @@ class SubspacePseudoInstance:
         return self.witness_search(c, q).x
 
     def _build_instance(self) -> FtvnInstance:
-        def sample(rng):
-            return self.embed(rng.standard_normal(2))
-
         def image_contains(q, tol):
             return (q.size == 3 and is_sorted_desc(q, tol)
                     and self.feasible_points(q, max(tol, 1e-9)).shape[0] > 0)
 
+        # draw() projects a standard normal of R^3 onto the plane: a standard
+        # normal of the plane, as embed() of a standard normal of R^2
         def project(x):
             return x - float(np.dot(x, self.normal)) * self.normal
 
@@ -191,9 +177,7 @@ class SubspacePseudoInstance:
             dim_w=3,
             lam=lambda x: sort_desc(x),
             a3_witness=self._a3_witness,
-            family="z",
             image_contains=image_contains,
-            sample=sample,
             project_element=project,
             riesz=project,
             backend=self,

@@ -29,6 +29,7 @@ import numpy as np
 from .core import (DEFAULT_TOL, CommutationCert, FtvnError, FtvnInstance,
                    WitnessError, as_vec, check_element_space, commute_check,
                    lambda_tilde)
+from .eja import JordanAlgebra
 from .solvers import (fd_gradient, project_polyhedron, projected_descent,
                       simplex_weight_grid, solve_lp, unit_rows)
 from .solvers import dykstra_project  # noqa: F401  unused; perfbench/spans.py wraps it here
@@ -194,12 +195,13 @@ def orbit_min(inst: FtvnInstance, h: Callable[[np.ndarray], float], q,
               seed: int = 0) -> tuple[float, np.ndarray, bool]:
     """min h over the orbit {x : lam(x) = q}.
 
-    Exact by permutation enumeration on the coordinate instance (dimension
-    <= 8); elsewhere a penalized multistart descent whose result is flagged
-    heuristic.  Returns (value, argmin, exact_flag).
+    Exact by permutation enumeration on the rn algebra (dimension <= 8);
+    elsewhere a penalized multistart descent from orbit samples, whose result
+    is flagged heuristic.  Returns (value, argmin, exact_flag).
     """
     q = np.asarray(q, dtype=float)
-    if inst.family == "rn" and inst.dim_v <= 8:
+    backend = inst.backend
+    if isinstance(backend, JordanAlgebra) and backend.kind == "rn" and inst.dim_v <= 8:
         best_v = math.inf
         best_x = None
         for perm in set(itertools.permutations(q.tolist())):
@@ -212,7 +214,7 @@ def orbit_min(inst: FtvnInstance, h: Callable[[np.ndarray], float], q,
     from scipy.optimize import minimize  # deferred: see solvers._highs
 
     rng = np.random.default_rng(seed)
-    if inst.sample_orbit is not None:
+    if inst.rebuild is not None:
         starts = list(inst.sample_orbit(q, rng, ORBIT_MIN_STARTS))
     else:
         starts = [rng.standard_normal(inst.dim_v) for _ in range(ORBIT_MIN_STARTS)]
@@ -495,68 +497,41 @@ def envelope_lower_exact(inst: FtvnInstance, h: Callable[[np.ndarray], float], q
 @dataclass(frozen=True)
 class VIReport:
     membership_ok: bool
-    vi_residual: float                 # min <G(a), x - a> over tested x in E
-    worst_point: Optional[np.ndarray]
+    vi_residual: float                 # min <G(a), x - a> over x in E, by the reduction
+    worst_point: Optional[np.ndarray]  # the lifted minimizer
     cert: CommutationCert
-    exact: bool                        # tested set was an exact enumeration
+    exact: bool                        # the minimum is attained at worst_point
     consistent: bool                   # residual >= -tol on exact set => verdict
-
-
-# orbit points sampled per image point where E is not enumerated exactly
-VI_ORBIT_POINTS = 64
-
-
-def _enumerate_E(inst: FtvnInstance, spec: SpectralSetSpec, rng,
-                 tol: float) -> tuple[np.ndarray, bool]:
-    if inst.family == "rn" and inst.dim_v <= 8 and isinstance(spec, (FiniteSet, OrbitOf)):
-        qs = image_candidates(spec, inst, tol)
-        pts = set()
-        for q in qs:
-            pts.update(itertools.permutations(q.tolist()))
-        return np.array(sorted(pts)), True
-    if isinstance(spec, OrderedPolyhedron):
-        a_ub, b_ub = spec.rows()
-        anchor, _ = project_polyhedron(np.zeros(inst.dim_w), a_ub, b_ub)
-        qs = [anchor]
-        for _ in range(15):
-            z = anchor + (1.0 + np.linalg.norm(anchor)) * rng.standard_normal(inst.dim_w)
-            qs.append(project_polyhedron(z, a_ub, b_ub)[0])
-    else:
-        qs = list(image_candidates(spec, inst, tol))
-    rows = []
-    for q in qs:
-        if inst.sample_orbit is not None:
-            rows.append(inst.sample_orbit(np.asarray(q, float), rng, VI_ORBIT_POINTS))
-        else:
-            rows.append(np.atleast_2d(inst.a3_witness(inst.draw(rng), np.asarray(q, float))))
-    return np.vstack(rows) if rows else np.zeros((0, inst.dim_v)), False
 
 
 def vi_commutation_check(inst: FtvnInstance, G: Callable[[np.ndarray], np.ndarray],
                          set_spec: SpectralSetSpec, a, tol: float = DEFAULT_TOL,
                          seed: int = 0) -> VIReport:
     """Is a a variational-inequality point of G over E, and does a commute
-    with -G(a)?  On an exactly enumerable E the two must agree."""
+    with -G(a)?
+
+    The residual min over x in E of <G(a), x - a> is a linear minimization
+    over E, so it is one reduction solve.  It is exact when that solve is
+    attained and its lift reaches the W-side value to within tol; a grid set,
+    or a witness search that falls short, leaves it inexact.  On an exact
+    residual the two answers must agree.
+    """
     av = inst.check_element(a)
     la = inst.lam(av)
     member = membership_w(set_spec, inst, la, tol)
     if not member:
         raise ValueError("a does not belong to the spectral set (lam(a) not in Q)")
-    g = np.asarray(G(av), dtype=float)
-    rng = np.random.default_rng(seed)
-    pts, exact = _enumerate_E(inst, set_spec, rng, tol)
-    residual = math.inf
-    worst = None
-    for x in pts:
-        val = inst.inner_v(g, x - av)
-        if val < residual:
-            residual = val
-            worst = x
+    # the representer of G(a) on the element space
+    g = inst.project_element(np.asarray(G(av), dtype=float))
+    rep = reduce_solve_linear(inst, g, set_spec, sense="min", tol=tol, seed=seed)
+    residual = rep.optimal_value - inst.inner_v(g, av)
+    exact = rep.attained and rep.reduction_gap <= tol * (1.0 + abs(rep.optimal_value))
     cert = commute_check(inst, av, -g, tol)
     scale = 1.0 + inst.norm_v(g) * (1.0 + inst.norm_v(av))
     consistent = (not exact) or residual < -tol * scale or cert.verdict
     return VIReport(membership_ok=True, vi_residual=float(residual),
-                    worst_point=worst, cert=cert, exact=exact, consistent=consistent)
+                    worst_point=rep.optimizer_v, cert=cert, exact=exact,
+                    consistent=consistent)
 
 
 @dataclass(frozen=True)
@@ -583,7 +558,7 @@ def local_min_commutation_check(inst: FtvnInstance, h: Callable[[np.ndarray], fl
     cert = commute_check(inst, av, -grad, tol)
     probe_min = math.inf
     count = 0
-    if inst.sample_orbit is not None:
+    if inst.rebuild is not None:
         rng = np.random.default_rng(seed)
         pts = inst.sample_orbit(inst.lam(av), rng, LOCAL_MIN_PROBES)
         base = h(av)
@@ -659,14 +634,11 @@ class IntervalImage:
     report_hi: SolveReport
 
 
-_SIMPLE_FAMILIES = ("sym", "spin")
-
-
 def interval_image(inst: FtvnInstance, c, q_spec: SpectralSetSpec,
                    tol: float = DEFAULT_TOL, seed: int = 0) -> IntervalImage:
     """The set {<c, x> : x in lam^-1(Q)} for compact permutation-invariant Q
     over a simple algebra: a closed interval with commuting endpoint witnesses."""
-    if inst.family not in _SIMPLE_FAMILIES and not (inst.family == "rn" and inst.dim_w == 1):
+    if not (isinstance(inst.backend, JordanAlgebra) and inst.backend.simple):
         raise ValueError("interval image requires a simple algebra instance")
     cv = inst.check_element(c)
     lo = reduce_solve(inst, LinearObjective(cv), q_spec, sense="min", tol=tol, seed=seed)

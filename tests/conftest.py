@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ftvn import get_instance
+from ftvn.eja import JordanAlgebra
+from ftvn.nds import RectMatrixSpace
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +56,57 @@ def enumerate_polytope_vertices(a_ub, b_ub, tol=1e-9):
         if np.all(a_ub @ v <= b_ub + tol * (1.0 + np.abs(b_ub))):
             verts.append(v)
     return np.array(verts) if verts else np.zeros((0, n))
+
+
+def haar_batch(rng, count, n):
+    """``count`` Haar-random n x n orthogonal matrices: QR of Gaussian
+    matrices, with the signs of R's diagonal moved into Q."""
+    z = rng.standard_normal((count, n, n))
+    q, r = np.linalg.qr(z)
+    d = np.sign(np.einsum("kii->ki", r))
+    d[d == 0] = 1.0
+    return q * d[:, None, :]
+
+
+def _jordan_orbit_rows(alg, rows, rng):
+    """One element of ``alg`` per row of eigenvalues, on an independent
+    random frame; a product first shuffles each row across its parts."""
+    count, rank = rows.shape
+    if alg.kind == "rn":
+        return np.take_along_axis(rows, np.argsort(rng.random(rows.shape), axis=1), axis=1)
+    if alg.kind == "sym":
+        qm = haar_batch(rng, count, rank)
+        return np.einsum("kij,kj,klj->kil", qm, rows, qm).reshape(count, rank * rank)
+    if alg.kind == "spin":
+        axes = rng.standard_normal((count, alg.dim_v - 1))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        hi, lo = rows.max(axis=1), rows.min(axis=1)
+        return np.column_stack([0.5 * (hi + lo), 0.5 * (hi - lo)[:, None] * axes])
+    mixed = np.take_along_axis(rows, np.argsort(rng.random(rows.shape), axis=1), axis=1)
+    offsets = np.cumsum([0] + [p.rank for p in alg.parts])
+    return np.concatenate([_jordan_orbit_rows(p, mixed[:, lo:hi], rng)
+                           for p, lo, hi in zip(alg.parts, offsets, offsets[1:])], axis=1)
+
+
+def reference_orbit_sample(inst, q, rng, count):
+    """``count`` points of the orbit of q, stacked as rows, built from
+    Haar-random frames and uniform permutations without the instance's
+    decompose/rebuild hooks: the independent reference for
+    ``inst.sample_orbit``, and the cheap sampler for bulk orbit tests."""
+    q = np.asarray(q, dtype=float)
+    backend = inst.backend
+    if isinstance(backend, JordanAlgebra):
+        return _jordan_orbit_rows(backend, np.tile(q, (count, 1)), rng)
+    if isinstance(backend, RectMatrixSpace):
+        m, n, k = backend.m, backend.n, backend.k
+        diag = np.zeros((count, m, n))
+        diag[:, np.arange(k), np.arange(k)] = q
+        mats = haar_batch(rng, count, m) @ diag @ np.transpose(haar_batch(rng, count, n), (0, 2, 1))
+        return mats.reshape(count, m * n)
+    if inst.name == "rot90":
+        # the orbit of q under the rotation is the single point R^T q
+        return np.tile(np.array([q[1], -q[0]]), (count, 1))
+    raise TypeError(f"no reference orbit sampler for {inst.name}")
 
 
 def random_symmetric(rng, n):

@@ -17,13 +17,15 @@ from ftvn.eja import (JordanAlgebra, algebra_from_name, idempotent_orbit_max,
                       majorization_check, operator_commute_check, sort_desc,
                       sym_coords)
 from ftvn.hyperbolic import det_sym_polynomial, mat_to_svec
+from ftvn.nds import RectMatrixSpace
 from ftvn.reduce import (DistanceObjective, LinearObjective, MaxAffineObjective,
                          envelope_lower_affine, envelope_lower_exact,
                          local_min_commutation_check, reduce_solve,
                          reduce_solve_linear, vi_commutation_check)
 from ftvn.spectral_sets import FiniteSet, OrderedPolyhedron, table_fn
 
-from conftest import brute_orbit_rn, enumerate_polytope_vertices, random_symmetric
+from conftest import (brute_orbit_rn, enumerate_polytope_vertices, random_symmetric,
+                      reference_orbit_sample)
 
 INSTANCE_NAMES = ("rn:8", "sym:8", "spin:16", "product:rn:2+spin:3+sym:2",
                   "svd:6x6", "rot90")
@@ -84,7 +86,7 @@ def test_criterion_3_orbit_optimality():
             u = inst.draw(rng)
             lu = inst.lam(u)
             bound = inst.inner_w(inst.lam(c), lu)
-            pts = inst.sample_orbit(lu, rng, 1000)
+            pts = reference_orbit_sample(inst, lu, rng, 1000)
             scale = 1.0 + inst.norm_v(c) * inst.norm_w(lu)
             excess = (float(np.max(_batch_inner(inst, pts, c))) - bound) / scale
             worst_excess = max(worst_excess, excess)
@@ -100,7 +102,7 @@ def _constructed_commuting_pair(inst, rng):
     u = inst.draw(rng)
     p = sort_desc(rng.standard_normal(inst.dim_w))
     q = sort_desc(rng.standard_normal(inst.dim_w))
-    if inst.family == "svd":
+    if isinstance(inst.backend, RectMatrixSpace):
         p = sort_desc(np.abs(p))
         q = sort_desc(np.abs(q))
     x = inst.a3_witness(u, p)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from ftvn.reduce import (local_min_commutation_check, orbit_linear,
                          subdiff_min_commutation_check, vi_commutation_check)
 from ftvn.spectral_sets import FiniteSet, GridOracle, OrbitOf, OrderedPolyhedron
 
-from conftest import brute_orbit_rn
+from conftest import brute_orbit_rn, reference_orbit_sample
 
 
 def test_vi_solution_commutes(rn3):
@@ -159,3 +161,76 @@ def test_subdiff_max_coordinate(rn2):
     # with both pieces forced active, some grid combination commutes with -a
     assert rep.c_found is not None
     assert rep.cert.verdict
+
+
+# seeds where 16 x 64 sampled orbit points read as a VI solution (residual
+# >= 0) while the minimum over E is below -1e-6
+VI_SAMPLED_FALSE_SOLUTIONS = (6, 31, 36, 38, 45, 47, 48, 56)
+
+
+def _vi_problem(s):
+    """A box plus 2 cuts a.q <= a.p + 0.3 around a sorted point p, a constant
+    field g, and a = the lift of the max solve of a drawn c."""
+    from ftvn.reduce import reduce_solve_linear
+    inst = get_instance(["rn:3", "rn:4", "sym:3", "sym:4", "svd:3x2", "spin:3"][s % 6])
+    rng = np.random.default_rng(s)
+    n = inst.dim_w
+    p = sort_desc(rng.uniform(0.5, 2, n))
+    top, bottom = np.zeros(n), np.zeros(n)
+    top[0], bottom[-1] = 1.0, -1.0
+    halfspaces = [(top, 3.0), (bottom, -0.1)]
+    for _ in range(2):
+        a = rng.standard_normal(n)
+        halfspaces.append((a, float(a @ p + 0.3)))
+    c = inst.draw(rng)
+    g = inst.draw(rng)
+    spec = OrderedPolyhedron(halfspaces=tuple(halfspaces))
+    a = reduce_solve_linear(inst, c, spec, sense="max").optimizer_v
+    return inst, spec, p, g, a
+
+
+def _permuted_copies_lp_min(g, spec):
+    # E on rn:n is the union of the n! permuted copies of the ordered
+    # polyhedron Q {q : A q <= b}; a copy is {x : A[:, sigma] x <= b}
+    from scipy.optimize import linprog
+    n = g.size
+    rows = [a for a, _ in spec.halfspaces]
+    offsets = [b for _, b in spec.halfspaces]
+    for i in range(n - 1):
+        row = np.zeros(n)
+        row[i], row[i + 1] = -1.0, 1.0
+        rows.append(row)
+        offsets.append(0.0)
+    a_ub, b_ub = np.array(rows), np.array(offsets)
+    best = np.inf
+    for sigma in itertools.permutations(range(n)):
+        res = linprog(g, A_ub=a_ub[:, list(sigma)], b_ub=b_ub, bounds=[(None, None)] * n,
+                      method="highs")
+        if res.status == 0:
+            best = min(best, res.fun)
+    return best
+
+
+def test_vi_residual_is_the_minimum_over_E():
+    for s in range(60):
+        inst, spec, p, g, a = _vi_problem(s)
+        rep = vi_commutation_check(inst, lambda x: g, spec, a, seed=s)
+        if s in VI_SAMPLED_FALSE_SOLUTIONS:
+            assert rep.exact and rep.vi_residual < -1e-6, s
+        if not rep.exact:
+            continue
+        assert rep.consistent, s
+        scale = 1.0 + inst.norm_v(g) * (1.0 + inst.norm_v(a))
+        # the residual is attained at worst_point, which lies in E
+        x = rep.worst_point
+        assert inst.inner_v(g, x - a) == pytest.approx(rep.vi_residual, abs=1e-9 * scale)
+        a_ub, b_ub = spec.rows()
+        assert np.all(a_ub @ inst.lam(x) <= b_ub + 1e-9)
+        # no orbit point of the reference sampler beats it
+        rng = np.random.default_rng([s, 1])
+        for q in (p, inst.lam(a), inst.lam(x)):
+            for y in reference_orbit_sample(inst, q, rng, 64):
+                assert inst.inner_v(g, y - a) >= rep.vi_residual - 1e-9 * scale, s
+        if inst.name.startswith("rn:"):
+            exact = _permuted_copies_lp_min(g, spec) - float(g @ a)
+            assert rep.vi_residual == pytest.approx(exact, abs=1e-9 * scale), s

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from ftvn import (DimensionMismatch, axiom_suite, commute_check,
                   norm_sublinearity_gap, registered_instances, sublinearity_gap)
 from ftvn.core import ElementV
 from ftvn.hyperbolic import hyperbolic_from_json
+
+from conftest import reference_orbit_sample
 
 
 def test_lambda_tilde_is_increasing_rearrangement(rn2, rn3):
@@ -241,3 +244,44 @@ def test_witness_is_exact_means_a_rebuild():
         "kind": "custom_monomials", "n": 2, "e": [1.0, 1.0],
         "monomials": [{"coef": 1.0, "powers": [1, 1]}]}).as_instance()
     assert custom.witness_is_exact is False
+
+
+ORBIT_LAW_TARGETS = {"sym:3": [2.0, 0.5, -1.0], "svd:3x2": [2.0, 0.5],
+                     "svd:2x3": [2.0, 0.5], "spin:3": [2.0, -1.0],
+                     "rn:4": [3.0, 1.0, 0.0, -2.0]}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_LAW_TARGETS))
+def test_sample_orbit_matches_reference_law(name):
+    # q rebuilt on the frame of a standard normal element has the law of q
+    # on a Haar-random frame (a uniform permutation on rn): a two-sample KS
+    # test on <d, x> for a fixed direction d finds no difference
+    from scipy.stats import ks_2samp
+    inst = get_instance(name)
+    q = np.array(ORBIT_LAW_TARGETS[name])
+    derived = inst.sample_orbit(q, np.random.default_rng(1), 4000)
+    reference = reference_orbit_sample(inst, q, np.random.default_rng(2), 4000)
+    for x in derived[:100]:
+        np.testing.assert_allclose(inst.lam(x), q, atol=1e-12)
+    d = np.random.default_rng(0).standard_normal(inst.dim_v)
+    assert ks_2samp(derived @ d, reference @ d).pvalue > 0.01
+
+
+def test_sample_orbit_product_reaches_every_part_assignment():
+    # on a product the law is not the reference's: q's largest entry goes to
+    # the part that holds the drawn element's largest eigenvalue, not to a
+    # uniformly shuffled slot.  So only check that the samples lie in the
+    # orbit and that every split of q between the parts occurs
+    inst = get_instance("product:rn:2+sym:2")
+    q = np.array([4.0, 3.0, 2.0, 1.0])
+    seen = set()
+    for x in inst.sample_orbit(q, np.random.default_rng(3), 400):
+        np.testing.assert_allclose(inst.lam(x), q, atol=1e-12)
+        seen.add(tuple(sorted(x[:2])))
+    assert seen == {tuple(sorted(pair)) for pair in itertools.combinations(q, 2)}
+
+
+def test_sample_orbit_needs_the_hooks():
+    z = get_instance("z-counterexample")
+    with pytest.raises(TypeError):
+        z.sample_orbit(np.array([3.0, 2.0, 1.0]), np.random.default_rng(0), 4)

@@ -50,7 +50,7 @@ def test_nds_a3_witness_examples(space22):
     assert np.dot(c, w) == pytest.approx(3.0)
     # sampled orthogonal pairs never beat the bound
     rng = np.random.default_rng(1)
-    pts = space22.orbit_sample(np.array([3.0, 0.0]), rng, 400)
+    pts = space22.instance.sample_orbit(np.array([3.0, 0.0]), rng, 400)
     assert np.max(pts @ c) <= 3.0 + 1e-9
 
     np.testing.assert_allclose(space22.instance.a3_witness(c, np.zeros(2)), 0.0, atol=1e-12)
@@ -150,8 +150,8 @@ def test_z_witness_positive_gap_pair():
     normal = np.array([0.0, -1.0, 2.0]) / np.sqrt(5.0)
     best = 0.0
     for _ in range(40):
-        c = z.instance.sample(rng)
-        q = np.sort(z.instance.sample(rng))[::-1]
+        c = z.instance.draw(rng)
+        q = np.sort(z.instance.draw(rng))[::-1]
         search = z.witness_search(c, q)
         assert search.gap >= -1e-9         # never beats the trace bound
         # brute force: the best of the 6 permutations of q lying in the plane
@@ -169,7 +169,7 @@ def test_z_witness_positive_gap_pair():
 def test_z_feasible_points_are_exact():
     z = z_counterexample_instance()
     rng = np.random.default_rng(7)
-    x = z.instance.sample(rng)
+    x = z.instance.draw(rng)
     q = np.sort(x)[::-1]
     pts = z.feasible_points(q)
     assert pts.shape[0] >= 1

@@ -696,6 +696,26 @@ def test_interval_image(sym2, rn3):
     assert box.lo == pytest.approx(0.0) and box.hi == pytest.approx(0.0)
 
 
+def test_interval_image_needs_a_simple_algebra():
+    from ftvn import get_instance
+    # spin:1 is R^2, not simple: the orbit of u = (0, 1) is the two points
+    # (0, +-1), so <c, x> for c = (0, 1) takes only the values -2 and 2
+    spin1 = get_instance("spin:1")
+    u = np.array([0.0, 1.0])
+    assert sorted(spin1.inner_v(u, x) for x in ([0.0, 1.0], [0.0, -1.0])) == [-2.0, 2.0]
+    with pytest.raises(ValueError):
+        interval_image(spin1, u, OrbitOf(u))
+    for name in ("rn:1", "sym:3", "spin:2"):
+        inst = get_instance(name)
+        x = inst.draw(np.random.default_rng(0))
+        box = interval_image(inst, x, OrbitOf(x))
+        assert box.lo <= box.hi
+    product = get_instance("product:sym:2+spin:2")
+    x = product.draw(np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        interval_image(product, x, OrbitOf(x))
+
+
 def test_interval_image_spin():
     from ftvn import get_instance
     spin = get_instance("spin:4")
