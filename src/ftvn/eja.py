@@ -291,6 +291,7 @@ def product_algebra(parts: list[JordanAlgebra]) -> JordanAlgebra:
         decompose=decompose,
         project=project,
         parts=tuple(parts),
+        simple=len(parts) == 1 and parts[0].simple,
     )
 
 

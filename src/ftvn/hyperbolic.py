@@ -207,7 +207,7 @@ def orbit_additivity_search(hp: HyperbolicPolynomial, y, target, rng,
     additive, so any positive floor after multistart descent is a
     falsification candidate.  Returns (best x, objective value at best).
     """
-    from scipy.optimize import minimize  # deferred: see solvers._highs
+    from scipy.optimize import minimize  # deferred: see solvers._scipy_extension
 
     y = as_vec(y)
     target = np.asarray(target, dtype=float)
@@ -254,7 +254,7 @@ class CompletenessReport:
 def completeness_check(hp: HyperbolicPolynomial, seed: int = 0,
                        n_restarts: int = 24) -> CompletenessReport:
     """Hunt for x != 0 with lam(x) = 0 by multistart descent on the sphere."""
-    from scipy.optimize import minimize  # deferred: see solvers._highs
+    from scipy.optimize import minimize  # deferred: see solvers._scipy_extension
 
     rng = np.random.default_rng(seed)
 

@@ -211,7 +211,7 @@ def orbit_min(inst: FtvnInstance, h: Callable[[np.ndarray], float], q,
                 best_v = v
                 best_x = x
         return best_v, best_x, True
-    from scipy.optimize import minimize  # deferred: see solvers._highs
+    from scipy.optimize import minimize  # deferred: see solvers._scipy_extension
 
     rng = np.random.default_rng(seed)
     if inst.rebuild is not None:

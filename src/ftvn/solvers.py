@@ -12,8 +12,12 @@ projector the tests compare against.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -106,6 +110,59 @@ def ordered_polyhedron_projectors(halfspaces, n: int):
 
 
 # ---------------------------------------------------------------------------
+# scipy's compiled kernels, loaded without scipy.optimize
+
+# the kernels below are private to scipy; these are the versions whose
+# results the tests compare with linprog's and nnls's (pyproject.toml pins
+# the same)
+_SCIPY_TESTED = ">=1.17.1,<1.18"
+
+
+def _scipy_extension(name: str, need: str):
+    """scipy's compiled module ``name``, loaded from its file on first use.
+
+    Only the extension is loaded, not the packages above it: importing
+    scipy.optimize loads over 300 modules and takes most of the start-up
+    time and memory of a process that solves one problem, while the LP and
+    the projection each call one compiled kernel.  The module is registered
+    in sys.modules under its own name, so a later ``import scipy.optimize``
+    (the derivative-free searches of ``reduce.orbit_min`` and
+    ``hyperbolic``) uses the same module object.  A None in sys.modules for
+    the module or a package above it stops the load, as it stops an import.
+    Any failure to load raises :class:`FtvnError` with ``need`` and the
+    tested scipy versions.
+    """
+    try:
+        prefix = name
+        while prefix:
+            if prefix in sys.modules and sys.modules[prefix] is None:
+                raise ImportError(f"import of {prefix} halted; None in sys.modules")
+            prefix = prefix.rpartition(".")[0]
+        module = sys.modules.get(name)
+        if module is not None:
+            return module
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None or not scipy.submodule_search_locations:
+            raise ImportError("No module named 'scipy'")
+        stem = os.path.join(scipy.submodule_search_locations[0], *name.split(".")[1:])
+        path = next((stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                     if os.path.isfile(stem + suffix)), None)
+        if path is None:
+            raise ImportError(f"no compiled module {name} under {os.path.dirname(stem)}")
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[name]
+            raise
+        return module
+    except ImportError as exc:
+        raise FtvnError(f"{need} (scipy {_SCIPY_TESTED}): {exc}") from None
+
+
+# ---------------------------------------------------------------------------
 # exact projection: the least-distance program as one NNLS problem
 
 # A projection is certified when its KKT conditions hold to this share of
@@ -143,7 +200,8 @@ def project_polyhedron(w: np.ndarray, a_ub: np.ndarray,
     w = np.asarray(w, dtype=float)
     if np.all(a_ub @ w <= b_ub):
         return w, True
-    from scipy.optimize import nnls  # deferred: see _highs
+    nnls = _scipy_extension("scipy.optimize._slsqplib",
+                            "projection needs scipy's NNLS kernel").nnls
     # unit normals make each h_i a distance: a row written with a tiny normal
     # would otherwise make ||q - w|| / s so large that d rounds to 0
     a, b = unit_rows(a_ub, b_ub)
@@ -151,9 +209,11 @@ def project_polyhedron(w: np.ndarray, a_ub: np.ndarray,
     s = float(np.max(np.abs(h)))
     target = np.zeros(w.size + 1)
     target[-1] = 1.0
-    try:
-        u, _ = nnls(np.vstack([-a.T, h / s]), target)
-    except RuntimeError:  # scipy's iteration cap, 3 per row
+    # the checks of scipy.optimize.nnls: a NaN or infinity raises ValueError
+    # here, never reaching the kernel, and the iteration cap is 3 per row
+    m = np.asarray_chkfinite(np.vstack([-a.T, h / s]), dtype=np.float64, order="C")
+    u, _, info = nnls(m, target, 3 * m.shape[1])
+    if info == 3:  # the iteration cap
         return None, False
     d = 1.0 - float(h @ u) / s
     if not d > 0.0:
@@ -190,9 +250,6 @@ class LpResult:
 
 
 _LP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
-# the binding below is private to scipy; these are the versions whose
-# results the tests compare with linprog's (pyproject.toml pins the same)
-_SCIPY_TESTED = ">=1.17.1,<1.18"
 # presolve off: on some unbounded LPs over a nonempty ordered polyhedron
 # HiGHS's presolve reports "infeasible" (one such case is in the tests).
 # simplex_strategy 1 is the dual simplex; ipm ignores it
@@ -221,16 +278,12 @@ def _highs(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, bounds=(None, None
     iteration count are the same, except on a model HiGHS refuses to load;
     the per-call option and input checks of ``linprog`` are left out.
 
-    The binding is imported on the first call: importing scipy.optimize
-    takes most of the time and memory of ``import ftvn``, and only the LP,
-    the projection and the derivative-free searches (``reduce.orbit_min``,
-    ``hyperbolic``) need it, so each imports it where it is called.
+    The binding, the compiled module ``scipy.optimize._highspy._core``, is
+    loaded from its file on the first call by :func:`_scipy_extension`,
+    without importing scipy.optimize.
     """
-    try:
-        from scipy.optimize._highspy import _core as highspy
-    except ImportError as exc:
-        raise FtvnError(f"LP solve needs scipy's HiGHS binding "
-                        f"(scipy {_SCIPY_TESTED}): {exc}") from None
+    highspy = _scipy_extension("scipy.optimize._highspy._core",
+                               "LP solve needs scipy's HiGHS binding")
     m, n = a_ub.shape
     lo, hi = bounds
     inf = highspy.kHighsInf

@@ -26,11 +26,20 @@ class FiniteSet:
         object.__setattr__(self, "points", pts)
 
 
+# The LP solver's (HiGHS's) limits: it reads an offset of this size or more
+# as infinite and refuses a model with a normal entry of this size or more.
+OFFSET_LIMIT = 1e20
+NORMAL_ENTRY_LIMIT = 1e15
+
+
 @dataclass(frozen=True)
 class OrderedPolyhedron:
     """{q : <normal_i, q> <= offset_i} intersected with the nonincreasing cone.
 
-    Emptiness is not assumed; infeasibility is a legal solve outcome.
+    Emptiness is not assumed; infeasibility is a legal solve outcome.  Each
+    offset must be below OFFSET_LIMIT and each normal entry below
+    NORMAL_ENTRY_LIMIT in size, or the LP over the set would be decided
+    wrongly or not at all.
     """
 
     halfspaces: tuple  # of (normal ndarray, offset float)
@@ -40,6 +49,11 @@ class OrderedPolyhedron:
         if not hs:
             raise ValueError("a polyhedron needs at least one halfspace; "
                              "its dimension is read from the normals")
+        for i, (normal, offset) in enumerate(hs):
+            if not (abs(offset) < OFFSET_LIMIT and np.all(np.abs(normal) < NORMAL_ENTRY_LIMIT)):
+                raise ValueError(f"polyhedron set: halfspace {i} is past the LP solver's "
+                                 f"limits: each offset must be below {OFFSET_LIMIT:g} and "
+                                 f"each normal entry below {NORMAL_ENTRY_LIMIT:g} in size")
         object.__setattr__(self, "halfspaces", hs)
 
     @property

@@ -320,6 +320,16 @@ def test_cli_usage_errors(tmp_path, capsys):
         ({"instance": "rn:2", "objective": {"kind": "linear", "c": rn_c},
           "set": {"kind": "polyhedron",
                   "halfspaces": [{"normal": [math.nan, 0], "offset": 1}]}}, "polyhedron set"),
+        # past HiGHS's limits: it reads an offset of 1e20 as infinite (this
+        # max would read unbounded) and refuses a normal entry of 1e15
+        ({"instance": "rn:1", "objective": {"kind": "linear", "c": [1]}, "sense": "max",
+          "set": {"kind": "polyhedron", "halfspaces": [{"normal": [1], "offset": 1e20},
+                                                       {"normal": [-1], "offset": 5}]}},
+         "LP solver's limits"),
+        ({"instance": "rn:2", "objective": {"kind": "linear", "c": rn_c},
+          "set": {"kind": "polyhedron",
+                  "halfspaces": [{"normal": [1e308, 1e308], "offset": 1e308}]}},
+         "LP solver's limits"),
         ({"instance": "rn:2", "objective": {"kind": "linear", "c": rn_c},
           "set": {"kind": "grid", "box": [[-1, 1]], "resolution": 5,
                   "membership": {"kind": "ball", "center": [0, 0], "radius": 1}}},
@@ -426,17 +436,44 @@ _STARTUP_PROBE = textwrap.dedent("""
     assert ftvn.axiom_suite(sym3, seed=1, n_samples=20).passed
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["check", "--instance", "sym:3", "--samples", "20"]) == 0
-    assert "scipy.optimize" not in sys.modules, "loaded before any LP"
+    assert not any(m.startswith("scipy") for m in sys.modules), "loaded before any solve"
+    import numpy as np
+    from ftvn.solvers import project_polyhedron, solve_lp
+    rn2 = ftvn.get_instance("rn:2")
     box = ftvn.OrderedPolyhedron(halfspaces=(((1.0, 0.0), 2.0), ((0.0, -1.0), 0.0)))
-    c = ftvn.get_instance("rn:2").element([1.0, -1.0])
-    ftvn.reduce_solve_linear(ftvn.get_instance("rn:2"), c, box, sense="max")
-    assert "scipy.optimize" in sys.modules, "the LP did not load it"
+    ftvn.reduce_solve_linear(rn2, rn2.element([1.0, -1.0]), box, sense="max")
+    ftvn.reduce_solve(rn2, ftvn.DistanceObjective(rn2.element([3.0, -1.0])), box)
+    highs, nnls_lib = "scipy.optimize._highspy._core", "scipy.optimize._slsqplib"
+    assert "scipy.optimize" not in sys.modules, "a solve imported scipy.optimize"
+    assert highs in sys.modules and nnls_lib in sys.modules, "the kernels were not loaded"
+    kernels = (sys.modules[highs], sys.modules[nnls_lib])
+    a_ub, b_ub = box.rows()
+    lp = solve_lp(np.array([1.0, -1.0]), a_ub, b_ub, maximize=True)
+    q, certified = project_polyhedron(np.array([3.0, -1.0]), a_ub, b_ub)
+    # scipy.optimize imported afterwards gives the same answers and uses the
+    # same module objects
+    from scipy.optimize import linprog, nnls
+    import scipy.optimize._highspy._highs_wrapper as wrapper
+    import scipy.optimize._nnls as nnls_wrapper
+    assert (sys.modules[highs], sys.modules[nnls_lib]) == kernels
+    assert wrapper._h is kernels[0] and nnls_wrapper._nnls is kernels[1].nnls
+    want = linprog([-1.0, 1.0], A_ub=a_ub, b_ub=b_ub, bounds=(None, None),
+                   method="highs-ds", options={"presolve": False})
+    assert lp.status == "optimal" and want.status == 0
+    assert list(lp.x) == list(want.x) and lp.value == -want.fun
+    a, b = ftvn.solvers.unit_rows(a_ub, b_ub)
+    h = a @ np.array([3.0, -1.0]) - b
+    s = float(np.max(np.abs(h)))
+    u, _ = nnls(np.vstack([-a.T, h / s]), np.array([0.0, 0.0, 1.0]))
+    d = 1.0 - float(h @ u) / s
+    assert certified and list(q) == list(np.array([3.0, -1.0]) - a.T @ ((s / d) * u))
 """)
 
 
 def test_scipy_optimize_loads_only_for_a_solve():
-    # import, instance building and the axiom suite need only numpy; the
-    # first LP loads scipy.optimize (most of the start-up time and memory)
+    # import, instance building and the axiom suite need only numpy; an LP
+    # and a projection load two compiled kernels of scipy's, not
+    # scipy.optimize (most of the start-up time and memory)
     src = os.path.dirname(os.path.dirname(ftvn.solvers.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -714,6 +714,12 @@ def test_interval_image_needs_a_simple_algebra():
     x = product.draw(np.random.default_rng(0))
     with pytest.raises(ValueError):
         interval_image(product, x, OrbitOf(x))
+    # a one-part product is its part: sym:3, simple, with the same interval
+    one, sym3 = get_instance("product:sym:3"), get_instance("sym:3")
+    rng = np.random.default_rng(3)
+    c, u = sym3.draw(rng), sym3.draw(rng)
+    box, want = interval_image(one, c, OrbitOf(u)), interval_image(sym3, c, OrbitOf(u))
+    assert (box.lo, box.hi) == (want.lo, want.hi) and box.lo < box.hi
 
 
 def test_interval_image_spin():

@@ -227,6 +227,40 @@ def test_lp_missing_binding_raises(monkeypatch):
         solve_lp(np.array([1.0]), np.array([[1.0]]), np.array([1.0]), maximize=True)
 
 
+def test_projection_missing_kernel_raises(monkeypatch):
+    # the same for the NNLS kernel: a distance solve ends in FtvnError, not
+    # an internal error
+    monkeypatch.setitem(sys.modules, "scipy.optimize._slsqplib", None)
+    with pytest.raises(FtvnError, match=r"needs scipy's NNLS kernel \(scipy >="):
+        project_polyhedron(np.array([2.0]), np.array([[1.0]]), np.array([1.0]))
+    rn1 = ftvn.get_instance("rn:1")
+    half = OrderedPolyhedron(halfspaces=(((1.0,), 1.0),))
+    with pytest.raises(FtvnError, match=r"needs scipy's NNLS kernel \(scipy >="):
+        ftvn.reduce_solve(rn1, ftvn.DistanceObjective(rn1.element([2.0])), half)
+
+
+def test_projection_rejects_nan():
+    # a NaN never reaches the NNLS kernel
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        project_polyhedron(np.array([np.nan, 1.0]), np.array([[1.0, 0.0]]), np.array([0.0]))
+
+
+def test_projection_iteration_cap(monkeypatch):
+    # the kernel runs at most 3 iterations per row; reaching the cap (its
+    # info 3) gives no point
+    kernel = ftvn.solvers._scipy_extension("scipy.optimize._slsqplib", "test")
+    calls = []
+
+    def capped(m, target, maxiter):
+        calls.append((m.shape, maxiter))
+        return np.zeros(m.shape[1]), 0.0, 3
+
+    monkeypatch.setattr(kernel, "nnls", capped)
+    a_ub, b_ub = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 1.0]]), np.zeros(3)
+    assert project_polyhedron(np.array([2.0, 1.0]), a_ub, b_ub) == (None, False)
+    assert calls == [((3, 3), 9)]
+
+
 @pytest.mark.parametrize("maximize, status", [(False, "unbounded"), (True, None)])
 def test_lp_unknown_status_decided_by_recession(monkeypatch, maximize, status):
     # HiGHS's first answer is "unknown"; the feasibility and recession LPs run

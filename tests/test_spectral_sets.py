@@ -14,6 +14,16 @@ def test_finite_set_dedups():
     assert spec.points.shape == (2, 2)
 
 
+def test_polyhedron_within_highs_limits():
+    # the largest sizes HiGHS takes as they are are accepted; one step
+    # further is refused before any LP sees it
+    OrderedPolyhedron(halfspaces=(((9.99e14, -9.99e14), 9.99e19), ((0.0, 1.0), -9.99e19)))
+    for normal, offset in [((1e15, 0.0), 1.0), ((0.0, -1e15), 1.0),
+                           ((1.0, 0.0), 1e20), ((1.0, 0.0), -1e20)]:
+        with pytest.raises(ValueError, match="halfspace 1 is past the LP solver's limits"):
+            OrderedPolyhedron(halfspaces=(((1.0, 0.0), 1.0), (normal, offset)))
+
+
 def test_image_candidates_filters_to_image(rn2):
     spec = FiniteSet(points=[[1.0, 0.0], [0.0, 1.0], [2.0, -1.0]])
     cands = image_candidates(spec, rn2)
