@@ -238,8 +238,10 @@ def spin_algebra(n: int) -> JordanAlgebra:
         r = np.linalg.norm(xbar)
         axis = xbar / r if r > 0 else default_axis
         eigs = np.array([x0 + r, x0 - r])
-        frame = 0.5 * np.vstack([np.concatenate(([1.0], axis)),
-                                 np.concatenate(([1.0], -axis))])
+        frame = np.empty((2, n + 1))
+        frame[:, 0] = 0.5
+        frame[0, 1:] = 0.5 * axis
+        frame[1, 1:] = -frame[0, 1:]
         return eigs, frame
 
     return JordanAlgebra(
@@ -258,6 +260,7 @@ def product_algebra(parts: list[JordanAlgebra]) -> JordanAlgebra:
     rank = sum(p.rank for p in parts)
     dim_v = sum(p.dim_v for p in parts)
     v_off = np.cumsum([0] + [p.dim_v for p in parts])
+    w_off = np.cumsum([0] + [p.rank for p in parts])
     name = "product:" + "+".join(p.name for p in parts)
 
     def slices_v(x):
@@ -268,17 +271,16 @@ def product_algebra(parts: list[JordanAlgebra]) -> JordanAlgebra:
                                for p, a, b in zip(parts, slices_v(x), slices_v(y))])
 
     def decompose(x):
-        items = []
-        for i, (p, xi) in enumerate(zip(parts, slices_v(x))):
-            eigs, frame = p._decompose(xi)
-            for j in range(p.rank):
-                items.append((-eigs[j], i, j, frame[j]))
-        items.sort(key=lambda t: (t[0], t[1], t[2]))
-        eigs = np.array([-t[0] for t in items])
+        # each part's rows in their own block; a stable sort of the merged
+        # eigenvalues breaks ties by part, then by index within the part
+        eigs = np.empty(rank)
         frame = np.zeros((rank, dim_v))
-        for row, (_, i, _, part_row) in enumerate(items):
-            frame[row, v_off[i]:v_off[i + 1]] = part_row
-        return eigs, frame
+        for i, (p, xi) in enumerate(zip(parts, slices_v(x))):
+            part_eigs, part_rows = p._decompose(xi)
+            eigs[w_off[i]:w_off[i + 1]] = part_eigs
+            frame[w_off[i]:w_off[i + 1], v_off[i]:v_off[i + 1]] = part_rows
+        order = np.argsort(-eigs, kind="stable")
+        return eigs[order], frame[order]
 
     def project(x):
         return np.concatenate([p._project(xi) for p, xi in zip(parts, slices_v(x))])

@@ -1,7 +1,9 @@
-"""Dense symmetric eigensolver (cyclic Jacobi) and a small-matrix SVD built on it.
+"""Dense symmetric eigensolver (cyclic Jacobi), and the SVD by LAPACK.
 
-Kept dependency-light on purpose: numpy's eigensolvers stay free to serve as
-independent test oracles.  Adequate for n <= 64.
+The eigensolver is kept dependency-light on purpose: numpy's eigensolvers
+stay free to serve as independent test oracles.  Adequate for n <= 64.  The
+SVD is numpy's LAPACK driver with a fixed sign convention; the tests check it
+against a Jacobi SVD of the Gram matrix.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ def is_symmetric(a: np.ndarray) -> bool:
     on Python floats, without allclose's per-call overhead: |x - y| <= atol +
     1e-5 |y| with y finite, or x == y.  A NaN entry fails.
     """
+    if (a == a.T).all():  # exact symmetry passes at once; a NaN never does
+        return True
     atol = 1e-10 * (1.0 + float(np.abs(a).max(initial=0.0)))
     rows = a.tolist()
     isfinite = math.isfinite
@@ -107,11 +111,13 @@ def jacobi_eigh(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fix_column_signs(v: np.ndarray) -> np.ndarray:
-    # deterministic convention: largest-magnitude entry of each column positive
+    # deterministic convention: largest-magnitude entry of each column
+    # positive.  Flips v in place and returns the signs
     j = np.argmax(np.abs(v), axis=0)
     signs = np.sign(v[j, np.arange(v.shape[1])])
     signs[signs == 0] = 1.0
-    return v * signs
+    v *= signs
+    return signs
 
 
 def eigh_desc(a) -> tuple[np.ndarray, np.ndarray]:
@@ -119,71 +125,22 @@ def eigh_desc(a) -> tuple[np.ndarray, np.ndarray]:
     deterministic sign convention on the eigenvectors."""
     w, v = jacobi_eigh(a)
     order = np.argsort(-w, kind="stable")
-    return w[order], _fix_column_signs(v[:, order])
+    v = v[:, order]
+    _fix_column_signs(v)
+    return w[order], v
 
 
-def _complete_orthonormal(u_cols: list[np.ndarray], m: int, count: int) -> list[np.ndarray]:
-    # extend a partial orthonormal set by Gram-Schmidt over coordinate axes
-    out = []
-    basis = list(u_cols)
-    for k in range(m):
-        if len(out) == count:
-            break
-        cand = np.zeros(m)
-        cand[k] = 1.0
-        for b in basis:
-            cand -= np.dot(b, cand) * b
-        for b in basis:  # second pass for numerical orthogonality
-            cand -= np.dot(b, cand) * b
-        nrm = np.linalg.norm(cand)
-        if nrm > 1e-6:
-            cand /= nrm
-            basis.append(cand)
-            out.append(cand)
-    if len(out) < count:
-        raise RuntimeError("failed to complete orthonormal basis")
-    return out
+def svd_desc(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``x = u @ diag(s) @ v.T`` by LAPACK, with s nonincreasing and
+    nonnegative, u of shape (m, k) and v of shape (n, k), k = min(m, n).
 
-
-def svd_jacobi(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD ``x = u @ diag(s) @ v.T`` with s nonincreasing and nonnegative.
-
-    Computed from the Jacobi eigendecomposition of the smaller Gram matrix;
-    left vectors for (near) zero singular values are completed from
-    coordinate axes.  Column signs follow the largest-entry-positive rule on
-    the right vectors.
-
-    Accuracy: the Gram matrix squares the condition number.  Its eigenvalues
-    carry an absolute error of about eps * s_1^2, so a singular value below
-    about sqrt(eps) * s_1 (1.5e-8 s_1) keeps no reliable digits: with
-    singular values (1, 1e-3, 1e-6, 1e-9) the last comes back as 0, and
-    1e-12 next to 1 comes back as 2e-10.  Larger singular values are
-    re-measured as ||x v_i||; in such examples they came back within
-    1e-13 s_1.  Tolerances on singular values from here must allow for this.
+    Column signs follow the largest-entry-positive rule on the right vectors
+    v, and u is flipped to match.  LAPACK works on x itself, not on its Gram
+    matrix, so each singular value carries an absolute error of a few
+    eps * s_1: 1e-9 next to 1 keeps about seven digits.
     """
-    x = np.asarray(x, dtype=float)
-    m, n = x.shape
-    if m < n:
-        u, s, v = svd_jacobi(x.T)
-        return v, s, u
-    w, v = eigh_desc(x.T @ x)
-    s = np.sqrt(np.clip(w, 0.0, None))
-    cutoff = 1e-12 * (1.0 + (s[0] if n else 0.0))
-    u_cols = []
-    null_at = []
-    for i in range(n):
-        if s[i] > cutoff:
-            col = x @ v[:, i]
-            nrm = np.linalg.norm(col)
-            s[i] = nrm  # re-measured singular value is slightly more accurate
-            u_cols.append(col / nrm)
-        else:
-            s[i] = 0.0
-            u_cols.append(None)
-            null_at.append(i)
-    if null_at:
-        fills = _complete_orthonormal([c for c in u_cols if c is not None], m, len(null_at))
-        for i, col in zip(null_at, fills):
-            u_cols[i] = col
-    u = np.column_stack(u_cols) if n else np.zeros((m, 0))
+    u, s, vt = np.linalg.svd(np.asarray(x, dtype=float), full_matrices=False)
+    v = vt.T
+    signs = _fix_column_signs(v)
+    u *= signs
     return u, s, v

@@ -33,7 +33,7 @@ from .eja import JordanAlgebra
 from .solvers import (fd_gradient, project_polyhedron, projected_descent,
                       simplex_weight_grid, solve_lp, unit_rows)
 from .solvers import dykstra_project  # noqa: F401  unused; perfbench/spans.py wraps it here
-from .spectral_sets import (Combiner, FiniteSet, GridOracle, OrbitOf,
+from .spectral_sets import (COST_LIMIT, Combiner, FiniteSet, GridOracle, OrbitOf,
                             OrderedPolyhedron, SpectralFunctionSpec,
                             SpectralSetSpec, SUM, ZERO_FN, image_candidates,
                             membership_w, probe_monotone)
@@ -246,7 +246,9 @@ def reduce_solve(inst: FtvnInstance, objective: Objective, set_spec: SpectralSet
     ValueError when sense is neither "max" nor "min", or when c (every
     piece's c, for a max-affine objective) is off the instance's element
     space: the value would be that of c's projection, and the certificate
-    would find no shared frame.
+    would find no shared frame.  ValueError too when an LP's cost has an
+    entry of COST_LIMIT or more in size, which the LP solver reads as
+    infinite.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
@@ -296,11 +298,16 @@ def _solve_polyhedron(inst, objective, spec, phi, combiner, sense, tol, seed, ws
     if (combiner.kind == "sum" and affine is not None and ws.pieces
             and not isinstance(objective, DistanceObjective)):
         coeffs, const = affine
+        costs = [p.w + coeffs for p in ws.pieces]
+        for cost in costs:
+            if not np.all(np.abs(cost) < COST_LIMIT):
+                raise ValueError(f"the LP cost lam(c) is past the LP solver's limit: each "
+                                 f"entry must be below {COST_LIMIT:g} in size")
         trace = {"method": "lp_per_piece" if isinstance(objective, MaxAffineObjective)
                  else "lp_simplex", "iterations": 0}
         best = None
-        for p in ws.pieces:
-            lp = solve_lp(p.w + coeffs, a_ub, b_ub, maximize=(sense == "max"))
+        for p, cost in zip(ws.pieces, costs):
+            lp = solve_lp(cost, a_ub, b_ub, maximize=(sense == "max"))
             trace["iterations"] += lp.iterations
             if lp.status == "infeasible":
                 return _infeasible_report(sense, trace)

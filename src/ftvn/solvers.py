@@ -331,6 +331,26 @@ def _highs(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, bounds=(None, None
                         solver.modelStatusToString(model_status))
 
 
+# HiGHS drops matrix entries of 1e-9 or less in size, so a row whose largest
+# entry is below this is scaled by a power of two before the LP (see
+# :func:`scale_tiny_rows`).  Rows at or above it reach HiGHS as given
+TINY_ROW = 2.0 ** -10
+
+
+def scale_tiny_rows(a_ub: np.ndarray, b_ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a_ub @ q <= b_ub with each nonzero row whose largest entry is below
+    TINY_ROW in size multiplied, with its offset, by the power of two that
+    brings that entry into [1, 2).  Scaling by a power of two is exact, so
+    the set is the same; other rows and zero rows are returned unchanged."""
+    top = np.abs(a_ub).max(axis=1, initial=0.0)
+    tiny = (top > 0.0) & (top < TINY_ROW)
+    if not tiny.any():
+        return a_ub, b_ub
+    # top = f 2^e with f in [0.5, 1), so top 2^(1 - e) lies in [1, 2)
+    shift = np.where(tiny, 1 - np.frexp(top)[1], 0)
+    return np.ldexp(a_ub, shift[:, None]), np.ldexp(b_ub, shift)
+
+
 def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
              maximize: bool = False, bounded: bool = False) -> LpResult:
     """min (or max) c.q subject to a_ub @ q <= b_ub, q free.
@@ -348,11 +368,14 @@ def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
     dual-simplex outcome but optimal is then retried with HiGHS's
     interior-point method, and if that is not optimal either the status is
     "unknown"; no error is raised.
+
+    Rows with tiny normals are scaled first (:func:`scale_tiny_rows`), so
+    that HiGHS keeps their entries.
     """
     c = np.asarray(c, dtype=float)
     sign = -1.0 if maximize else 1.0
-    a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
-    b_ub = np.asarray(b_ub, dtype=float)
+    a_ub, b_ub = scale_tiny_rows(np.atleast_2d(np.asarray(a_ub, dtype=float)),
+                                 np.asarray(b_ub, dtype=float))
     res = _highs(sign * c, a_ub, b_ub, method="highs-ds")
     status = _LP_STATUS.get(res.status)
     nit = res.nit

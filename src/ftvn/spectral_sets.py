@@ -26,10 +26,13 @@ class FiniteSet:
         object.__setattr__(self, "points", pts)
 
 
-# The LP solver's (HiGHS's) limits: it reads an offset of this size or more
-# as infinite and refuses a model with a normal entry of this size or more.
+# The LP solver's (HiGHS's) limits: it reads an offset or a cost of this size
+# or more as infinite and refuses a model with a normal entry of this size or
+# more.  The engine refuses an LP cost (lam(c), plus phi's linear part) past
+# COST_LIMIT before the LP.
 OFFSET_LIMIT = 1e20
 NORMAL_ENTRY_LIMIT = 1e15
+COST_LIMIT = 1e20
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pytest
 
 from ftvn import get_instance
 from ftvn.eja import JordanAlgebra
+from ftvn.linalg import eigh_desc
 from ftvn.nds import RectMatrixSpace
 
 
@@ -107,6 +108,74 @@ def reference_orbit_sample(inst, q, rng, count):
         # the orbit of q under the rotation is the single point R^T q
         return np.tile(np.array([q[1], -q[0]]), (count, 1))
     raise TypeError(f"no reference orbit sampler for {inst.name}")
+
+
+def _complete_orthonormal(u_cols: list[np.ndarray], m: int, count: int) -> list[np.ndarray]:
+    # extend a partial orthonormal set by Gram-Schmidt over coordinate axes
+    out = []
+    basis = list(u_cols)
+    for k in range(m):
+        if len(out) == count:
+            break
+        cand = np.zeros(m)
+        cand[k] = 1.0
+        for b in basis:
+            cand -= np.dot(b, cand) * b
+        for b in basis:  # second pass for numerical orthogonality
+            cand -= np.dot(b, cand) * b
+        nrm = np.linalg.norm(cand)
+        if nrm > 1e-6:
+            cand /= nrm
+            basis.append(cand)
+            out.append(cand)
+    if len(out) < count:
+        raise RuntimeError("failed to complete orthonormal basis")
+    return out
+
+
+def svd_jacobi(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``x = u @ diag(s) @ v.T`` with s nonincreasing and nonnegative:
+    the independent oracle for the LAPACK kernel ``ftvn.linalg.svd_desc``.
+
+    Computed from the Jacobi eigendecomposition of the smaller Gram matrix;
+    left vectors for (near) zero singular values are completed from
+    coordinate axes.  Column signs follow the largest-entry-positive rule on
+    the right vectors of x, or of x^T when m < n.
+
+    Accuracy: the Gram matrix squares the condition number.  Its eigenvalues
+    carry an absolute error of about eps * s_1^2, so a singular value below
+    about sqrt(eps) * s_1 (1.5e-8 s_1) keeps no reliable digits: with
+    singular values (1, 1e-3, 1e-6, 1e-9) the last comes back as 0, and
+    1e-12 next to 1 comes back as 2e-10.  Larger singular values are
+    re-measured as ||x v_i||; in such examples they came back within
+    1e-13 s_1.  Tolerances on singular values from here must allow for this.
+    """
+    x = np.asarray(x, dtype=float)
+    m, n = x.shape
+    if m < n:
+        u, s, v = svd_jacobi(x.T)
+        return v, s, u
+    w, v = eigh_desc(x.T @ x)
+    s = np.sqrt(np.clip(w, 0.0, None))
+    cutoff = 1e-12 * (1.0 + (s[0] if n else 0.0))
+    u_cols = []
+    null_at = []
+    for i in range(n):
+        if s[i] > cutoff:
+            col = x @ v[:, i]
+            nrm = np.linalg.norm(col)
+            s[i] = nrm  # re-measured singular value is slightly more accurate
+            u_cols.append(col / nrm)
+        else:
+            s[i] = 0.0
+            u_cols.append(None)
+            null_at.append(i)
+    if null_at:
+        fills = _complete_orthonormal([c for c in u_cols if c is not None], m, len(null_at))
+        for i, col in zip(null_at, fills):
+            u_cols[i] = col
+    u = np.column_stack(u_cols) if n else np.zeros((m, 0))
+    return u, s, v
 
 
 def random_symmetric(rng, n):

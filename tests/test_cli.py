@@ -387,6 +387,43 @@ def test_cli_solve_lp_failure_exit2(tmp_path, capsys, monkeypatch):
     assert captured.err.splitlines() == ["error: LP solve failed: Iteration limit reached."]
 
 
+def test_cli_solve_tiny_normal(tmp_path, capsys):
+    # HiGHS drops matrix entries of 1e-9 or less; the row is scaled by a power
+    # of two before the LP, so the maximum is 1e9, not +inf
+    problem = {
+        "instance": "rn:1",
+        "objective": {"kind": "linear", "c": [1]},
+        "set": {"kind": "polyhedron", "halfspaces": [{"normal": [1e-9], "offset": 1}]},
+        "sense": "max"}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(problem))
+    code, doc = _run(capsys, ["solve", str(path)])
+    assert code == 0
+    rep = doc["report"]
+    assert rep["attained"] is True and rep["solver_trace"]["method"] == "lp_simplex"
+    assert rep["optimal_value"]["dec"] == pytest.approx(1e9, rel=1e-12)
+
+
+@pytest.mark.parametrize("c, sense", [([1e20, 0], "max"), ([1.7e308, -1.7e308], "min")])
+def test_cli_solve_cost_past_lp_limit_exit1(tmp_path, capsys, c, sense):
+    # HiGHS reads a cost of 1e20 or more as infinite and ends these bounded
+    # LPs with model status Unknown; the engine refuses the cost first
+    problem = {
+        "instance": "rn:2",
+        "objective": {"kind": "linear", "c": c},
+        "set": {"kind": "polyhedron", "halfspaces": [{"normal": [1, 0], "offset": 1},
+                                                     {"normal": [0, -1], "offset": 1}]},
+        "sense": sense}
+    path = tmp_path / "cost.json"
+    path.write_text(json.dumps(problem))
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines() == [
+        "error: the LP cost lam(c) is past the LP solver's limit: each entry must be "
+        "below 1e+20 in size"]
+
+
 def test_cli_internal_error_exit2(tmp_path, capsys, monkeypatch):
     # an exception no handler expects is a defect: exit 2, not usage's exit
     # 1, with one stderr line and no traceback

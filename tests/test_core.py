@@ -181,7 +181,7 @@ def test_axiom_suite_lam_calls(monkeypatch):
     # per sample one decomposition of x, whose lam and frame serve A1, A2 and
     # the A3 witness, then lam(alpha x), lam(-x) and lam(witness): 4 kernel
     # calls and 3 lam calls
-    cases = [("sym:4", "ftvn.eja.eigh_desc"), ("svd:4x3", "ftvn.nds.svd_jacobi"),
+    cases = [("sym:4", "ftvn.eja.eigh_desc"), ("svd:4x3", "ftvn.nds.svd_desc"),
              ("product:rn:3+sym:3", "ftvn.eja.eigh_desc")]
     for name, kernel in cases:
         inst = get_instance(name)

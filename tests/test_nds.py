@@ -6,6 +6,8 @@ import pytest
 from ftvn import WitnessError, axiom_suite, commute_check, get_instance
 from ftvn.nds import RectMatrixSpace, rotation_instance, z_counterexample_instance
 
+from conftest import svd_jacobi
+
 
 @pytest.fixture(scope="module")
 def space22():
@@ -184,6 +186,8 @@ def test_rect_space_transposed_construction():
     x = rng.standard_normal((2, 4))
     s = wide.instance.lam(x.ravel())
     np.testing.assert_allclose(s, np.linalg.svd(x, compute_uv=False), atol=1e-10)
+    # numpy's SVD is the kernel itself; the Jacobi oracle is independent of it
+    np.testing.assert_allclose(s, svd_jacobi(x)[1], atol=1e-10)
     assert wide.instance.dim_w == 2
 
 

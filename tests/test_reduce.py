@@ -759,17 +759,21 @@ def _bounded_box(k):
 
 @pytest.mark.parametrize("name", ["sym:3", "svd:4x3", "svd:2x3"])
 def test_three_decompositions_per_solve(name, monkeypatch):
-    # the lift direction, the lifted point and their sum: one Jacobi
-    # decomposition each, whatever the route and the sense
+    # the lift direction, the lifted point and their sum: one decomposition
+    # each, whatever the route and the sense.  The kernel counted is the one
+    # the instance decomposes with: Jacobi for sym, the LAPACK SVD for svd
     import ftvn.linalg
-    real = ftvn.linalg.jacobi_eigh
+    import ftvn.nds
+    module, attr = ((ftvn.nds, "svd_desc") if name.startswith("svd:")
+                    else (ftvn.linalg, "jacobi_eigh"))
+    real = getattr(module, attr)
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ftvn.linalg, "jacobi_eigh", counting)
+    monkeypatch.setattr(module, attr, counting)
     inst = get_instance(name)
     box = _bounded_box(inst.dim_w)
     rng = np.random.default_rng(12)
@@ -779,13 +783,13 @@ def test_three_decompositions_per_solve(name, monkeypatch):
             rep = solve(inst, inst.project_element(rng.standard_normal(inst.dim_v)), box,
                         sense=sense)
             assert rep.commutation.verdict, (solve.__name__, sense)
-            assert len(calls) <= 3, (solve.__name__, sense, len(calls))
+            assert 1 <= len(calls) <= 3, (solve.__name__, sense, len(calls))
     pieces = tuple((inst.project_element(rng.standard_normal(inst.dim_v)), 0.1 * i)
                    for i in range(4))
     calls.clear()
     rep = reduce_solve(inst, MaxAffineObjective(pieces), box, sense="max")
     assert rep.solver_trace["method"] == "lp_per_piece" and rep.commutation.verdict
-    assert len(calls) <= len(pieces) + 2
+    assert 1 <= len(calls) <= len(pieces) + 2
 
 
 def _frame_arrays(frame):

@@ -1,9 +1,11 @@
-"""Canonical solve reports are byte-identical for a fixed input.
+"""Canonical reports are byte-identical for a fixed input.
 
 One small problem per solver route, each pinned by the SHA-256 of its
-canonical ``solve_report_json`` text.  A refactor of the engine that keeps
-the behaviour keeps every hash; a hash that moves means a report changed,
-down to the last bit of a float (every number is also written in hex).
+canonical ``solve_report_json`` text, and one fixed ``axiom_suite`` run per
+instance kind, pinned by that of its ``axiom_report_json`` text.  A refactor
+that keeps the behaviour keeps every hash; a hash that moves means a report
+changed, down to the last bit of a float (every number is also written in
+hex).
 
 The hashes were recorded with Python 3.11, numpy 2.4 and scipy 1.17 (HiGHS)
 on x86-64.  Another BLAS or HiGHS build may move the last bits of a float;
@@ -16,11 +18,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from ftvn import get_instance
+from ftvn import axiom_suite, get_instance
 from ftvn.eja import sym_coords
 from ftvn.reduce import (MaxAffineObjective, orbit_linear, reduce_solve,
                          reduce_solve_distance, reduce_solve_linear)
-from ftvn.serialize import canonical_dumps, solve_report_json
+from ftvn.serialize import axiom_report_json, canonical_dumps, solve_report_json
 from ftvn.spectral_sets import (FiniteSet, GridOracle, OrderedPolyhedron,
                                 SpectralFunctionSpec, neg_logdet_fn)
 
@@ -108,7 +110,7 @@ PINNED = {
     "exhaustive_max_affine_min": ("exhaustive",
                                   "a55fe0c4150c4a36a82f7d4f36d871c652eed1e3ba450ce1fdbb3adf5f611a78"),
     "orbit_closed_form": ("orbit_closed_form",
-                          "fe6677fc7552312f413d1771e51d8d90d57b23b961e25a4b86a1c986fc343bbb"),
+                          "e83138ac668e1d82a01b7beb8b06949b42693c434e8e56f825ede7b6e0b53bf1"),
     "grid_scan": ("grid_scan",
                   "829c828b28f567362795510b95b28ea7f38d0fb6cfab5eefe5566fb2a776d273"),
     "lp_phase1": ("lp_phase1",
@@ -125,3 +127,21 @@ def test_report_bytes_are_pinned(case):
         assert rep.solver_trace["step"] == case.removeprefix("descent_")
     text = canonical_dumps(solve_report_json(inst, rep))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# instance -> SHA-256 of the canonical report of axiom_suite(seed=3, n_samples=50)
+PINNED_AXIOMS = {
+    "sym:4": "1274c6b6a7680e72572322a745467ad8a4797a5aa6ba64ab6ea5859d7d4f4336",
+    "spin:16": "a369c1dda8e3f66f70f0e0fc0ab302dcced004710c24fd22df4bd73dc3eff378",
+    "product:rn:3+sym:3": "2376fbdad5c8de2607944ae55e451f1c764cbc60595b82c71a92d89c7e1b5663",
+    "svd:4x3": "32482ef80535f1110b51e11244f0066d8e4bc62bfcc244abc1fd922d68edc94c",
+    "hyp:detsym:3": "5c2d564a06d0865cd606f49240b5f9b730a760224eedcfefc316659d38bae032",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_AXIOMS))
+def test_axiom_report_bytes_are_pinned(name):
+    rep = axiom_suite(get_instance(name), seed=3, n_samples=50)
+    assert rep.passed
+    text = canonical_dumps(axiom_report_json(rep))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_AXIOMS[name]

@@ -10,7 +10,8 @@ import ftvn.solvers
 from ftvn import FtvnError
 from ftvn.solvers import (dykstra_project, ordered_polyhedron_projectors,
                           pav_decreasing, project_halfspace, project_polyhedron,
-                          projected_descent, simplex_weight_grid, solve_lp)
+                          projected_descent, scale_tiny_rows, simplex_weight_grid, solve_lp,
+                          TINY_ROW)
 from ftvn.spectral_sets import OrderedPolyhedron
 
 from conftest import enumerate_polytope_vertices
@@ -197,6 +198,37 @@ def test_lp_highs_failure_raises(monkeypatch, status):
     monkeypatch.setattr(ftvn.solvers, "_highs", failing)
     with pytest.raises(FtvnError, match=f"simulated HiGHS status {status}"):
         solve_lp(np.array([1.0]), np.array([[1.0]]), np.array([1.0]))
+
+
+def test_lp_keeps_tiny_rows():
+    # HiGHS drops matrix entries of 1e-9 or less: unscaled, this row reads
+    # 0 <= 1 and the maximum +inf
+    res = solve_lp(np.array([1.0]), np.array([[1e-9]]), np.array([1.0]), maximize=True)
+    assert res.status == "optimal" and res.value == pytest.approx(1e9, rel=1e-12)
+    # a tiny row among ordinary ones: max q1 + 2 q2 over q1 >= -1, q2 >= -1
+    # and 1e-12 (q1 + q2) <= 1e-12 is 3, at (-1, 2)
+    res = solve_lp(np.array([1.0, 2.0]),
+                   np.array([[-1.0, 0.0], [0.0, -1.0], [1e-12, 1e-12]]),
+                   np.array([1.0, 1.0, 1e-12]), maximize=True)
+    assert res.status == "optimal" and res.value == pytest.approx(3.0, abs=1e-9)
+    np.testing.assert_allclose(res.x, [-1.0, 2.0], atol=1e-9)
+
+
+def test_scale_tiny_rows_is_exact():
+    a = np.array([[1e-9, -3e-12], [0.0, 0.0], [TINY_ROW, 1e-20], [0.75 * TINY_ROW, 0.0],
+                  [-1e-300, 5e-310], [3.0, -1.0]])
+    b = np.array([1.0, 2.0, 3.0, -4.0, 5.0, 6.0])
+    a2, b2 = scale_tiny_rows(a, b)
+    for i in (0, 3, 4):
+        # one power of two per row, taken exactly, with its largest entry in [1, 2)
+        factor = b2[i] / b[i]
+        assert np.frexp(factor)[0] == 0.5
+        assert np.array_equal(a2[i] / factor, a[i]) and 1.0 <= np.abs(a2[i]).max() < 2.0
+    # zero rows and rows at or above the threshold reach HiGHS as given
+    for i in (1, 2, 5):
+        assert np.array_equal(a2[i], a[i]) and b2[i] == b[i]
+    rows = a[[1, 2, 5]], b[[1, 2, 5]]
+    assert all(x is y for x, y in zip(scale_tiny_rows(*rows), rows))
 
 
 def test_lp_model_highs_refuses_raises():
