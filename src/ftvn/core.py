@@ -53,6 +53,20 @@ def as_vec(x) -> np.ndarray:
     return v
 
 
+def on_rows(kernel: Callable[[np.ndarray], tuple[np.ndarray, Any]], x) -> tuple[np.ndarray, Any]:
+    """A decompose hook's call: ``kernel(xs)`` takes a (k, dim_v) stack and
+    returns its eigenvalues, shape (k, dim_w), and a sequence of k frames.
+    x is such a stack, or a single element as the k = 1 case, whose
+    eigenvalue vector and frame come back unstacked."""
+    xs = np.asarray(getattr(x, "coords", x), dtype=float)
+    if xs.ndim == 1:
+        eigs, frames = kernel(xs[None])
+        return eigs[0], frames[0]
+    if xs.ndim != 2:
+        raise DimensionMismatch(f"expected an element or a stack of elements, got shape {xs.shape}")
+    return kernel(xs)
+
+
 def _frozen_vec(coords) -> np.ndarray:
     v = np.array(as_vec(coords), dtype=float, copy=True)
     if not np.all(np.isfinite(v)):
@@ -117,14 +131,17 @@ class FtvnInstance:
     An instance with a spectral decomposition gives it as two hooks, the
     paper's construction: ``decompose(x) -> (eigs, frame)`` with eigs = lam(x)
     and ``rebuild(q, frame) -> x`` with lam(x) = q, which puts the target
-    eigenvalues on the frame's own basis.  ``lam`` and ``a3_witness``, when
-    left out, are derived from the hooks at construction: the witness for
-    (c, q) is q rebuilt on c's frame, which makes it exact
-    (:attr:`witness_is_exact`).  An instance without the hooks gives ``lam``
-    and ``a3_witness`` itself, and its witness is taken for a numerical
-    search.  :meth:`spectral` is the one entry point for (lam(x), frame);
-    :func:`commute_check` takes the frame of x + y as the shared-frame
-    witness of a commuting pair.
+    eigenvalues on the frame's own basis.  ``decompose`` also takes a stack of
+    k elements, shape (k, dim_v), and returns eigenvalues of shape (k, dim_w)
+    and a sequence of k frames, row i's equal bit for bit to the
+    decomposition of row i alone (:func:`on_rows`).  ``lam`` and
+    ``a3_witness``, when left out, are derived from the hooks at
+    construction: the witness for (c, q) is q rebuilt on c's frame, which
+    makes it exact (:attr:`witness_is_exact`).  An instance without the hooks
+    gives ``lam`` and ``a3_witness`` itself, and its witness is taken for a
+    numerical search.  :meth:`spectral` is the one entry point for
+    (lam(x), frame), for one element or a stack; :func:`commute_check` takes
+    the frame of x + y as the shared-frame witness of a commuting pair.
 
     ``draw`` samples an element: a standard normal coordinate vector through
     ``project_element``.  :meth:`sample_orbit` samples the orbit of q through
@@ -167,9 +184,13 @@ class FtvnInstance:
         return self.rebuild is not None
 
     def spectral(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
-        """(lam(x), frame of x); the frame is None without the hooks."""
+        """(lam(x), frame of x); the frame is None without the hooks.  On a
+        (k, dim_v) stack, (the k eigenvalue rows, k frames), in one
+        ``decompose`` call, or one ``lam`` call per row without the hooks."""
         if self.decompose is not None:
             return self.decompose(x)
+        if np.ndim(x) == 2:
+            return np.array([self.lam(r) for r in x]).reshape(len(x), self.dim_w), [None] * len(x)
         return self.lam(x), None
 
     def witness_on(self, c: np.ndarray, q, frame) -> np.ndarray:
@@ -212,13 +233,14 @@ class FtvnInstance:
 
     def sample_orbit(self, q, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` elements with eigenvalues q, stacked as rows: q rebuilt on
-        the frames of ``count`` drawn elements.  q is not checked against the
-        image.  TypeError without the hooks."""
+        the frames of ``count`` drawn elements, decomposed in one call.  q is
+        not checked against the image.  TypeError without the hooks."""
         if self.rebuild is None:
             raise TypeError(f"{self.name}: orbit sampling needs decompose and rebuild")
         q = np.asarray(q, dtype=float)
-        return np.array([self.rebuild(q, self.decompose(self.draw(rng))[1])
-                         for _ in range(count)]).reshape(count, self.dim_v)
+        draws = np.array([self.draw(rng) for _ in range(count)]).reshape(count, self.dim_v)
+        return np.array([self.rebuild(q, frame) for frame in self.decompose(draws)[1]]
+                        ).reshape(count, self.dim_v)
 
 
 def lambda_tilde(inst: FtvnInstance, c) -> np.ndarray:
@@ -375,8 +397,13 @@ def axiom_suite(inst: FtvnInstance, seed: int, n_samples: int,
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     xs = [inst.draw(rng) for _ in range(n_samples)]
-    # each sample is decomposed once: its lam, and its frame for the A3 witness
-    lams, frames = zip(*[inst.spectral(x) for x in xs])
+    alphas = np.abs(rng.standard_normal(n_samples))
+    stack = np.array(xs).reshape(n_samples, inst.dim_v)
+    # one decomposition call per batch: the samples (their lam, and their
+    # frames for the A3 witnesses), alpha x, -x, and below the witnesses
+    lams, frames = inst.spectral(stack)
+    lams_scaled = inst.spectral(alphas[:, None] * stack)[0]
+    lams_neg = inst.spectral(-stack)[0]
     norms = [inst.norm_v(x) for x in xs]
 
     a1 = 0.0
@@ -385,10 +412,9 @@ def axiom_suite(inst: FtvnInstance, seed: int, n_samples: int,
     sand_inner = 0.0
     sand_dist = 0.0
     n_commute = 0
-    for i, (x, lx, nx) in enumerate(zip(xs, lams, norms)):
+    for i, (x, lx, nx, alpha) in enumerate(zip(xs, lams, norms, alphas)):
         a1 = max(a1, abs(inst.norm_w(lx) - nx) / (1.0 + nx))
-        alpha = abs(rng.standard_normal())
-        gap = np.linalg.norm(inst.lam(alpha * x) - alpha * lx)
+        gap = np.linalg.norm(lams_scaled[i] - alpha * lx)
         homog = max(homog, gap / (1.0 + alpha * nx))
 
         y = xs[(i + 1) % n_samples]
@@ -401,7 +427,7 @@ def axiom_suite(inst: FtvnInstance, seed: int, n_samples: int,
         if abs(ip_w - ip_v) <= tol * scale:
             n_commute += 1
         # sandwich: <tilde-lam x, lam y> <= <x,y> <= <lam x, lam y>
-        lt = -inst.lam(-x)
+        lt = -lams_neg[i]
         sand_inner = max(sand_inner, (inst.inner_w(lt, ly) - ip_v) / scale)
         dscale = 1.0 + nx + ny
         d_v = inst.norm_v(x - y)
@@ -409,20 +435,21 @@ def axiom_suite(inst: FtvnInstance, seed: int, n_samples: int,
                         (inst.norm_w(lx - ly) - d_v) / dscale,
                         (d_v - inst.norm_w(lt - ly)) / dscale)
 
+    a3_failures = 0
+    witnesses = []
+    for i in range(n_samples):
+        try:
+            witnesses.append((i, inst.witness_on(xs[i], lams[(i + 1) % n_samples], frames[i])))
+        except WitnessError:
+            a3_failures += 1
+    lams_w = inst.spectral(np.array([w for _, w in witnesses]).reshape(-1, inst.dim_v))[0]
     a3_lam = 0.0
     a3_inner = 0.0
     a3_gap = -math.inf
     a3_pair = None
-    a3_failures = 0
-    for i in range(n_samples):
+    for (i, w), lw in zip(witnesses, lams_w):
         c = xs[i]
         q = lams[(i + 1) % n_samples]
-        try:
-            w = inst.witness_on(c, q, frames[i])
-        except WitnessError:
-            a3_failures += 1
-            continue
-        lw = inst.lam(w)
         nq = inst.norm_w(q)
         nc = inst.norm_v(c)
         a3_lam = max(a3_lam, np.linalg.norm(lw - q) / (1.0 + nq))

@@ -11,7 +11,9 @@ Four families are provided, all carrying the trace inner product:
 
 Every algebra also exposes itself as a :class:`~ftvn.core.FtvnInstance` whose
 A3 witness is the constructive one: decompose c, then rebuild the target
-eigenvalues on c's own frame.
+eigenvalues on c's own frame.  Each family's decomposition works on a stack
+of elements, one row each: (k, dim_v) to eigenvalues (k, rank) and idempotent
+rows (k, rank, dim_v).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DEDUP_TOL, DEFAULT_TOL, FtvnInstance, as_vec, register_instance
+from .core import DEDUP_TOL, DEFAULT_TOL, FtvnInstance, as_vec, on_rows, register_instance
 from .linalg import eigh_desc, is_symmetric
 
 
@@ -34,7 +36,9 @@ class JordanFrame:
     idempotents: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.idempotents, dtype=float)
+        # C order whatever the source layout: rebuild multiplies by these rows,
+        # and its roundoff follows the memory layout
+        arr = np.array(self.idempotents, dtype=float, order="C")
         arr.flags.writeable = False
         object.__setattr__(self, "idempotents", arr)
 
@@ -108,7 +112,7 @@ class JordanAlgebra:
         self.jordan_product = jordan_product
         self.unit = np.asarray(unit, dtype=float)
         self._w = np.asarray(inner_weights, dtype=float)
-        self._decompose = decompose
+        self._decompose = decompose  # (k, dim_v) -> eigenvalues, idempotent rows
         self._project = project if project is not None else (lambda x: x)
         self.parts = parts  # the factor algebras of a product, in order; () otherwise
         self.instance = self._build_instance()
@@ -125,9 +129,13 @@ class JordanAlgebra:
 
     def decompose(self, x) -> tuple[np.ndarray, JordanFrame]:
         """The instance's ``decompose`` hook: eigenvalues (nonincreasing) and
-        the Jordan frame whose idempotents rebuild x."""
-        eigs, rows = self._decompose(as_vec(x))
-        return eigs, JordanFrame(rows)
+        the Jordan frame whose idempotents rebuild x; on a stack, the
+        eigenvalue rows and one frame per row."""
+        return on_rows(self._frames, x)
+
+    def _frames(self, xs: np.ndarray) -> tuple[np.ndarray, list[JordanFrame]]:
+        eigs, rows = self._decompose(xs)
+        return eigs, [JordanFrame(r) for r in rows]
 
     # -- FTvN instance wrapper ----------------------------------------------
 
@@ -151,11 +159,11 @@ class JordanAlgebra:
 # ---------------------------------------------------------------------------
 # concrete families
 
-def sort_decompose(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The spectral decomposition of R^N: x sorted nonincreasing, and the
-    rows of the identity in that order."""
-    order = np.argsort(-x, kind="stable")
-    return x[order], np.eye(x.size)[order]
+def sort_decompose(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The spectral decomposition of R^N, row by row of a (k, N) stack: each
+    row sorted nonincreasing, and the rows of the identity in that order."""
+    order = np.argsort(-xs, axis=1, kind="stable")
+    return xs[np.arange(len(xs))[:, None], order], np.eye(xs.shape[1])[order]
 
 
 def rn_algebra(n: int) -> JordanAlgebra:
@@ -201,11 +209,12 @@ def sym_algebra(n: int) -> JordanAlgebra:
         m = mat_of(x, n)
         return (0.5 * (m + m.T)).ravel()
 
-    def decompose(x):
+    def decompose(xs):
         # total on the flattening: the symmetric part is the element
-        m = mat_of(x, n)
-        w, v = eigh_desc(0.5 * (m + m.T))
-        frame = np.einsum("ji,ki->ijk", v, v).reshape(n, n * n)
+        m = xs.reshape(len(xs), n, n)
+        w, v = eigh_desc(0.5 * (m + m.transpose(0, 2, 1)))
+        # outer products, no sums: each entry is one product, as for one matrix
+        frame = np.einsum("hji,hki->hijk", v, v).reshape(len(xs), n, n * n)
         return w, frame
 
     return JordanAlgebra(
@@ -232,16 +241,21 @@ def spin_algebra(n: int) -> JordanAlgebra:
         out[1:] = x[0] * y[1:] + y[0] * x[1:]
         return out
 
-    def decompose(x):
-        x0 = x[0]
-        xbar = x[1:]
-        r = np.linalg.norm(xbar)
-        axis = xbar / r if r > 0 else default_axis
-        eigs = np.array([x0 + r, x0 - r])
-        frame = np.empty((2, n + 1))
-        frame[:, 0] = 0.5
-        frame[0, 1:] = 0.5 * axis
-        frame[1, 1:] = -frame[0, 1:]
+    def decompose(xs):
+        x0 = xs[:, 0]
+        xbar = xs[:, 1:]
+        # each row's dot product by matmul: bit for bit np.linalg.norm of the
+        # row alone, which a reduction along axis 1 is not
+        r = np.sqrt((xbar[:, None, :] @ xbar[:, :, None])[:, 0, 0])
+        axis = xbar / np.where(r > 0, r, 1.0)[:, None]
+        axis[r == 0] = default_axis
+        eigs = np.empty((len(xs), 2))
+        eigs[:, 0] = x0 + r
+        eigs[:, 1] = x0 - r
+        frame = np.empty((len(xs), 2, n + 1))
+        frame[:, :, 0] = 0.5
+        frame[:, 0, 1:] = 0.5 * axis
+        frame[:, 1, 1:] = -frame[:, 0, 1:]
         return eigs, frame
 
     return JordanAlgebra(
@@ -270,17 +284,18 @@ def product_algebra(parts: list[JordanAlgebra]) -> JordanAlgebra:
         return np.concatenate([p.jordan_product(a, b)
                                for p, a, b in zip(parts, slices_v(x), slices_v(y))])
 
-    def decompose(x):
+    def decompose(xs):
         # each part's rows in their own block; a stable sort of the merged
         # eigenvalues breaks ties by part, then by index within the part
-        eigs = np.empty(rank)
-        frame = np.zeros((rank, dim_v))
-        for i, (p, xi) in enumerate(zip(parts, slices_v(x))):
-            part_eigs, part_rows = p._decompose(xi)
-            eigs[w_off[i]:w_off[i + 1]] = part_eigs
-            frame[w_off[i]:w_off[i + 1], v_off[i]:v_off[i + 1]] = part_rows
-        order = np.argsort(-eigs, kind="stable")
-        return eigs[order], frame[order]
+        eigs = np.empty((len(xs), rank))
+        frame = np.zeros((len(xs), rank, dim_v))
+        for i, p in enumerate(parts):
+            part_eigs, part_rows = p._decompose(xs[:, v_off[i]:v_off[i + 1]])
+            eigs[:, w_off[i]:w_off[i + 1]] = part_eigs
+            frame[:, w_off[i]:w_off[i + 1], v_off[i]:v_off[i + 1]] = part_rows
+        order = np.argsort(-eigs, axis=1, kind="stable")
+        rows = np.arange(len(xs))[:, None]
+        return eigs[rows, order], frame[rows, order]
 
     def project(x):
         return np.concatenate([p._project(xi) for p, xi in zip(parts, slices_v(x))])
@@ -342,9 +357,9 @@ def idempotent_orbit_max(alg: JordanAlgebra, c, k: int) -> tuple[float, np.ndarr
     attained at the sum of the first k idempotents of c's own frame."""
     if not 1 <= k <= alg.rank:
         raise ValueError(f"k must lie in 1..{alg.rank}")
-    eigs, frame = alg._decompose(as_vec(c))
-    value = float(np.sum(eigs[:k]))
-    idem = np.sum(frame[:k], axis=0)
+    eigs, frame = alg._decompose(as_vec(c)[None])
+    value = float(np.sum(eigs[0, :k]))
+    idem = np.sum(frame[0, :k], axis=0)
     return value, idem
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import FtvnError, FtvnInstance, WitnessError, as_vec, register_instance
+from .core import FtvnError, FtvnInstance, WitnessError, as_vec, on_rows, register_instance
 from .eja import is_sorted_desc, sort_decompose
 from .linalg import eigh_desc
 
@@ -332,7 +332,7 @@ def coordinate_product_polynomial(n: int) -> HyperbolicPolynomial:
         evaluator=lambda v: float(np.prod(v)),
         direction_e=np.ones(n),
         name=f"prod:{n}",
-        decompose=lambda x: sort_decompose(np.asarray(x, dtype=float)),
+        decompose=lambda x: on_rows(sort_decompose, x),
         rebuild=lambda q, frame: q @ frame)
 
 
@@ -341,12 +341,14 @@ def _svec_dim(n: int) -> int:
 
 
 def svec_to_mat(coords: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`mat_to_svec`; scaled so the flat dot product equals tr(XY)."""
-    m = np.zeros((n, n))
-    m[np.diag_indices(n)] = coords[:n]
+    """Inverse of :func:`mat_to_svec`; scaled so the flat dot product equals
+    tr(XY).  A stack of coordinate rows gives a stack of matrices."""
+    m = np.zeros((*coords.shape[:-1], n, n))
+    i = np.arange(n)
+    m[..., i, i] = coords[..., :n]
     iu = np.triu_indices(n, k=1)
-    m[iu] = coords[n:] / math.sqrt(2.0)
-    m[(iu[1], iu[0])] = m[iu]
+    m[(..., *iu)] = coords[..., n:] / math.sqrt(2.0)
+    m[..., iu[1], iu[0]] = m[(..., *iu)]
     return m
 
 
@@ -366,7 +368,7 @@ def det_sym_polynomial(n: int) -> HyperbolicPolynomial:
         evaluator=lambda v: float(np.linalg.det(svec_to_mat(np.asarray(v, float), n))),
         direction_e=mat_to_svec(np.eye(n)),
         name=f"detsym:{n}",
-        decompose=lambda x: eigh_desc(svec_to_mat(np.asarray(x, dtype=float), n)),
+        decompose=lambda x: on_rows(lambda xs: eigh_desc(svec_to_mat(xs, n)), x),
         rebuild=lambda q, v: mat_to_svec(v @ np.diag(q) @ v.T))
 
 

@@ -4,6 +4,12 @@ The eigensolver is kept dependency-light on purpose: numpy's eigensolvers
 stay free to serve as independent test oracles.  Adequate for n <= 64.  The
 SVD is numpy's LAPACK driver with a fixed sign convention; the tests check it
 against a Jacobi SVD of the Gram matrix.
+
+``eigh_desc`` and ``svd_desc`` take one matrix or a stack of them, shape
+``(k, m, n)``, and each row of a stacked result equals the result for that
+matrix alone, bit for bit.  The SVD of a stack is one LAPACK call; the
+eigensolver runs Jacobi on each matrix in turn, and that loop in
+``eigh_desc`` is the only loop over a stack in the spectral kernels.
 """
 
 from __future__ import annotations
@@ -112,27 +118,38 @@ def jacobi_eigh(a) -> tuple[np.ndarray, np.ndarray]:
 
 def _fix_column_signs(v: np.ndarray) -> np.ndarray:
     # deterministic convention: largest-magnitude entry of each column
-    # positive.  Flips v in place and returns the signs
-    j = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[j, np.arange(v.shape[1])])
+    # positive, on a matrix or on each matrix of a stack.  Flips v in place
+    # and returns the signs, shaped (..., 1, ncols) to broadcast over rows
+    stack = v.reshape(-1, *v.shape[-2:])
+    k, _, ncols = stack.shape
+    j = np.argmax(np.abs(stack), axis=1)
+    signs = np.sign(stack[np.arange(k)[:, None], j, np.arange(ncols)])
     signs[signs == 0] = 1.0
+    signs = signs.reshape(*v.shape[:-2], 1, ncols)
     v *= signs
     return signs
 
 
 def eigh_desc(a) -> tuple[np.ndarray, np.ndarray]:
     """Jacobi eigendecomposition with eigenvalues sorted nonincreasing and a
-    deterministic sign convention on the eigenvectors."""
-    w, v = jacobi_eigh(a)
-    order = np.argsort(-w, kind="stable")
-    v = v[:, order]
+    deterministic sign convention on the eigenvectors.
+
+    ``a`` is one symmetric matrix, shape (n, n), or a stack, shape (k, n, n);
+    w has shape (n,) or (k, n) and v the shape of ``a``."""
+    a = np.asarray(a, dtype=float)
+    pairs = [jacobi_eigh(m) for m in a.reshape(-1, *a.shape[-2:])]
+    w = np.array([p[0] for p in pairs]).reshape(a.shape[:-1])
+    v = np.array([p[1] for p in pairs]).reshape(a.shape)
+    order = np.argsort(-w, axis=-1, kind="stable")
+    v = np.take_along_axis(v, order[..., None, :], axis=-1)
     _fix_column_signs(v)
-    return w[order], v
+    return np.take_along_axis(w, order, axis=-1), v
 
 
 def svd_desc(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD ``x = u @ diag(s) @ v.T`` by LAPACK, with s nonincreasing and
-    nonnegative, u of shape (m, k) and v of shape (n, k), k = min(m, n).
+    nonnegative, u of shape (m, k) and v of shape (n, k), k = min(m, n).  A
+    stack x of shape (h, m, n) gives u, s and v with the leading axis h.
 
     Column signs follow the largest-entry-positive rule on the right vectors
     v, and u is flipped to match.  LAPACK works on x itself, not on its Gram
@@ -140,7 +157,7 @@ def svd_desc(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     eps * s_1: 1e-9 next to 1 keeps about seven digits.
     """
     u, s, vt = np.linalg.svd(np.asarray(x, dtype=float), full_matrices=False)
-    v = vt.T
+    v = np.swapaxes(vt, -1, -2)
     signs = _fix_column_signs(v)
     u *= signs
     return u, s, v

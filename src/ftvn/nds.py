@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FtvnInstance, WitnessError, as_vec, register_instance
+from .core import FtvnInstance, WitnessError, as_vec, on_rows, register_instance
 from .eja import dedup_points, is_sorted_desc, sort_desc
 from .linalg import svd_desc
 
@@ -43,9 +43,6 @@ class RectMatrixSpace:
         self.name = f"svd:{m}x{n}"
         self.instance = self._build_instance()
 
-    def mat(self, x) -> np.ndarray:
-        return np.asarray(as_vec(x), dtype=float).reshape(self.m, self.n)
-
     def coords(self, matrix) -> np.ndarray:
         a = np.asarray(matrix, dtype=float)
         if a.shape != (self.m, self.n):
@@ -59,9 +56,14 @@ class RectMatrixSpace:
         return out
 
     def decompose(self, x) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """Singular values and the frame (u, v) of x = u diag(s) v^T."""
-        u, s, v = svd_desc(self.mat(x))
-        return s, (u, v)
+        """Singular values and the frame (u, v) of x = u diag(s) v^T; on a
+        stack, the singular value rows and one frame per row, from one
+        LAPACK call."""
+        return on_rows(self._decompose, x)
+
+    def _decompose(self, xs: np.ndarray):
+        u, s, v = svd_desc(xs.reshape(len(xs), self.m, self.n))
+        return s, list(zip(u, v))
 
     def rebuild(self, q, frame) -> np.ndarray:
         """u diag(q) v^T, with q clipped at zero: the target's roundoff below
@@ -98,7 +100,7 @@ def rotation_instance() -> FtvnInstance:
         dim_v=2,
         dim_w=2,
         image_contains=lambda q, tol: q.size == 2,
-        decompose=lambda x: (_ROT @ x, _ROT),
+        decompose=lambda x: on_rows(lambda xs: (xs @ _ROT.T, [_ROT] * len(xs)), x),
         rebuild=lambda q, frame: frame.T @ q,
     )
 

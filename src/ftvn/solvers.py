@@ -24,6 +24,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 import numpy as np
 
 from .core import FtvnError
+from .spectral_sets import OFFSET_LIMIT
 
 DYKSTRA_MAX_SWEEPS = 10_000
 DYKSTRA_TOL = 1e-10
@@ -370,12 +371,22 @@ def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
     "unknown"; no error is raised.
 
     Rows with tiny normals are scaled first (:func:`scale_tiny_rows`), so
-    that HiGHS keeps their entries.
+    that HiGHS keeps their entries.  ValueError when the scaling carries an
+    offset to OFFSET_LIMIT or past: HiGHS would read it as infinite and drop
+    the row, and the LP could come out unbounded over a bounded set.
     """
     c = np.asarray(c, dtype=float)
     sign = -1.0 if maximize else 1.0
-    a_ub, b_ub = scale_tiny_rows(np.atleast_2d(np.asarray(a_ub, dtype=float)),
-                                 np.asarray(b_ub, dtype=float))
+    a_in = np.atleast_2d(np.asarray(a_ub, dtype=float))
+    b_in = np.asarray(b_ub, dtype=float)
+    a_ub, b_ub = scale_tiny_rows(a_in, b_in)
+    if b_ub is not b_in:
+        past = np.flatnonzero((np.abs(b_ub) >= OFFSET_LIMIT) & (b_ub != b_in))
+        if past.size:
+            i = past[0]
+            raise ValueError(f"LP row {i} is past the LP solver's limits: scaled so that its "
+                             f"largest normal entry ({np.abs(a_in[i]).max():g}) lies in "
+                             f"[1, 2), its offset {b_in[i]:g} reaches {OFFSET_LIMIT:g} in size")
     res = _highs(sign * c, a_ub, b_ub, method="highs-ds")
     status = _LP_STATUS.get(res.status)
     nit = res.nit

@@ -29,7 +29,8 @@ class FiniteSet:
 # The LP solver's (HiGHS's) limits: it reads an offset or a cost of this size
 # or more as infinite and refuses a model with a normal entry of this size or
 # more.  The engine refuses an LP cost (lam(c), plus phi's linear part) past
-# COST_LIMIT before the LP.
+# COST_LIMIT before the LP, and ``solve_lp`` a row whose tiny-row scaling
+# carries its offset to OFFSET_LIMIT.
 OFFSET_LIMIT = 1e20
 NORMAL_ENTRY_LIMIT = 1e15
 COST_LIMIT = 1e20

@@ -178,9 +178,9 @@ def test_axiom_suite_records_seed(rn3):
 
 
 def test_axiom_suite_lam_calls(monkeypatch):
-    # per sample one decomposition of x, whose lam and frame serve A1, A2 and
-    # the A3 witness, then lam(alpha x), lam(-x) and lam(witness): 4 kernel
-    # calls and 3 lam calls
+    # one kernel call per batch: the samples, whose lam and frames serve A1,
+    # A2 and the A3 witnesses, then alpha x, -x and the witnesses.  On an
+    # instance with the hooks the lam field is never called
     cases = [("sym:4", "ftvn.eja.eigh_desc"), ("svd:4x3", "ftvn.nds.svd_desc"),
              ("product:rn:3+sym:3", "ftvn.eja.eigh_desc")]
     for name, kernel in cases:
@@ -202,9 +202,67 @@ def test_axiom_suite_lam_calls(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(kernel, counting_kernel)
             rep = axiom_suite(dataclasses.replace(inst, lam=counting), seed=9, n_samples=25)
-        assert len(lam_calls) == 3 * 25, name
-        assert len(kernel_calls) == 4 * 25, name
+        assert len(lam_calls) == 0, name
+        assert len(kernel_calls) == 4, name
         assert rep == expected, name
+
+
+def test_decompose_hook_calls_per_batch():
+    # a 100-sample suite decomposes four stacks of 100 rows (one call per
+    # sample and batch would be 400), and an orbit sample one stack
+    inst = get_instance("svd:4x3")
+    calls = []
+
+    def counting(x):
+        calls.append(np.shape(x))
+        return inst.decompose(x)
+
+    counted = dataclasses.replace(inst, decompose=counting)
+    assert axiom_suite(counted, seed=4, n_samples=100) == axiom_suite(inst, seed=4, n_samples=100)
+    assert calls == [(100, 12)] * 4
+    calls.clear()
+    q = np.array([3.0, 2.0, 0.5])
+    pts = counted.sample_orbit(q, np.random.default_rng(6), 64)
+    assert calls == [(64, 12)]
+    np.testing.assert_array_equal(pts, inst.sample_orbit(q, np.random.default_rng(6), 64))
+
+
+def test_axiom_suite_lam_per_row_without_hooks():
+    # z-counterexample has no decomposition: one lam call per row of each batch
+    inst = get_instance("z-counterexample")
+    calls = []
+
+    def counting(x):
+        calls.append(np.shape(x))
+        return inst.lam(x)
+
+    rep = axiom_suite(dataclasses.replace(inst, lam=counting), seed=2, n_samples=20)
+    assert rep == axiom_suite(inst, seed=2, n_samples=20)
+    assert calls == [(3,)] * (4 * 20)
+
+
+HOOK_INSTANCES = ["rn:4", "sym:3", "spin:3", "product:rn:2+sym:2+spin:2", "svd:3x2",
+                  "svd:2x3", "rot90", "hyp:prod:3", "hyp:detsym:3"]
+
+
+@pytest.mark.parametrize("name", HOOK_INSTANCES)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_stacked_decompose_matches_single_calls(name, data):
+    # row i of a stacked decomposition is the decomposition of row i alone,
+    # bit for bit: its eigenvalues, and a target rebuilt on its frame
+    inst = get_instance(name)
+    k = data.draw(st.integers(1, 6), label="k")
+    xs = data.draw(arrays(np.float64, (k, inst.dim_v), elements=st.floats(-1e3, 1e3)),
+                   label="xs")
+    xs = np.array([inst.project_element(x) for x in xs])
+    eigs, frames = inst.decompose(xs)
+    assert eigs.shape == (k, inst.dim_w) and len(frames) == k
+    singles = [inst.decompose(x) for x in xs]
+    for i, (e, frame) in enumerate(singles):
+        assert eigs[i].tobytes() == e.tobytes(), i
+        q = singles[(i + 1) % k][0]
+        assert inst.rebuild(q, frames[i]).tobytes() == inst.rebuild(q, frame).tobytes(), i
 
 
 def test_element_types_immutable(rn2):

@@ -347,6 +347,20 @@ def test_convex_descent_falls_through_infinite_starts(rn2, monkeypatch):
     assert rep.optimal_value == math.inf and not rep.attained and not rep.infeasible
 
 
+@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: reduce._solve_polyhedron's descent "
+                   "route reports a finite value for a convex problem that is unbounded below")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_convex_descent_unbounded_below(rn2):
+    # min <lam~(c), q> - log q1 - log q2 over q2 >= 0.1 with c = (-1, -1): the
+    # linear part falls without bound along q1 = q2 -> inf, faster than the
+    # logs rise, so the infimum is -inf and no point attains it.  The Newton
+    # descent reports about -2.2e180 as converged instead
+    half = OrderedPolyhedron(halfspaces=(((0.0, -1.0), -0.1),))
+    rep = reduce_solve_linear(rn2, np.array([-1.0, -1.0]), half, phi=neg_logdet_fn(),
+                              sense="min")
+    assert rep.optimal_value == -math.inf and not rep.attained
+
+
 def test_nonconvex_descent_runs_all_starts(rn2):
     # optima inside the box on rn:2, on the interval's end on rn:1, and at the
     # box's corner q1 = q2 = 2 on rn:2, where the ordering row meets a bound

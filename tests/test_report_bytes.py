@@ -136,12 +136,18 @@ PINNED_AXIOMS = {
     "product:rn:3+sym:3": "2376fbdad5c8de2607944ae55e451f1c764cbc60595b82c71a92d89c7e1b5663",
     "svd:4x3": "32482ef80535f1110b51e11244f0066d8e4bc62bfcc244abc1fd922d68edc94c",
     "hyp:detsym:3": "5c2d564a06d0865cd606f49240b5f9b730a760224eedcfefc316659d38bae032",
+    "rn:4": "0aca38c439ea35cf31be0e22cd469bdd7d823da997eff143b10e4f296bdeb2ef",
+    "rot90": "c9ca1642062ebb4b7b5675ee84ae674f9c84d52090d9426380e59b735be558b3",
+    "hyp:prod:3": "51fe17f41866891634a25f5e8cc93dac038bed47bb7a4a76ed2bf6b81ed7a55a",
+    # fails A3 by design: its witness is the best point of a finite set
+    "z-counterexample": "560a042bf67079c88573fb81f91c5d662d70e3e20eca97aaeb01065281c3b7b9",
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_AXIOMS))
 def test_axiom_report_bytes_are_pinned(name):
-    rep = axiom_suite(get_instance(name), seed=3, n_samples=50)
-    assert rep.passed
+    inst = get_instance(name)
+    rep = axiom_suite(inst, seed=3, n_samples=50)
+    assert rep.passed == inst.witness_is_exact
     text = canonical_dumps(axiom_report_json(rep))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_AXIOMS[name]

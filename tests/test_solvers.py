@@ -7,7 +7,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import OptimizeResult, linprog, minimize
 
 import ftvn.solvers
-from ftvn import FtvnError
+from ftvn import FtvnError, get_instance
+from ftvn.reduce import reduce_solve_linear
 from ftvn.solvers import (dykstra_project, ordered_polyhedron_projectors,
                           pav_decreasing, project_halfspace, project_polyhedron,
                           projected_descent, scale_tiny_rows, simplex_weight_grid, solve_lp,
@@ -229,6 +230,22 @@ def test_scale_tiny_rows_is_exact():
         assert np.array_equal(a2[i], a[i]) and b2[i] == b[i]
     rows = a[[1, 2, 5]], b[[1, 2, 5]]
     assert all(x is y for x, y in zip(scale_tiny_rows(*rows), rows))
+
+
+def test_tiny_row_past_offset_limit_is_refused():
+    # max q over {1e-9 q <= 1e12}: the maximum is 1e21, but the row scaled to
+    # a unit normal has an offset past 1e20, which HiGHS reads as infinite,
+    # so the LP would come out unbounded.  It is refused instead, in one line
+    with pytest.raises(ValueError, match="LP row 0 is past the LP solver's limits") as exc:
+        solve_lp(np.array([1.0]), np.array([[1e-9]]), np.array([1e12]), maximize=True)
+    assert "\n" not in str(exc.value)
+    # one decade lower the scaled offset stays inside the range
+    res = solve_lp(np.array([1.0]), np.array([[1e-9]]), np.array([1e10]), maximize=True)
+    assert res.status == "optimal" and res.value == pytest.approx(1e19, rel=1e-12)
+    # the same set through the engine, on rn:1: an error, never "unbounded"
+    set_spec = OrderedPolyhedron(halfspaces=(((1e-9,), 1e12),))
+    with pytest.raises(ValueError, match="past the LP solver's limits"):
+        reduce_solve_linear(get_instance("rn:1"), np.array([1.0]), set_spec, sense="max")
 
 
 def test_lp_model_highs_refuses_raises():
