@@ -27,6 +27,7 @@ from .serialize import (SCHEMA, axiom_report_json, canonical_dumps,
                         element_from_json, farr, fnum, objective_from_json,
                         problem_from_json, set_spec_for, solve_report_json,
                         vi_report_json)
+from .spectral_sets import OrderedPolyhedron
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,7 +55,10 @@ def _emit(doc: dict, out_path) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object at the top level")
+    return doc
 
 
 def _cmd_check(args) -> int:
@@ -132,6 +136,9 @@ def _cmd_hausdorff(args) -> int:
     inst = get_instance(obj["instance"])
     spec_e = set_spec_for(inst, obj["e"])
     spec_f = set_spec_for(inst, obj["f"])
+    if isinstance(spec_e, OrderedPolyhedron) or isinstance(spec_f, OrderedPolyhedron):
+        raise ValueError("hausdorff takes finite, orbit and grid sets, whose images are "
+                         "finite lists, not a polyhedron")
     try:
         value = hausdorff_spectral(inst, spec_e, spec_f)
     except ValueError as exc:

@@ -502,6 +502,8 @@ def register_instance(head: str, factory: Callable[[str], FtvnInstance]) -> None
 
 
 def get_instance(name: str) -> FtvnInstance:
+    if not isinstance(name, str):
+        raise ValueError(f"an instance name is a string, not {type(name).__name__}")
     head, _, args = name.partition(":")
     if head not in _REGISTRY:
         raise KeyError(f"unknown instance {name!r}; known: {', '.join(sorted(_REGISTRY))}")

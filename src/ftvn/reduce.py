@@ -2,11 +2,10 @@
 
 Optimizing L(f, Phi) over a spectral set E = lam^-1(Q) in V is equivalent to
 optimizing L(f-image, phi) over lam(E) in W, provided L is strictly increasing
-in its first argument.  This module builds the W-side problem, dispatches it
-to an appropriate solver (exhaustive scan, HiGHS dual-simplex LP, exact
-projection, projected multistart descent, grid scan), lifts the W-side
-optimizer back to V through the instance's A3 witness, and certifies the lift
-by a commutation check:
+in its first argument.  This module builds the W-side problem, solves it by
+the first route of ``_ROUTES`` that applies (scan, HiGHS LP, exact projection
+or projected multistart descent), lifts the W-side optimizer back to V through
+the instance's A3 witness, and certifies the lift by a commutation check:
 
 * linear objective:   sup attains commuting with c, inf with -c;
 * distance objective: the directions swap (inf with c, sup with -c);
@@ -94,19 +93,6 @@ class SolveReport:
     solver_trace: dict
 
 
-def _no_optimizer_report(sense: str, value: float, trace: dict,
-                         infeasible: bool = False) -> SolveReport:
-    return SolveReport(sense=sense, optimal_value=value, optimizer_w=None,
-                       optimizer_v=None, commutation=None, commutes_with=None,
-                       attained=False, infeasible=infeasible, reduction_gap=math.nan,
-                       solver_trace=trace)
-
-
-def _infeasible_report(sense: str, trace: dict) -> SolveReport:
-    return _no_optimizer_report(sense, -math.inf if sense == "max" else math.inf,
-                                trace, infeasible=True)
-
-
 class _Piece(NamedTuple):
     """One affine piece t(q) = <w, q> + alpha on the W side, and its lift:
     the direction d, lam(d) and d's frame, decomposed once per solve."""
@@ -119,7 +105,9 @@ class _Piece(NamedTuple):
 
 
 class _WSide:
-    """The W-side scalar t(q), its lift rule, and the commutation direction.
+    """One solve on the W side: the problem, the scalar t(q), its lift rule,
+    the commutation direction and the report.  ``sign`` is 1 at sense max and
+    -1 at sense min.
 
     A linear sup over E is the sup of <lam(c), q> over lam(E), and a
     max-affine sup is the largest of such linear sups, one per piece; so
@@ -128,10 +116,13 @@ class _WSide:
     lift are the orbit minimum.
     """
 
-    def __init__(self, inst: FtvnInstance, objective: Objective, sense: str,
-                 tol: float, seed: int):
-        self.inst = inst
-        self.tol = tol
+    def __init__(self, inst: FtvnInstance, objective: Objective, spec: SpectralSetSpec,
+                 phi: SpectralFunctionSpec, combiner: Combiner, sense: str, tol: float,
+                 seed: int):
+        self.inst, self.objective, self.spec = inst, objective, spec
+        self.phi, self.combiner, self.sense = phi, combiner, sense
+        self.sign = 1.0 if sense == "max" else -1.0
+        self.tol, self.seed = tol, seed
         self.pieces: list[_Piece] = []
         self.t_grad = None
         self.commutes_with = None
@@ -147,7 +138,7 @@ class _WSide:
             lifts = [(c, a, True) for c, a in objective.pieces]
             self.commutes_with = "active piece"
         else:
-            toward_c = (sense == "max") == isinstance(objective, LinearObjective)
+            toward_c = (self.sign > 0) == isinstance(objective, LinearObjective)
             lifts = [(objective.c if toward_c else -objective.c, 0.0, toward_c)]
             self.commutes_with = "c" if toward_c else "-c"
         for d, alpha, toward in lifts:
@@ -184,6 +175,36 @@ class _WSide:
         p = self.pieces[int(np.argmax(self._piece_values(q)))]
         x = inst.witness_on(p.d, q, p.frame)
         return x, commute_check(inst, x, p.d, self.tol, lam_y=p.lam_d)
+
+    def probe(self, q: np.ndarray) -> None:
+        # the combiner's monotonicity contract, checked on the t-range near q
+        t0, s0 = self.t(q), self.phi(q)
+        span = 1.0 + abs(t0)
+        probe_monotone(self.combiner, t0 - 0.5 * span, t0 + 0.5 * span,
+                       [s0] if math.isfinite(s0) else [0.0])
+
+    def report(self, trace: dict, value: float, q: Optional[np.ndarray] = None,
+               attained: bool = False, infeasible: bool = False) -> SolveReport:
+        # value at q, lifted and certified; without q there is no optimizer
+        optimizer_v = cert = None
+        gap = math.nan
+        if q is not None:
+            try:
+                optimizer_v, cert = self.lift(q)
+            except WitnessError:
+                if self.inst.witness_is_exact:
+                    raise
+        if optimizer_v is not None:
+            t_v = self.objective.value_v(self.inst, optimizer_v)
+            s_v = self.phi(self.inst.lam(optimizer_v) if cert is None else cert.lam_x)
+            if math.isfinite(t_v) and math.isfinite(s_v) and math.isfinite(value):
+                gap = abs(self.combiner.fn(t_v, s_v) - value)
+        return SolveReport(sense=self.sense, optimal_value=float(value),
+                           optimizer_w=None if q is None else np.asarray(q, dtype=float),
+                           optimizer_v=optimizer_v, commutation=cert,
+                           commutes_with=self.commutes_with if cert is not None else None,
+                           attained=attained, infeasible=infeasible,
+                           reduction_gap=gap, solver_trace=trace)
 
 
 # orbit_min's heuristic search: Nelder-Mead starts, and iterations per start
@@ -256,111 +277,123 @@ def reduce_solve(inst: FtvnInstance, objective: Objective, set_spec: SpectralSet
                   else [objective.c])
     for c in directions:
         check_element_space(inst, c)
-    ws = _WSide(inst, objective, sense, tol, seed)
-    L = combiner.fn
-
-    def F(q: np.ndarray) -> float:
-        return L(ws.t(q), phi(q))
-
-    if isinstance(set_spec, (FiniteSet, OrbitOf, GridOracle)):
-        cands = image_candidates(set_spec, inst, tol=max(tol, 1e-9))
-        method = {"FiniteSet": "exhaustive", "OrbitOf": "orbit_closed_form",
-                  "GridOracle": "grid_scan"}[type(set_spec).__name__]
-        trace = {"method": method, "candidates": int(cands.shape[0])}
-        if cands.shape[0] == 0:
-            return _infeasible_report(sense, trace)
-        t_vals = [ws.t(qq) for qq in cands]
-        s_vals = [phi(qq) for qq in cands]
-        f_vals = [L(t, s) if math.isfinite(t) and math.isfinite(s)
-                  else (-math.inf if sense == "max" else math.inf)
-                  for t, s in zip(t_vals, s_vals)]
-        probe_monotone(combiner, min(t_vals), max(t_vals),
-                       sorted(set(round(s, 12) for s in s_vals if math.isfinite(s)))[:5])
-        i = int(np.argmax(f_vals)) if sense == "max" else int(np.argmin(f_vals))
-        q_star = cands[i]
-        value = f_vals[i]
-        attained = not isinstance(set_spec, GridOracle)
-        return _finish(inst, objective, ws, q_star, value, attained, trace, phi, L, sense)
-
-    if isinstance(set_spec, OrderedPolyhedron):
-        return _solve_polyhedron(inst, objective, set_spec, phi, combiner, sense,
-                                 tol, seed, ws, F)
+    ws = _WSide(inst, objective, set_spec, phi, combiner, sense, tol, seed)
+    for label, applies, solve in _ROUTES:
+        if applies(ws):
+            return solve(ws, label)
     raise TypeError(f"unsupported spectral set spec {type(set_spec).__name__}")
 
 
-def _solve_polyhedron(inst, objective, spec, phi, combiner, sense, tol, seed, ws, F):
-    a_ub, b_ub = spec.rows()
-    n = spec.dim
-    affine = phi.affine_parts(n)
+def _scan(ws: _WSide, label: str) -> SolveReport:
+    # every candidate of an enumerable image; a grid scan is a heuristic
+    cands = image_candidates(ws.spec, ws.inst, tol=max(ws.tol, 1e-9))
+    trace = {"method": label, "candidates": int(cands.shape[0])}
+    if cands.shape[0] == 0:
+        return ws.report(trace, -ws.sign * math.inf, infeasible=True)
+    t_vals = [ws.t(qq) for qq in cands]
+    s_vals = [ws.phi(qq) for qq in cands]
+    f_vals = [ws.combiner.fn(t, s) if math.isfinite(t) and math.isfinite(s)
+              else -ws.sign * math.inf for t, s in zip(t_vals, s_vals)]
+    probe_monotone(ws.combiner, min(t_vals), max(t_vals),
+                   sorted(set(round(s, 12) for s in s_vals if math.isfinite(s)))[:5])
+    i = int(np.argmax(ws.sign * np.array(f_vals)))
+    return ws.report(trace, f_vals[i], cands[i], not isinstance(ws.spec, GridOracle))
 
-    # a linear objective is one affine piece; a max-affine sup takes the best
-    # piece, and infeasibility belongs to the set, so the first LP settles it
-    if (combiner.kind == "sum" and affine is not None and ws.pieces
-            and not isinstance(objective, DistanceObjective)):
-        coeffs, const = affine
-        costs = [p.w + coeffs for p in ws.pieces]
-        for cost in costs:
-            if not np.all(np.abs(cost) < COST_LIMIT):
-                raise ValueError(f"the LP cost lam(c) is past the LP solver's limit: each "
-                                 f"entry must be below {COST_LIMIT:g} in size")
-        trace = {"method": "lp_per_piece" if isinstance(objective, MaxAffineObjective)
-                 else "lp_simplex", "iterations": 0}
-        best = None
-        for p, cost in zip(ws.pieces, costs):
-            lp = solve_lp(cost, a_ub, b_ub, maximize=(sense == "max"))
-            trace["iterations"] += lp.iterations
-            if lp.status == "infeasible":
-                return _infeasible_report(sense, trace)
-            if lp.status == "unbounded":
-                return _no_optimizer_report(sense, math.inf if sense == "max" else -math.inf,
-                                            trace)
-            cand = lp.value + p.alpha + const
-            if best is None or (cand > best[0] if sense == "max" else cand < best[0]):
-                best = (cand, lp.x)
-        _probe_around(combiner, ws, phi, best[1], a_ub, b_ub)
-        return _finish(inst, objective, ws, best[1], best[0], True, trace, phi,
-                       combiner.fn, sense)
 
-    # a certified projection shows the set nonempty; only without one does an LP decide
-    distance = (combiner.kind == "sum" and phi.kind == "zero"
-                and isinstance(objective, DistanceObjective) and sense == "min")
-    q0, certified = project_polyhedron(ws.pieces[0].w if distance else np.zeros(n), a_ub, b_ub)
-    if not certified:
-        empty, trace = _phase1_empty(a_ub, b_ub, tol, q0)
-        if empty:
-            return _infeasible_report(sense, trace)
-        if q0 is None:
-            raise FtvnError("no projection onto a nonempty polyhedron")
+def _lp(ws: _WSide, label: str) -> SolveReport:
+    # one LP per piece, the best kept; infeasibility belongs to the set, so
+    # the first LP settles it
+    a_ub, b_ub = ws.spec.rows()
+    coeffs, const = ws.phi.affine_parts(ws.spec.dim)
+    costs = [p.w + coeffs for p in ws.pieces]
+    if not all(np.all(np.abs(cost) < COST_LIMIT) for cost in costs):
+        raise ValueError(f"the LP cost lam(c) is past the LP solver's limit: each "
+                         f"entry must be below {COST_LIMIT:g} in size")
+    trace = {"method": label, "iterations": 0}
+    best = None
+    for p, cost in zip(ws.pieces, costs):
+        lp = solve_lp(cost, a_ub, b_ub, maximize=ws.sign > 0)
+        trace["iterations"] += lp.iterations
+        if lp.status == "infeasible":
+            return ws.report(trace, -ws.sign * math.inf, infeasible=True)
+        if lp.status == "unbounded":
+            return ws.report(trace, ws.sign * math.inf)
+        cand = lp.value + p.alpha + const
+        if best is None or ws.sign * cand > ws.sign * best[0]:
+            best = (cand, lp.x)
+    ws.probe(best[1])
+    return ws.report(trace, best[0], best[1], attained=True)
 
-    if distance:
-        # the route label the benchmark counts; the projection is exact
-        _probe_around(combiner, ws, phi, q0, a_ub, b_ub)
-        return _finish(inst, objective, ws, q0, ws.t(q0), certified,
-                       {"method": "dykstra_projection"}, phi, combiner.fn, sense)
 
-    # general path: projected multistart descent (heuristic; attainment unknown).
-    # Minimizing t + phi with t linear or a distance and phi convex is a convex
-    # problem over the convex set lam(E): every local minimum is global, so the
-    # first start that converges to a finite value settles it.
-    convex = (combiner.kind == "sum" and phi.convex and sense == "min"
-              and isinstance(objective, (LinearObjective, DistanceObjective)))
-    rng = np.random.default_rng(seed)
+def _project(ws: _WSide, target: np.ndarray, a_ub, b_ub):
+    """The projection q0 of target onto {q : a_ub q <= b_ub}, whether it is
+    certified, and the trace of a phase-1 LP that finds the set empty, or None.
+
+    Only an uncertified projection leaves emptiness to the LP: min s over
+    a q - s <= b, s >= 0, with the rows scaled to unit normals, is feasible
+    and bounded for every input, so its optimum s*, the least uniform
+    violation, always exists.  The set is empty when s* > tol (1 + max|b|).
+    If HiGHS decides the LP by neither method, the violation at q0 bounds s*
+    from above, and the trace says the verdict is undecided.
+    """
+    q0, certified = project_polyhedron(target, a_ub, b_ub)
+    if certified:
+        return q0, True, None
+    a, b = unit_rows(a_ub, b_ub)
+    m, n = a.shape
+    a1 = np.block([[a, -np.ones((m, 1))], [np.zeros((1, n)), -np.ones((1, 1))]])
+    lp = solve_lp(np.append(np.zeros(n), 1.0), a1, np.append(b, 0.0), bounded=True)
+    trace = {"method": "lp_phase1", "iterations": lp.iterations}
+    if lp.status == "optimal":
+        s_star = lp.value
+    else:
+        trace["decided"] = False
+        s_star = math.inf if q0 is None else float(np.max(a @ q0 - b, initial=0.0))
+    if s_star > ws.tol * (1.0 + float(np.max(np.abs(b), initial=0.0))):
+        return q0, False, trace
+    if q0 is None:
+        raise FtvnError("no projection onto a nonempty polyhedron")
+    return q0, False, None
+
+
+def _nearest(ws: _WSide, label: str) -> SolveReport:
+    # the distance to c is least at the projection of w = lam(c): exact once certified
+    q0, certified, empty = _project(ws, ws.pieces[0].w, *ws.spec.rows())
+    if empty:
+        return ws.report(empty, -ws.sign * math.inf, infeasible=True)
+    ws.probe(q0)
+    return ws.report({"method": label}, ws.t(q0), q0, certified)
+
+
+def _descend(ws: _WSide, label: str) -> SolveReport:
+    """Projected multistart descent from the projection of 0, a heuristic, so
+    never attained.  Minimizing t + phi with t linear or a distance and phi
+    convex is a convex problem over the convex set lam(E): every local
+    minimum is global, so the first start that converges to a finite value
+    settles it."""
+    a_ub, b_ub = ws.spec.rows()
+    n = ws.spec.dim
+    q0, _, empty = _project(ws, np.zeros(n), a_ub, b_ub)
+    if empty:
+        return ws.report(empty, -ws.sign * math.inf, infeasible=True)
+    convex = (ws.combiner.kind == "sum" and ws.phi.convex and ws.sign < 0
+              and isinstance(ws.objective, (LinearObjective, DistanceObjective)))
+    rng = np.random.default_rng(ws.seed)
     spread = 1.0 + float(np.linalg.norm(q0))
     starts = [q0] + [q0 + spread * rng.standard_normal(n) for _ in range(31)]
-    sign = -1.0 if sense == "max" else 1.0
 
-    def F_signed(q):
+    def F_down(q):
         # phi = +inf at sense max is a supremum of +inf, the best value there
-        v = F(q)
-        return math.inf if math.isnan(v) else sign * v
+        v = ws.combiner.fn(ws.t(q), ws.phi(q))
+        return math.inf if math.isnan(v) else -ws.sign * v
 
     grad = hess = None
-    if combiner.kind == "sum" and ws.t_grad is not None and phi.grad is not None:
+    if ws.combiner.kind == "sum" and ws.t_grad is not None and ws.phi.grad is not None:
         def grad(q):
-            return sign * (ws.t_grad(q) + phi.grad(q))
+            return -ws.sign * (ws.t_grad(q) + ws.phi.grad(q))
         # a linear t adds nothing to phi's Hessian
-        if convex and isinstance(objective, LinearObjective):
-            hess = phi.hess_diag
+        if convex and isinstance(ws.objective, LinearObjective):
+            hess = ws.phi.hess_diag
 
     def project(q, h=None):
         if h is None:
@@ -372,75 +405,40 @@ def _solve_polyhedron(inst, objective, spec, phi, combiner, sense, tol, seed, ws
         return y / r if certified else None
 
     pending = iter(starts)
-    result = projected_descent(F_signed, project, pending, first_finite=convex,
+    result = projected_descent(F_down, project, pending, first_finite=convex,
                                grad=grad, hess_diag=hess)
-    q_star, v_signed, iters = result
-    trace = {"method": "projected_descent", "iterations": iters,
+    q_star, v_down, iters = result
+    trace = {"method": label, "iterations": iters,
              "starts": len(starts) - sum(1 for _ in pending), "convex": convex,
              "step": "newton" if hess else "gradient" if grad else "fd",
              "converged": result.converged}
-    value = sign * v_signed
+    value = -ws.sign * v_down
     if not math.isfinite(value):
         # unbounded, or no start ended finite: no optimizer, as for an unbounded LP
-        return _no_optimizer_report(sense, value, trace)
-    _probe_around(combiner, ws, phi, q_star, a_ub, b_ub)
-    return _finish(inst, objective, ws, q_star, value, False, trace, phi,
-                   combiner.fn, sense)
+        return ws.report(trace, value)
+    ws.probe(q_star)
+    return ws.report(trace, value, q_star)
 
 
-def _phase1_empty(a_ub, b_ub, tol, q0) -> tuple[bool, dict]:
-    """Is {q : a_ub q <= b_ub} empty?  (verdict, trace)
-
-    The phase-1 LP min s over a q - s <= b, s >= 0, with the rows scaled to
-    unit normals, is feasible and bounded for every input, so its optimum s*,
-    the least uniform violation, always exists.  The set is empty when
-    s* > tol (1 + max|b|).  If HiGHS decides the LP by neither method, the
-    violation at the projector's point q0 bounds s* from above, and the
-    trace says the verdict is undecided.
-    """
-    a, b = unit_rows(a_ub, b_ub)
-    m, n = a.shape
-    a1 = np.block([[a, -np.ones((m, 1))], [np.zeros((1, n)), -np.ones((1, 1))]])
-    lp = solve_lp(np.append(np.zeros(n), 1.0), a1, np.append(b, 0.0), bounded=True)
-    trace = {"method": "lp_phase1", "iterations": lp.iterations}
-    if lp.status == "optimal":
-        s_star = lp.value
-    else:
-        trace["decided"] = False
-        s_star = math.inf if q0 is None else float(np.max(a @ q0 - b, initial=0.0))
-    return s_star > tol * (1.0 + float(np.max(np.abs(b), initial=0.0))), trace
+def _summed(ws: _WSide) -> bool:
+    return isinstance(ws.spec, OrderedPolyhedron) and ws.combiner.kind == "sum"
 
 
-def _probe_around(combiner, ws, phi, q_star, a_ub, b_ub):
-    # monotonicity contract check on the t-range seen near the optimum
-    t0 = ws.t(q_star)
-    s0 = phi(q_star)
-    span = 1.0 + abs(t0)
-    s_vals = [s0] if math.isfinite(s0) else [0.0]
-    probe_monotone(combiner, t0 - 0.5 * span, t0 + 0.5 * span, s_vals)
-
-
-def _finish(inst, objective, ws, q_star, value, attained, trace, phi, L, sense) -> SolveReport:
-    optimizer_v = None
-    cert = None
-    gap = math.nan
-    try:
-        optimizer_v, cert = ws.lift(q_star)
-    except WitnessError:
-        if inst.witness_is_exact:
-            raise
-        optimizer_v, cert = None, None
-    if optimizer_v is not None:
-        t_v = objective.value_v(inst, optimizer_v)
-        s_v = phi(inst.lam(optimizer_v) if cert is None else cert.lam_x)
-        if math.isfinite(t_v) and math.isfinite(s_v) and math.isfinite(value):
-            gap = abs(L(t_v, s_v) - value)
-    return SolveReport(sense=sense, optimal_value=float(value),
-                       optimizer_w=np.asarray(q_star, dtype=float),
-                       optimizer_v=optimizer_v, commutation=cert,
-                       commutes_with=ws.commutes_with if cert is not None else None,
-                       attained=attained, infeasible=False,
-                       reduction_gap=gap, solver_trace=trace)
+# (label, applies, solve): a solve takes the first route that applies, and
+# its label is the report's solver_trace method
+_ROUTES = (
+    ("exhaustive", lambda ws: isinstance(ws.spec, FiniteSet), _scan),
+    ("orbit_closed_form", lambda ws: isinstance(ws.spec, OrbitOf), _scan),
+    ("grid_scan", lambda ws: isinstance(ws.spec, GridOracle), _scan),
+    ("lp_per_piece", lambda ws: (_summed(ws) and ws.phi.affine is not None and ws.sign > 0
+                                 and isinstance(ws.objective, MaxAffineObjective)), _lp),
+    ("lp_simplex", lambda ws: (_summed(ws) and ws.phi.affine is not None
+                               and isinstance(ws.objective, LinearObjective)), _lp),
+    ("dykstra_projection", lambda ws: (_summed(ws) and ws.phi.kind == "zero" and ws.sign < 0
+                                       and isinstance(ws.objective, DistanceObjective)),
+     _nearest),
+    ("projected_descent", lambda ws: isinstance(ws.spec, OrderedPolyhedron), _descend),
+)
 
 
 # ---------------------------------------------------------------------------

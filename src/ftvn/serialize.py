@@ -44,6 +44,42 @@ def canonical_dumps(obj: Any) -> str:
 
 
 # ---------------------------------------------------------------------------
+# JSON types of input fields
+
+_NUMBER = (int, float)
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", _NUMBER: "a number",
+               int: "a number", float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _typed(value, kind, field: str):
+    """value, when it has the JSON type `kind`; otherwise a usage error
+    (ValueError) that names the field.  A boolean is no number."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ValueError(f"{field}: expected {_JSON_TYPES[kind]}, got {got}")
+    return value
+
+
+def _number(value, field: str) -> float:
+    if not math.isfinite(_typed(value, _NUMBER, field)):
+        raise ValueError(f"{field}: expected a finite number, got {value}")
+    return float(value)
+
+
+# Every number of a finite set's point, a grid or a table, and every
+# max_affine alpha, is below this in size: a product of three such numbers,
+# summed over thousands of terms, stays finite.  Elements are bounded only
+# where an LP reads them, by COST_LIMIT.
+_SIZE_LIMIT = 1e100
+
+
+def _check_size(values, what: str) -> None:
+    if not np.all(np.abs(values) < _SIZE_LIMIT):
+        raise ValueError(f"{what} has a non-finite entry or one of {_SIZE_LIMIT:g} "
+                         f"or more in size")
+
+
+# ---------------------------------------------------------------------------
 # elements
 
 def _checked_element(inst: FtvnInstance, coords) -> np.ndarray:
@@ -62,21 +98,23 @@ def _checked_element(inst: FtvnInstance, coords) -> np.ndarray:
 def element_from_json(inst: FtvnInstance, obj) -> np.ndarray:
     if isinstance(obj, (list, tuple)):
         return _checked_element(inst, obj)
-    kind = obj["kind"]
+    kind = _typed(obj, dict, "element")["kind"]
     if kind == "rn":
         coords = np.asarray(obj["data"], dtype=float)
     elif kind == "sym":
         coords = sym_coords(np.asarray(obj["data"], dtype=float))
     elif kind == "spin":
-        coords = np.concatenate([[float(obj["x0"])], np.asarray(obj["xbar"], dtype=float)])
+        coords = np.concatenate([[_number(obj["x0"], "spin element: x0")],
+                                 np.asarray(obj["xbar"], dtype=float)])
     elif kind == "rect":
         coords = np.asarray(obj["data"], dtype=float).ravel()
     elif kind == "product":
         alg = inst.backend
         if not isinstance(alg, JordanAlgebra) or alg.kind != "product":
             raise ValueError("product element for a non-product instance")
+        parts = _typed(obj["parts"], list, "product element: parts")
         coords = np.concatenate([element_from_json(part.instance, part_obj)
-                                 for part, part_obj in zip(alg.parts, obj["parts"])])
+                                 for part, part_obj in zip(alg.parts, parts)])
     else:
         raise KeyError(f"unknown element kind {kind!r}")
     return _checked_element(inst, coords)
@@ -115,30 +153,29 @@ def set_spec_for(inst: FtvnInstance, obj) -> Any:
     the instance's W-side dimension; an orbit's element is read on the
     instance itself.
 
-    A set of the wrong width or with a non-finite entry is a usage error
+    A set of the wrong width, with a non-finite entry, with an entry past
+    ``_SIZE_LIMIT`` or with a field of the wrong JSON type is a usage error
     (``ValueError`` naming the set), not an empty set or a solver failure.
     """
     n = inst.dim_w
-    kind = obj["kind"]
+    kind = _typed(obj, dict, "set")["kind"]
     if kind == "finite":
         points = np.atleast_2d(np.asarray(obj["points"], dtype=float))
         if points.size:
             if points.shape[1] != n:
                 raise ValueError(f"finite set: points have {points.shape[1]} "
                                  f"coordinates, expected {n}")
-            if not np.all(np.isfinite(points)):
-                raise ValueError("finite set: a point has a non-finite entry")
+            _check_size(points, "finite set: a point")
         return FiniteSet(points=points,
                          permutation_invariant=bool(obj.get("permutation_invariant", False)))
     if kind == "polyhedron":
-        hs = tuple((np.asarray(h["normal"], dtype=float), float(h["offset"]))
-                   for h in obj["halfspaces"])
+        hs = tuple((np.asarray(a, dtype=float), b)
+                   for a, b in _halfspaces(obj["halfspaces"], "polyhedron set"))
         for i, (normal, _) in enumerate(hs):
             if normal.shape != (n,):
                 raise ValueError(f"polyhedron set: halfspace {i} has a normal of "
                                  f"length {normal.size}, expected {n}")
-        if not (np.isfinite([a for a, _ in hs]).all()
-                and all(math.isfinite(b) for _, b in hs)):
+        if not np.isfinite([a for a, _ in hs]).all():
             raise ValueError("polyhedron set: a halfspace has a non-finite entry")
         return OrderedPolyhedron(halfspaces=hs)
     if kind == "orbit":
@@ -147,47 +184,56 @@ def set_spec_for(inst: FtvnInstance, obj) -> Any:
         box = np.asarray(obj["box"], dtype=float)
         if box.shape != (n, 2):
             raise ValueError(f"grid set: box has shape {box.shape}, expected ({n}, 2)")
-        if not np.all(np.isfinite(box)):
-            raise ValueError("grid set: the box has a non-finite entry")
-        member = obj["membership"]
+        _check_size(box, "grid set: the box")
+        member = _typed(obj["membership"], dict, "grid set: membership")
         if member["kind"] == "ball":
             center = _grid_vector("ball center", member["center"], n)
-            radius = float(member["radius"])
-            scalars = [radius]
+            radius = _number(member["radius"], "grid set: ball radius")
             fn = lambda q: bool(np.linalg.norm(q - center) <= radius)
         elif member["kind"] == "halfspaces":
-            hs = [(_grid_vector(f"halfspace {i} normal", h["normal"], n), float(h["offset"]))
-                  for i, h in enumerate(member["halfspaces"])]
-            scalars = [b for _, b in hs]
+            hs = [(_grid_vector(f"halfspace {i} normal", a, n), b)
+                  for i, (a, b) in enumerate(_halfspaces(member["halfspaces"], "grid set"))]
             fn = lambda q: all(float(np.dot(a, q)) <= b + 1e-12 for a, b in hs)
         else:
             raise KeyError(f"unknown grid membership {member['kind']!r}")
-        if not all(math.isfinite(b) for b in scalars):
-            raise ValueError("grid set: membership has a non-finite radius or offset")
-        return GridOracle(membership=fn, box=box, resolution=int(obj["resolution"]))
+        return GridOracle(membership=fn, box=box,
+                          resolution=int(_number(obj["resolution"], "grid set: resolution")))
     raise KeyError(f"unknown set kind {kind!r}")
+
+
+def _halfspaces(value, field: str) -> list[tuple[Any, float]]:
+    """(normal, offset) of each halfspace object in the array value."""
+    out = []
+    for i, h in enumerate(_typed(value, list, f"{field}: halfspaces")):
+        at = f"{field}: halfspace {i}"
+        out.append((_typed(h, dict, at)["normal"], _number(h["offset"], f"{at} offset")))
+    return out
 
 
 def _grid_vector(name: str, obj, n: int) -> np.ndarray:
     vec = np.asarray(obj, dtype=float)
     if vec.shape != (n,):
         raise ValueError(f"grid set: {name} has length {vec.size}, expected {n}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"grid set: {name} has a non-finite entry")
+    _check_size(vec, f"grid set: {name}")
     return vec
 
 
 def phi_from_json(obj) -> SpectralFunctionSpec:
     if obj is None:
         return ZERO_FN
-    kind = obj["kind"]
+    kind = _typed(obj, dict, "spectral_fn")["kind"]
     if kind == "zero":
         return ZERO_FN
     if kind == "neg_logdet":
         return neg_logdet_fn()
     if kind == "custom_table":
-        return table_fn(np.asarray(obj["points"], dtype=float),
-                        np.asarray(obj["values"], dtype=float))
+        points = np.atleast_2d(np.asarray(obj["points"], dtype=float))
+        values = np.asarray(obj["values"], dtype=float)
+        if values.shape != points.shape[:1]:
+            raise ValueError("custom_table spectral_fn: values must be numbers, one per point")
+        _check_size(points, "custom_table spectral_fn: a point")
+        _check_size(values, "custom_table spectral_fn: a value")
+        return table_fn(points, values)
     raise KeyError(f"unknown spectral_fn kind {kind!r}")
 
 
@@ -200,21 +246,28 @@ def combiner_from_json(name) -> Combiner:
 
 
 def objective_from_json(inst: FtvnInstance, obj):
-    kind = obj["kind"]
+    kind = _typed(obj, dict, "objective")["kind"]
     if kind == "linear":
         return LinearObjective(element_from_json(inst, obj["c"]))
     if kind == "distance":
         return DistanceObjective(element_from_json(inst, obj["c"]))
     if kind == "max_affine":
-        pieces = tuple((element_from_json(inst, p["c"]), float(p.get("alpha", 0.0)))
-                       for p in obj["pieces"])
-        return MaxAffineObjective(pieces)
+        pieces = []
+        for i, p in enumerate(_typed(obj["pieces"], list, "max_affine objective: pieces")):
+            at = f"max_affine objective: piece {i}"
+            alpha = _number(_typed(p, dict, at).get("alpha", 0.0), f"{at} alpha")
+            _check_size(alpha, f"{at} alpha")
+            pieces.append((element_from_json(inst, p["c"]), alpha))
+        return MaxAffineObjective(tuple(pieces))
     raise KeyError(f"unknown objective kind {kind!r}")
 
 
 def problem_from_json(obj: dict) -> dict:
     inst = get_instance(obj["instance"])
     spec = set_spec_for(inst, obj["set"])
+    tol = _number(obj.get("tol", 1e-8), "tol")
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tol: expected a number at least 0 and below 1, got {tol}")
     return {
         "inst": inst,
         "objective": objective_from_json(inst, obj["objective"]),
@@ -222,8 +275,8 @@ def problem_from_json(obj: dict) -> dict:
         "combiner": combiner_from_json(obj.get("combiner")),
         "set_spec": spec,
         "sense": obj.get("sense", "max"),
-        "tol": float(obj.get("tol", 1e-8)),
-        "seed": int(obj.get("seed", 0)),
+        "tol": tol,
+        "seed": int(_number(obj.get("seed", 0), "seed")),
     }
 
 

@@ -100,10 +100,10 @@ class GridOracle:
             raise ValueError("grid resolution must be at least 2")
 
     def grid_points(self) -> np.ndarray:
-        axes = [np.linspace(lo, hi, self.resolution) for lo, hi in self.box]
-        total = self.resolution ** len(axes)
-        if total > 2_000_000:
+        # the size is checked before any axis is built, which may be huge
+        if self.resolution ** len(self.box) > 2_000_000:
             raise ValueError("grid too large to scan")
+        axes = [np.linspace(lo, hi, self.resolution) for lo, hi in self.box]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 

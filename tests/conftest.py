@@ -1,4 +1,7 @@
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,18 @@ def sym3():
 @pytest.fixture(scope="session")
 def spin4():
     return get_instance("spin:4")
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """A module of the benchmark harness, loaded from its file as it is."""
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------

@@ -8,25 +8,14 @@ name against the code here.
 
 import dataclasses
 import importlib
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 
 from ftvn import get_instance
 from ftvn.solvers import ordered_polyhedron_projectors
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_perfbench
 
 
 def _resolve(module_name, attr):
@@ -34,7 +23,7 @@ def _resolve(module_name, attr):
 
 
 def test_traced_functions_resolve_and_return_work_counts():
-    spans = _load("spans")
+    spans = load_perfbench("spans")
     # the per-layer metrics also read the Dykstra sweep cap
     assert isinstance(_resolve("ftvn.solvers", "DYKSTRA_MAX_SWEEPS"), int)
     fns = {name: _resolve(module, attr)
@@ -67,8 +56,8 @@ def test_traced_functions_resolve_and_return_work_counts():
 
 
 def test_workload_instances_take_traced_fields():
-    spans = _load("spans")
-    workloads = _load("workloads")
+    spans = load_perfbench("spans")
+    workloads = load_perfbench("workloads")
     for _, _, names in workloads.WORKLOADS.values():
         for name in names:
             inst = get_instance(name)

@@ -10,14 +10,14 @@ import ftvn.solvers
 from ftvn import MonotonicityError, commute_check, get_instance, lambda_tilde
 from ftvn.eja import sort_desc, sym_coords
 from ftvn.reduce import (DistanceObjective, LinearObjective, MaxAffineObjective,
-                         _WSide, envelope_lower_affine, envelope_lower_exact,
+                         _ROUTES, _WSide, envelope_lower_affine, envelope_lower_exact,
                          envelope_upper, hausdorff_spectral, interval_image,
                          orbit_distance, orbit_linear, orbit_min, reduce_solve,
                          reduce_solve_distance, reduce_solve_linear)
 from ftvn.solvers import (dykstra_project, fd_gradient, ordered_polyhedron_projectors,
                           project_polyhedron, projected_descent, solve_lp)
 from ftvn.spectral_sets import (FiniteSet, GridOracle, OrbitOf,
-                                OrderedPolyhedron, PRODUCT, ZERO_FN,
+                                OrderedPolyhedron, PRODUCT, SUM, ZERO_FN,
                                 SpectralFunctionSpec, neg_logdet_fn, table_fn)
 
 from conftest import brute_orbit_rn
@@ -347,8 +347,8 @@ def test_convex_descent_falls_through_infinite_starts(rn2, monkeypatch):
     assert rep.optimal_value == math.inf and not rep.attained and not rep.infeasible
 
 
-@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: reduce._solve_polyhedron's descent "
-                   "route reports a finite value for a convex problem that is unbounded below")
+@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: reduce._descend (the projected_descent "
+                   "route) reports a finite value for a convex problem that is unbounded below")
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_convex_descent_unbounded_below(rn2):
     # min <lam~(c), q> - log q1 - log q2 over q2 >= 0.1 with c = (-1, -1): the
@@ -457,10 +457,10 @@ def test_derivative_hooks_match_finite_differences(sym3):
         c = sym_coords(m + m.T)
         for sense, w in (("max", sym3.lam(c)), ("min", lambda_tilde(sym3, c))):
             # at sense min the W vector is -lam(-c)
-            ws = _WSide(sym3, LinearObjective(c), sense, 1e-8, 0)
+            ws = _WSide(sym3, LinearObjective(c), None, ZERO_FN, SUM, sense, 1e-8, 0)
             np.testing.assert_allclose(ws.pieces[0].w, w, atol=1e-12)
             np.testing.assert_allclose(ws.t_grad(q), fd_gradient(ws.t, q, step), atol=1e-7)
-        ws = _WSide(sym3, DistanceObjective(c), "min", 1e-8, 0)
+        ws = _WSide(sym3, DistanceObjective(c), None, ZERO_FN, SUM, "min", 1e-8, 0)
         np.testing.assert_allclose(ws.t_grad(q), fd_gradient(ws.t, q, step), atol=1e-7)
 
     # non-finite wherever phi is, finite elsewhere
@@ -955,3 +955,96 @@ def test_phase1_undecided_by_highs_still_reports(rn2, monkeypatch):
     rep = reduce_solve_distance(rn2, np.array([3.0, -1.0]), BOX2, sense="min")
     assert not rep.infeasible
     np.testing.assert_allclose(rep.optimizer_w, [2.0, 0.0], atol=1e-12)
+
+
+# objective, phi, combiner, sense -> the route reduce_solve reports over a
+# finite, an orbit, a grid and a polyhedron set on rn:2.  "!M" and "!K" mark a
+# route whose solve raises MonotonicityError (a product is not increasing in t
+# where phi <= 0) or KeyError (the table phi lists only the finite points).
+ROUTE_PINS = """
+linear     zero       sum     max  exhaustive   orbit_closed_form   grid_scan   lp_simplex
+linear     zero       sum     min  exhaustive   orbit_closed_form   grid_scan   lp_simplex
+linear     zero       product max  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent!M
+linear     zero       product min  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent!M
+linear     neg_logdet sum     max  exhaustive   orbit_closed_form   grid_scan   projected_descent
+linear     neg_logdet sum     min  exhaustive   orbit_closed_form   grid_scan   projected_descent
+linear     neg_logdet product max  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent
+linear     neg_logdet product min  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent!M
+linear     affine     sum     max  exhaustive   orbit_closed_form   grid_scan   lp_simplex
+linear     affine     sum     min  exhaustive   orbit_closed_form   grid_scan   lp_simplex
+linear     affine     product max  exhaustive   orbit_closed_form   grid_scan   projected_descent
+linear     affine     product min  exhaustive   orbit_closed_form   grid_scan   projected_descent
+linear     table      sum     max  exhaustive   orbit_closed_form   grid_scan!K projected_descent!K
+linear     table      sum     min  exhaustive   orbit_closed_form   grid_scan!K projected_descent!K
+linear     table      product max  exhaustive   orbit_closed_form   grid_scan!K projected_descent!K
+linear     table      product min  exhaustive   orbit_closed_form   grid_scan!K projected_descent!K
+distance   zero       sum     max  exhaustive   orbit_closed_form   grid_scan   projected_descent
+distance   zero       sum     min  exhaustive   orbit_closed_form   grid_scan   dykstra_projection
+distance   zero       product max  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent!M
+distance   zero       product min  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent!M
+distance   neg_logdet sum     max  exhaustive   orbit_closed_form   grid_scan   projected_descent
+distance   neg_logdet sum     min  exhaustive   orbit_closed_form   grid_scan   projected_descent
+distance   neg_logdet product max  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent
+distance   neg_logdet product min  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent!M
+distance   affine     sum     max  exhaustive   orbit_closed_form   grid_scan   projected_descent
+distance   affine     sum     min  exhaustive   orbit_closed_form   grid_scan   projected_descent
+distance   affine     product max  exhaustive   orbit_closed_form   grid_scan   projected_descent
+distance   affine     product min  exhaustive   orbit_closed_form   grid_scan   projected_descent
+distance   table      sum     max  exhaustive   orbit_closed_form   grid_scan!K projected_descent!K
+distance   table      sum     min  exhaustive   orbit_closed_form   grid_scan!K projected_descent!K
+distance   table      product max  exhaustive   orbit_closed_form   grid_scan!K projected_descent!K
+distance   table      product min  exhaustive   orbit_closed_form   grid_scan!K projected_descent!K
+max_affine zero       sum     max  exhaustive   orbit_closed_form   grid_scan   lp_per_piece
+max_affine zero       sum     min  exhaustive   orbit_closed_form   grid_scan   projected_descent
+max_affine zero       product max  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent!M
+max_affine zero       product min  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent!M
+max_affine neg_logdet sum     max  exhaustive   orbit_closed_form   grid_scan   projected_descent
+max_affine neg_logdet sum     min  exhaustive   orbit_closed_form   grid_scan   projected_descent
+max_affine neg_logdet product max  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent
+max_affine neg_logdet product min  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent!M
+max_affine affine     sum     max  exhaustive   orbit_closed_form   grid_scan   lp_per_piece
+max_affine affine     sum     min  exhaustive   orbit_closed_form   grid_scan   projected_descent
+max_affine affine     product max  exhaustive   orbit_closed_form   grid_scan   projected_descent
+max_affine affine     product min  exhaustive   orbit_closed_form   grid_scan   projected_descent
+max_affine table      sum     max  exhaustive   orbit_closed_form   grid_scan!K projected_descent!K
+max_affine table      sum     min  exhaustive   orbit_closed_form   grid_scan!K projected_descent!K
+max_affine table      product max  exhaustive   orbit_closed_form   grid_scan!K projected_descent!K
+max_affine table      product min  exhaustive   orbit_closed_form   grid_scan!K projected_descent!K
+"""
+ROUTE_ERRORS = {"M": MonotonicityError, "K": KeyError}
+ROUTE_PTS = np.array([[2.0, 1.0], [1.5, 0.5], [3.0, 0.25]])
+ROUTE_OBJECTIVES = {"linear": LinearObjective(np.array([1.0, -0.5])),
+                    "distance": DistanceObjective(np.array([2.0, -1.0])),
+                    "max_affine": MaxAffineObjective(((np.array([1.0, -0.5]), 0.0),
+                                                      (np.array([-0.3, 0.8]), 0.2)))}
+ROUTE_PHIS = {"zero": ZERO_FN, "neg_logdet": neg_logdet_fn(),
+              "affine": SpectralFunctionSpec(phi=lambda q: 0.5 * q[0] - 0.25 * q[1] + 1.0,
+                                             affine=((0.5, -0.25), 1.0)),
+              "table": table_fn(ROUTE_PTS, [1.0, 2.0, 3.0])}
+ROUTE_COMBINERS = {"sum": SUM, "product": PRODUCT}
+ROUTE_SETS = (FiniteSet(points=ROUTE_PTS), OrbitOf(np.array([1.0, 2.0])),
+              GridOracle(membership=lambda q: q[0] + q[1] <= 4.0,
+                         box=np.array([[0.5, 2.5], [0.5, 2.5]]), resolution=5),
+              OrderedPolyhedron(halfspaces=(((1.0, 0.0), 2.5), ((0.0, -1.0), -0.5))))
+
+
+def test_route_table_pins_every_combination(rn2):
+    # every combination by the table's predicates; end to end, the first
+    # combination each route covers
+    first = {}
+    for line in ROUTE_PINS.strip().splitlines():
+        obj, phi, comb, sense, *outcomes = line.split()
+        parts = (ROUTE_OBJECTIVES[obj], ROUTE_PHIS[phi], ROUTE_COMBINERS[comb])
+        for spec, outcome in zip(ROUTE_SETS, outcomes):
+            ws = _WSide(rn2, parts[0], spec, parts[1], parts[2], sense, 1e-8, 0)
+            label = next(label for label, applies, _ in _ROUTES if applies(ws))
+            assert label == outcome.split("!")[0], (line, outcome)
+            first.setdefault(label, (parts, spec, sense, outcome))
+    assert sorted(first) == sorted(label for label, _, _ in _ROUTES)
+    for label, ((objective, phi, comb), spec, sense, outcome) in first.items():
+        solve = lambda: reduce_solve(rn2, objective, spec, phi, comb, sense)
+        if "!" in outcome:
+            with pytest.raises(ROUTE_ERRORS[outcome[-1]]):
+                solve()
+        else:
+            assert solve().solver_trace["method"] == label

@@ -1,8 +1,9 @@
 """Canonical reports are byte-identical for a fixed input.
 
 One small problem per solver route, each pinned by the SHA-256 of its
-canonical ``solve_report_json`` text, and one fixed ``axiom_suite`` run per
-instance kind, pinned by that of its ``axiom_report_json`` text.  A refactor
+canonical ``solve_report_json`` text, one fixed ``axiom_suite`` run per
+instance kind, pinned by that of its ``axiom_report_json`` text, and the
+first 40 reports of each benchmark workload at seed 1.  A refactor
 that keeps the behaviour keeps every hash; a hash that moves means a report
 changed, down to the last bit of a float (every number is also written in
 hex).
@@ -14,10 +15,13 @@ under test.
 """
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import ftvn.reduce
+import ftvn.serialize
 from ftvn import axiom_suite, get_instance
 from ftvn.eja import sym_coords
 from ftvn.reduce import (MaxAffineObjective, orbit_linear, reduce_solve,
@@ -25,6 +29,8 @@ from ftvn.reduce import (MaxAffineObjective, orbit_linear, reduce_solve,
 from ftvn.serialize import axiom_report_json, canonical_dumps, solve_report_json
 from ftvn.spectral_sets import (FiniteSet, GridOracle, OrderedPolyhedron,
                                 SpectralFunctionSpec, neg_logdet_fn)
+
+from conftest import load_perfbench
 
 SYM3 = get_instance("sym:3")
 SYM2 = get_instance("sym:2")
@@ -151,3 +157,30 @@ def test_axiom_report_bytes_are_pinned(name):
     assert rep.passed == inst.witness_is_exact
     text = canonical_dumps(axiom_report_json(rep))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_AXIOMS[name]
+
+
+# workload -> SHA-256 of the canonical reports of its ops 0-39 at seed 1, in
+# order, each built and run as perfbench/workloads.py does
+PINNED_WORKLOADS = {
+    "sym-solve": "62122fbb00f1f91fa21e48d7f264c285cd145c38bcdb89ea7474cf0aeff8efdc",
+    "wside-solve": "86c712c201b5d935773e555da741d3179e349d5795bd2aa392a522b502b21407",
+    "axiom-check": "ca0772caaff36b0d6b7b515f21f9a8faf34db36e778d712846e6545139792211",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_WORKLOADS))
+def test_benchmark_report_bytes_are_pinned(workload):
+    workloads = load_perfbench("workloads")
+    tracer = load_perfbench("spans").NullTracer()
+    serialize = ftvn.serialize
+    api = SimpleNamespace(problem_from_json=serialize.problem_from_json,
+                          solve_report_json=serialize.solve_report_json,
+                          axiom_report_json=serialize.axiom_report_json,
+                          canonical_dumps=serialize.canonical_dumps, SCHEMA=serialize.SCHEMA,
+                          reduce_solve=ftvn.reduce.reduce_solve, get_instance=get_instance,
+                          axiom_suite=axiom_suite)
+    make_op = workloads.WORKLOADS[workload][0]
+    digest = hashlib.sha256()
+    for i in range(40):
+        digest.update(workloads.execute(make_op(1, i), api, tracer).encode())
+    assert digest.hexdigest() == PINNED_WORKLOADS[workload]
