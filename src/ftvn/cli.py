@@ -23,7 +23,7 @@ from .core import FtvnError, MonotonicityError, WitnessError, axiom_suite, get_i
 from .reduce import (envelope_lower_affine, envelope_lower_exact, envelope_upper,
                      hausdorff_spectral, reduce_solve, vi_commutation_check)
 from .regressions import run_pack
-from .serialize import (SCHEMA, axiom_report_json, canonical_dumps,
+from .serialize import (SCHEMA, _number, _typed, axiom_report_json, canonical_dumps,
                         element_from_json, farr, fnum, objective_from_json,
                         problem_from_json, set_spec_for, solve_report_json,
                         vi_report_json)
@@ -116,12 +116,15 @@ def _cmd_envelope(args) -> int:
     inst = get_instance(obj["instance"])
     objective = objective_from_json(inst, {"kind": "max_affine", "pieces": obj["pieces"]})
     q = np.asarray(obj["q"], dtype=float)
+    if q.shape != (inst.dim_w,):
+        raise ValueError(f"q: expected {inst.dim_w} numbers, got shape {q.shape}")
+    seed = int(_number(obj.get("seed", 0), "seed"))
     upper = envelope_upper(inst, objective.pieces, q)
     lower_affine = envelope_lower_affine(inst, objective.pieces, q)
     lower_exact, exact = envelope_lower_exact(inst, partial(objective.value_v, inst), q,
-                                              seed=int(obj.get("seed", 0)))
+                                              seed=seed)
     doc = {"schema": SCHEMA,
-           "manifest": _manifest("envelope", args.input, obj.get("seed", 0), None, args.out),
+           "manifest": _manifest("envelope", args.input, seed, None, args.out),
            "q": farr(q),
            "h_upper": fnum(upper),
            "h_lower_affine": fnum(lower_affine),
@@ -152,7 +155,7 @@ def _cmd_hausdorff(args) -> int:
 
 
 def _make_field(inst, obj):
-    kind = obj["kind"]
+    kind = _typed(obj, dict, "g")["kind"]
     if kind == "constant":
         c = element_from_json(inst, obj["c"])
         return lambda x: c
@@ -171,8 +174,8 @@ def _cmd_vi(args) -> int:
     spec = set_spec_for(inst, obj["set"])
     a = element_from_json(inst, obj["a"])
     field = _make_field(inst, obj["g"])
-    tol = float(obj.get("tol", 1e-8))
-    seed = int(obj.get("seed", 0))
+    tol = _number(obj.get("tol", 1e-8), "tol")
+    seed = int(_number(obj.get("seed", 0), "seed"))
     report = vi_commutation_check(inst, field, spec, a, tol=tol, seed=seed)
     doc = {"schema": SCHEMA,
            "manifest": _manifest("vi", args.input, seed, tol, args.out),

@@ -23,6 +23,8 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from .linalg import dot_rows
+
 DEFAULT_TOL = 1e-8
 DEDUP_TOL = 1e-12
 
@@ -53,15 +55,22 @@ def as_vec(x) -> np.ndarray:
     return v
 
 
+def as_rows(x) -> np.ndarray:
+    """Accept an ElementV, a bare array-like or a (k, n) stack of coordinate
+    rows; return a float array."""
+    return np.asarray(getattr(x, "coords", x), dtype=float)
+
+
 def on_rows(kernel: Callable[[np.ndarray], tuple[np.ndarray, Any]], x) -> tuple[np.ndarray, Any]:
     """A decompose hook's call: ``kernel(xs)`` takes a (k, dim_v) stack and
-    returns its eigenvalues, shape (k, dim_w), and a sequence of k frames.
+    returns its eigenvalues, shape (k, dim_w), and the stack's frame: an
+    array, or a tuple of arrays, whose leading axis runs over the k rows.
     x is such a stack, or a single element as the k = 1 case, whose
     eigenvalue vector and frame come back unstacked."""
-    xs = np.asarray(getattr(x, "coords", x), dtype=float)
+    xs = as_rows(x)
     if xs.ndim == 1:
-        eigs, frames = kernel(xs[None])
-        return eigs[0], frames[0]
+        eigs, frame = kernel(xs[None])
+        return eigs[0], (tuple(a[0] for a in frame) if isinstance(frame, tuple) else frame[0])
     if xs.ndim != 2:
         raise DimensionMismatch(f"expected an element or a stack of elements, got shape {xs.shape}")
     return kernel(xs)
@@ -131,10 +140,18 @@ class FtvnInstance:
     An instance with a spectral decomposition gives it as two hooks, the
     paper's construction: ``decompose(x) -> (eigs, frame)`` with eigs = lam(x)
     and ``rebuild(q, frame) -> x`` with lam(x) = q, which puts the target
-    eigenvalues on the frame's own basis.  ``decompose`` also takes a stack of
-    k elements, shape (k, dim_v), and returns eigenvalues of shape (k, dim_w)
-    and a sequence of k frames, row i's equal bit for bit to the
-    decomposition of row i alone (:func:`on_rows`).  ``lam`` and
+    eigenvalues on the frame's own basis.
+
+    Four hooks take a stack of k rows as well as a single element, the
+    k = 1 case, and row i of a stacked result equals the call on row i
+    alone, bit for bit.  ``decompose`` maps a (k, dim_v) stack to
+    eigenvalues of shape (k, dim_w) and the stack's frame, the row frames
+    stacked on a leading axis (:func:`on_rows`).  ``rebuild`` takes (k,
+    dim_w) targets with such a frame, or one target for every row of it, and
+    returns (k, dim_v) elements.  ``inner_v`` takes two (k, dim_v) stacks
+    (or one stack and one element) and returns k inner products, and
+    ``image_contains(q, tol)``, for targets of width dim_w, returns one flag
+    per row.  ``project_element`` maps a stack to a stack.  ``lam`` and
     ``a3_witness``, when left out, are derived from the hooks at
     construction: the witness for (c, q) is q rebuilt on c's frame, which
     makes it exact (:attr:`witness_is_exact`).  An instance without the hooks
@@ -153,8 +170,8 @@ class FtvnInstance:
     dim_w: int
     lam: Optional[Callable[[np.ndarray], np.ndarray]] = None
     a3_witness: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    inner_v: Callable[[np.ndarray, np.ndarray], float] = lambda x, y: float(np.dot(x, y))
-    image_contains: Callable[[np.ndarray, float], bool] = lambda q, tol: True
+    inner_v: Callable[[np.ndarray, np.ndarray], Any] = dot_rows
+    image_contains: Callable[[np.ndarray, float], Any] = lambda q, tol: np.ones(q.shape[:-1], bool)
     # maps a coordinate gradient to its inner_v representer (identity for dot)
     riesz: Callable[[np.ndarray], np.ndarray] = lambda g: g
     # projection onto the manifold of valid elements (symmetrization for
@@ -185,12 +202,12 @@ class FtvnInstance:
 
     def spectral(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
         """(lam(x), frame of x); the frame is None without the hooks.  On a
-        (k, dim_v) stack, (the k eigenvalue rows, k frames), in one
+        (k, dim_v) stack, (the k eigenvalue rows, the stack's frame), in one
         ``decompose`` call, or one ``lam`` call per row without the hooks."""
         if self.decompose is not None:
             return self.decompose(x)
         if np.ndim(x) == 2:
-            return np.array([self.lam(r) for r in x]).reshape(len(x), self.dim_w), [None] * len(x)
+            return np.array([self.lam(r) for r in x]).reshape(len(x), self.dim_w), None
         return self.lam(x), None
 
     def witness_on(self, c: np.ndarray, q, frame) -> np.ndarray:
@@ -233,14 +250,20 @@ class FtvnInstance:
 
     def sample_orbit(self, q, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` elements with eigenvalues q, stacked as rows: q rebuilt on
-        the frames of ``count`` drawn elements, decomposed in one call.  q is
-        not checked against the image.  TypeError without the hooks."""
+        the frames of ``count`` drawn elements, decomposed and rebuilt in one
+        call each.  q is not checked against the image.  TypeError without
+        the hooks."""
         if self.rebuild is None:
             raise TypeError(f"{self.name}: orbit sampling needs decompose and rebuild")
-        q = np.asarray(q, dtype=float)
-        draws = np.array([self.draw(rng) for _ in range(count)]).reshape(count, self.dim_v)
-        return np.array([self.rebuild(q, frame) for frame in self.decompose(draws)[1]]
-                        ).reshape(count, self.dim_v)
+        frames = self.decompose(_draw_rows(self, rng, count))[1]
+        return self.rebuild(np.asarray(q, dtype=float), frames)
+
+
+def _draw_rows(inst: FtvnInstance, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` draws stacked as rows: one standard normal draw of shape
+    (count, dim_v), the same stream as ``count`` calls of ``draw``, and one
+    stacked projection."""
+    return inst.project_element(rng.standard_normal((count, inst.dim_v)))
 
 
 def lambda_tilde(inst: FtvnInstance, c) -> np.ndarray:
@@ -389,103 +412,130 @@ class AxiomReport:
     notes: tuple = ()
 
 
+def _witness_rows(inst: FtvnInstance, cs: np.ndarray, qs: np.ndarray, frames):
+    """The A3 witnesses of the rows of cs for the targets qs, stacked, and a
+    mask of the rows that have one.  On the hooks, one image check and one
+    rebuild of the stack on its frame; without them, one ``a3_witness`` call
+    per row, whose :class:`WitnessError` leaves the row out."""
+    if frames is not None:
+        ok = inst.image_contains(qs, WITNESS_TARGET_TOL)
+        return inst.rebuild(qs, frames)[ok], ok
+    ok = np.ones(len(cs), dtype=bool)
+    rows = []
+    for i, (c, q) in enumerate(zip(cs, qs)):
+        try:
+            rows.append(inst.a3_witness(c, q))
+        except WitnessError:
+            ok[i] = False
+    return np.array(rows).reshape(-1, inst.dim_v), ok
+
+
+def _worst(values: np.ndarray, start: float) -> tuple[float, Optional[int]]:
+    """The loop ``acc = max(acc, v)`` from start over the finite values, bit
+    for bit, and the index of the value it ends on (None when it ends on
+    start)."""
+    idx = np.flatnonzero(np.isfinite(values))
+    if idx.size:
+        i = int(idx[np.argmax(values[idx])])
+        if values[i] > start:
+            return float(values[i]), i
+    return start, None
+
+
 def axiom_suite(inst: FtvnInstance, seed: int, n_samples: int,
                 tol: float = DEFAULT_TOL) -> AxiomReport:
     """Sampled verification of A1/A2/A3, positive homogeneity, and the
-    sandwich inequalities.  Failures are reported, never thrown."""
+    sandwich inequalities.  Failures are reported, never thrown.
+
+    Sample i is paired with sample i + 1 (cyclically) for A2, the sandwiches
+    and the A3 target.  Every check is one array expression over the sample
+    stack; a residual that is not finite is counted in the notes and fails
+    the suite, and the reported maxima are over the finite residuals.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    xs = [inst.draw(rng) for _ in range(n_samples)]
+    xs = _draw_rows(inst, rng, n_samples)
     alphas = np.abs(rng.standard_normal(n_samples))
-    stack = np.array(xs).reshape(n_samples, inst.dim_v)
     # one decomposition call per batch: the samples (their lam, and their
-    # frames for the A3 witnesses), alpha x, -x, and below the witnesses
-    lams, frames = inst.spectral(stack)
-    lams_scaled = inst.spectral(alphas[:, None] * stack)[0]
-    lams_neg = inst.spectral(-stack)[0]
-    norms = [inst.norm_v(x) for x in xs]
+    # frame for the A3 witnesses), alpha x, -x, and below the witnesses
+    lams, frames = inst.spectral(xs)
+    lams_scaled = inst.spectral(alphas[:, None] * xs)[0]
+    lams_neg = inst.spectral(-xs)[0]
 
-    a1 = 0.0
-    homog = 0.0
-    a2_min = math.inf
-    sand_inner = 0.0
-    sand_dist = 0.0
-    n_commute = 0
-    for i, (x, lx, nx, alpha) in enumerate(zip(xs, lams, norms, alphas)):
-        a1 = max(a1, abs(inst.norm_w(lx) - nx) / (1.0 + nx))
-        gap = np.linalg.norm(lams_scaled[i] - alpha * lx)
-        homog = max(homog, gap / (1.0 + alpha * nx))
+    # inst.norm_v and inst.norm_w of each row
+    def norm_v(a):
+        return np.sqrt(np.maximum(inst.inner_v(a, a), 0.0))
 
-        y = xs[(i + 1) % n_samples]
-        ly = lams[(i + 1) % n_samples]
-        ny = norms[(i + 1) % n_samples]
-        scale = 1.0 + nx * ny
-        ip_v = inst.inner_v(x, y)
-        ip_w = inst.inner_w(lx, ly)
-        a2_min = min(a2_min, (ip_w - ip_v) / scale)
-        if abs(ip_w - ip_v) <= tol * scale:
-            n_commute += 1
-        # sandwich: <tilde-lam x, lam y> <= <x,y> <= <lam x, lam y>
-        lt = -lams_neg[i]
-        sand_inner = max(sand_inner, (inst.inner_w(lt, ly) - ip_v) / scale)
-        dscale = 1.0 + nx + ny
-        d_v = inst.norm_v(x - y)
-        sand_dist = max(sand_dist,
-                        (inst.norm_w(lx - ly) - d_v) / dscale,
-                        (d_v - inst.norm_w(lt - ly)) / dscale)
+    def norm_w(a):
+        return np.sqrt(np.maximum(dot_rows(a, a), 0.0))
 
-    a3_failures = 0
-    witnesses = []
-    for i in range(n_samples):
-        try:
-            witnesses.append((i, inst.witness_on(xs[i], lams[(i + 1) % n_samples], frames[i])))
-        except WitnessError:
-            a3_failures += 1
-    lams_w = inst.spectral(np.array([w for _, w in witnesses]).reshape(-1, inst.dim_v))[0]
-    a3_lam = 0.0
-    a3_inner = 0.0
-    a3_gap = -math.inf
-    a3_pair = None
-    for (i, w), lw in zip(witnesses, lams_w):
-        c = xs[i]
-        q = lams[(i + 1) % n_samples]
-        nq = inst.norm_w(q)
-        nc = inst.norm_v(c)
-        a3_lam = max(a3_lam, np.linalg.norm(lw - q) / (1.0 + nq))
-        target = inst.inner_w(lams[i], q)
-        got = inst.inner_v(c, w)
-        a3_inner = max(a3_inner, abs(got - target) / (1.0 + nc * nq))
-        gap = target - got
-        if gap > a3_gap:
-            a3_gap = gap
-            a3_pair = (tuple(c.tolist()), tuple(q.tolist()))
+    nx = norm_v(xs)
+    ys, lys, ny = (np.roll(a, -1, axis=0) for a in (xs, lams, nx))
+    lts = -lams_neg  # tilde-lam x = -lam(-x)
+
+    scale = 1.0 + nx * ny
+    ip_v = inst.inner_v(xs, ys)
+    ip_w = dot_rows(lams, lys)
+    a2_gaps = (ip_w - ip_v) / scale
+    dscale = 1.0 + nx + ny
+    d_v = norm_v(xs - ys)
+    # sandwich: <tilde-lam x, lam y> <= <x,y> <= <lam x, lam y>, and its
+    # distance form
+    residuals = {
+        "A1": np.abs(norm_w(lams) - nx) / (1.0 + nx),
+        "A2": -a2_gaps,
+        "homogeneity": norm_w(lams_scaled - alphas[:, None] * lams) / (1.0 + alphas * nx),
+        "sandwich-inner": (dot_rows(lts, lys) - ip_v) / scale,
+        "sandwich-dist": np.concatenate([(norm_w(lams - lys) - d_v) / dscale,
+                                         (d_v - norm_w(lts - lys)) / dscale]),
+    }
+
+    # A3: q = lam(y) rebuilt on x's frame, against <lam x, q>
+    witnesses, ok = _witness_rows(inst, xs, lys, frames)
+    lams_w = inst.spectral(witnesses)[0]
+    cs, qs = xs[ok], lys[ok]
+    nq = norm_w(qs)
+    target = dot_rows(lams[ok], qs)
+    got = inst.inner_v(cs, witnesses)
+    residuals["A3-lambda"] = norm_w(lams_w - qs) / (1.0 + nq)
+    residuals["A3-inner"] = np.abs(got - target) / (1.0 + nx[ok] * nq)
+    a3_gap, worst = _worst(target - got, -math.inf)
 
     notes = []
-    ok = True
-    for label, value in [("A1", a1), ("A2", max(0.0, -a2_min)), ("homogeneity", homog),
-                         ("sandwich-inner", sand_inner), ("sandwich-dist", sand_dist),
-                         ("A3-lambda", a3_lam), ("A3-inner", a3_inner)]:
+    ok_all = True
+    worst_of = {}
+    for label, values in residuals.items():
+        value = worst_of[label] = _worst(values, 0.0)[0]
         if value > tol:
-            ok = False
+            ok_all = False
             notes.append(f"{label} violation {value:.3e} exceeds tol {tol:.1e}")
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        if bad:
+            ok_all = False
+            notes.append(f"{label}: {bad} non-finite residuals")
+    a3_failures = n_samples - int(np.count_nonzero(ok))
     if a3_failures:
-        ok = False
+        ok_all = False
         notes.append(f"A3 witness failed on {a3_failures} samples")
     if not inst.witness_is_exact:
         notes.append("witness is a numerical search; A3 residuals may be genuine violations")
 
+    a2_min = -_worst(-a2_gaps, -math.inf)[0]
     return AxiomReport(
         instance=inst.name, seed=seed, n_samples=n_samples, tol=tol,
-        a1_max=a1, a2_violation=max(0.0, -a2_min), a2_min_gap=a2_min,
-        homogeneity_max=homog,
-        sandwich_inner_violation=max(0.0, sand_inner),
-        sandwich_dist_violation=max(0.0, sand_dist),
-        a3_max_lambda_residual=a3_lam, a3_max_inner_residual=a3_inner,
-        a3_worst_gap=a3_gap if a3_gap > -math.inf else 0.0,
-        a3_worst_pair=a3_pair, a3_failures=a3_failures,
-        commute_fraction=n_commute / n_samples,
-        passed=ok, notes=tuple(notes),
+        a1_max=worst_of["A1"], a2_violation=worst_of["A2"], a2_min_gap=a2_min,
+        homogeneity_max=worst_of["homogeneity"],
+        sandwich_inner_violation=worst_of["sandwich-inner"],
+        sandwich_dist_violation=worst_of["sandwich-dist"],
+        a3_max_lambda_residual=worst_of["A3-lambda"],
+        a3_max_inner_residual=worst_of["A3-inner"],
+        a3_worst_gap=a3_gap if worst is not None else 0.0,
+        a3_worst_pair=None if worst is None else (tuple(cs[worst].tolist()),
+                                                  tuple(qs[worst].tolist())),
+        a3_failures=a3_failures,
+        commute_fraction=int(np.count_nonzero(np.abs(ip_w - ip_v) <= tol * scale)) / n_samples,
+        passed=ok_all, notes=tuple(notes),
     )
 
 

@@ -13,7 +13,8 @@ Every algebra also exposes itself as a :class:`~ftvn.core.FtvnInstance` whose
 A3 witness is the constructive one: decompose c, then rebuild the target
 eigenvalues on c's own frame.  Each family's decomposition works on a stack
 of elements, one row each: (k, dim_v) to eigenvalues (k, rank) and idempotent
-rows (k, rank, dim_v).
+rows (k, rank, dim_v), and the instance's rebuild, inner product, image test
+and projection work on stacks too.
 """
 
 from __future__ import annotations
@@ -25,13 +26,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DEDUP_TOL, DEFAULT_TOL, FtvnInstance, as_vec, on_rows, register_instance
-from .linalg import eigh_desc, is_symmetric
+from .core import (DEDUP_TOL, DEFAULT_TOL, FtvnInstance, as_rows, as_vec, on_rows,
+                   register_instance)
+from .linalg import dot_rows, eigh_desc, is_symmetric, vecmat_rows
 
 
 @dataclass(frozen=True)
 class JordanFrame:
-    """Ordered complete system of orthogonal primitive idempotents (rows)."""
+    """Ordered complete system of orthogonal primitive idempotents (rows),
+    shape (rank, dim_v); the frame of a stack of k elements has the leading
+    axis k."""
 
     idempotents: np.ndarray
 
@@ -48,11 +52,13 @@ def sort_desc(q) -> np.ndarray:
     return -np.sort(-np.asarray(q, dtype=float))
 
 
-def is_sorted_desc(q, tol: float = 1e-9) -> bool:
+def is_sorted_desc(q, tol: float = 1e-9):
+    """Is q nonincreasing up to tol * (1 + max |q_i|)?  On a (k, n) stack,
+    one flag per row."""
     q = np.asarray(q, dtype=float)
-    if q.size <= 1:
-        return True
-    return bool(np.all(np.diff(q) <= tol * (1.0 + np.abs(q).max())))
+    slack = tol * (1.0 + np.abs(q).max(axis=-1, keepdims=True, initial=0.0))
+    ok = (q[..., 1:] - q[..., :-1] <= slack).all(axis=-1)
+    return ok if ok.ndim else bool(ok)
 
 
 def dedup_points(points, tol: float = DEDUP_TOL) -> np.ndarray:
@@ -119,10 +125,9 @@ class JordanAlgebra:
 
     # -- algebra structure -------------------------------------------------
 
-    def inner(self, x, y) -> float:
-        x = as_vec(x)
-        y = as_vec(y)
-        return float(np.dot(self._w * x, y))
+    def inner(self, x, y):
+        """The trace inner product; row by row on stacks."""
+        return dot_rows(self._w * as_rows(x), as_rows(y))
 
     def norm(self, x) -> float:
         return math.sqrt(max(self.inner(x, x), 0.0))
@@ -130,12 +135,9 @@ class JordanAlgebra:
     def decompose(self, x) -> tuple[np.ndarray, JordanFrame]:
         """The instance's ``decompose`` hook: eigenvalues (nonincreasing) and
         the Jordan frame whose idempotents rebuild x; on a stack, the
-        eigenvalue rows and one frame per row."""
-        return on_rows(self._frames, x)
-
-    def _frames(self, xs: np.ndarray) -> tuple[np.ndarray, list[JordanFrame]]:
-        eigs, rows = self._decompose(xs)
-        return eigs, [JordanFrame(r) for r in rows]
+        eigenvalue rows and the stack's frame."""
+        eigs, rows = on_rows(self._decompose, x)
+        return eigs, JordanFrame(rows)
 
     # -- FTvN instance wrapper ----------------------------------------------
 
@@ -147,12 +149,12 @@ class JordanAlgebra:
             dim_v=self.dim_v,
             dim_w=self.rank,
             inner_v=self.inner,
-            image_contains=lambda q, tol: q.size == self.rank and is_sorted_desc(q, tol),
+            image_contains=is_sorted_desc,
             riesz=lambda g: self._project(g) / self._w,
             project_element=self._project,
             backend=self,
             decompose=self.decompose,
-            rebuild=lambda q, frame: q @ frame.idempotents,
+            rebuild=lambda q, frame: vecmat_rows(q, frame.idempotents),
         )
 
 
@@ -206,8 +208,8 @@ def sym_algebra(n: int) -> JordanAlgebra:
         return (0.5 * (a @ b + b @ a)).ravel()
 
     def project(x):
-        m = mat_of(x, n)
-        return (0.5 * (m + m.T)).ravel()
+        m = x.reshape(*x.shape[:-1], n, n)
+        return (0.5 * (m + np.swapaxes(m, -1, -2))).reshape(x.shape)
 
     def decompose(xs):
         # total on the flattening: the symmetric part is the element
@@ -244,9 +246,8 @@ def spin_algebra(n: int) -> JordanAlgebra:
     def decompose(xs):
         x0 = xs[:, 0]
         xbar = xs[:, 1:]
-        # each row's dot product by matmul: bit for bit np.linalg.norm of the
-        # row alone, which a reduction along axis 1 is not
-        r = np.sqrt((xbar[:, None, :] @ xbar[:, :, None])[:, 0, 0])
+        # bit for bit np.linalg.norm of each row alone
+        r = np.sqrt(dot_rows(xbar, xbar))
         axis = xbar / np.where(r > 0, r, 1.0)[:, None]
         axis[r == 0] = default_axis
         eigs = np.empty((len(xs), 2))
@@ -278,7 +279,7 @@ def product_algebra(parts: list[JordanAlgebra]) -> JordanAlgebra:
     name = "product:" + "+".join(p.name for p in parts)
 
     def slices_v(x):
-        return [x[v_off[i]:v_off[i + 1]] for i in range(len(parts))]
+        return [x[..., v_off[i]:v_off[i + 1]] for i in range(len(parts))]
 
     def jp(x, y):
         return np.concatenate([p.jordan_product(a, b)
@@ -298,7 +299,7 @@ def product_algebra(parts: list[JordanAlgebra]) -> JordanAlgebra:
         return eigs[rows, order], frame[rows, order]
 
     def project(x):
-        return np.concatenate([p._project(xi) for p, xi in zip(parts, slices_v(x))])
+        return np.concatenate([p._project(xi) for p, xi in zip(parts, slices_v(x))], axis=-1)
 
     return JordanAlgebra(
         kind="product", name=name, rank=rank, dim_v=dim_v,

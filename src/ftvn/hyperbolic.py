@@ -24,9 +24,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import FtvnError, FtvnInstance, WitnessError, as_vec, on_rows, register_instance
+from .core import (FtvnError, FtvnInstance, WitnessError, as_rows, as_vec, on_rows,
+                   register_instance)
 from .eja import is_sorted_desc, sort_decompose
-from .linalg import eigh_desc
+from .linalg import diag_rows, dot_rows, eigh_desc, vecmat_rows
 
 IMAG_TOL = 1e-7
 LEADING_TOL = 1e-12
@@ -162,8 +163,11 @@ class HyperbolicPolynomial:
                     f"(residuals {quad_gap:.2e}, {para_gap:.2e})")
         return g
 
-    def inner(self, x, y) -> float:
-        return float(as_vec(x) @ self.gram @ as_vec(y))
+    def inner(self, x, y):
+        """x^T G y with the Gram matrix G; row by row on stacks.  Each row's
+        x^T G is its own vector-matrix product: a (k, n) @ G GEMM of the
+        stack rounds differently."""
+        return dot_rows(vecmat_rows(as_rows(x), self.gram), as_rows(y))
 
     # -- FTvN wrapper -------------------------------------------------------
 
@@ -178,7 +182,7 @@ class HyperbolicPolynomial:
             lam=self.lam if search else None,
             a3_witness=self._search_witness if search else None,
             inner_v=self.inner,
-            image_contains=lambda q, tol: q.size == self.degree and is_sorted_desc(q, tol),
+            image_contains=is_sorted_desc,
             riesz=lambda g: np.linalg.solve(self.gram, g),
             backend=self,
             decompose=self.decompose,
@@ -333,7 +337,7 @@ def coordinate_product_polynomial(n: int) -> HyperbolicPolynomial:
         direction_e=np.ones(n),
         name=f"prod:{n}",
         decompose=lambda x: on_rows(sort_decompose, x),
-        rebuild=lambda q, frame: q @ frame)
+        rebuild=vecmat_rows)
 
 
 def _svec_dim(n: int) -> int:
@@ -353,9 +357,11 @@ def svec_to_mat(coords: np.ndarray, n: int) -> np.ndarray:
 
 
 def mat_to_svec(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
+    """The coordinates of a symmetric matrix, or of each matrix of a stack."""
+    n = m.shape[-1]
     iu = np.triu_indices(n, k=1)
-    return np.concatenate([np.diag(m), math.sqrt(2.0) * m[iu]])
+    return np.concatenate([np.diagonal(m, axis1=-2, axis2=-1), math.sqrt(2.0) * m[(..., *iu)]],
+                          axis=-1)
 
 
 def det_sym_polynomial(n: int) -> HyperbolicPolynomial:
@@ -369,7 +375,7 @@ def det_sym_polynomial(n: int) -> HyperbolicPolynomial:
         direction_e=mat_to_svec(np.eye(n)),
         name=f"detsym:{n}",
         decompose=lambda x: on_rows(lambda xs: eigh_desc(svec_to_mat(xs, n)), x),
-        rebuild=lambda q, v: mat_to_svec(v @ np.diag(q) @ v.T))
+        rebuild=lambda q, v: mat_to_svec(v @ diag_rows(q) @ np.swapaxes(v, -1, -2)))
 
 
 def monomial_polynomial(n: int, e, monomials: list[dict]) -> HyperbolicPolynomial:

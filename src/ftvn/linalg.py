@@ -10,6 +10,10 @@ against a Jacobi SVD of the Gram matrix.
 matrix alone, bit for bit.  The SVD of a stack is one LAPACK call; the
 eigensolver runs Jacobi on each matrix in turn, and that loop in
 ``eigh_desc`` is the only loop over a stack in the spectral kernels.
+
+``dot_rows``, ``vecmat_rows`` and ``diag_rows`` are the row-wise products the
+instances' hooks use on stacks, with the same bit-for-bit rule: each row is
+one matmul of that row's own operands, the call numpy makes for one element.
 """
 
 from __future__ import annotations
@@ -161,3 +165,27 @@ def svd_desc(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     signs = _fix_column_signs(v)
     u *= signs
     return u, s, v
+
+
+def dot_rows(x: np.ndarray, y: np.ndarray):
+    """np.dot of two vectors, or of each pair of rows of (k, n) stacks (either
+    may be one vector, broadcast): a (k, 1, n) @ (k, n, 1) matmul, whose row
+    products are bit for bit those of the rows alone, which a sum along the
+    rows' axis is not.  A float for two vectors."""
+    out = (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+    return out if out.ndim else float(out)
+
+
+def vecmat_rows(q: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """q @ m for a vector and a matrix, or row by row of a (k, r) stack of
+    vectors and a (k, r, n) stack of matrices (either may be unstacked)."""
+    return (q[..., None, :] @ m)[..., 0, :]
+
+
+def diag_rows(q: np.ndarray) -> np.ndarray:
+    """np.diag of a vector, or of each row of a (k, n) stack: (..., n) to
+    (..., n, n), zero off the diagonal."""
+    n = q.shape[-1]
+    out = np.zeros((*q.shape, n))
+    out.reshape(*q.shape[:-1], n * n)[..., :: n + 1] = q
+    return out

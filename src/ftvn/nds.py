@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import FtvnInstance, WitnessError, as_vec, on_rows, register_instance
 from .eja import dedup_points, is_sorted_desc, sort_desc
-from .linalg import svd_desc
+from .linalg import diag_rows, dot_rows, svd_desc
 
 # unused: perfbench/spans.py wraps this name for its linalg.svd span.  The
 # decomposition calls svd_desc (LAPACK), so that span counts no calls; the
@@ -57,27 +57,29 @@ class RectMatrixSpace:
 
     def decompose(self, x) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """Singular values and the frame (u, v) of x = u diag(s) v^T; on a
-        stack, the singular value rows and one frame per row, from one
-        LAPACK call."""
+        stack, the singular value rows and the frame (u, v) of stacked
+        factors, from one LAPACK call."""
         return on_rows(self._decompose, x)
 
     def _decompose(self, xs: np.ndarray):
         u, s, v = svd_desc(xs.reshape(len(xs), self.m, self.n))
-        return s, list(zip(u, v))
+        return s, (u, v)
 
     def rebuild(self, q, frame) -> np.ndarray:
         """u diag(q) v^T, with q clipped at zero: the target's roundoff below
-        zero is not a singular value."""
+        zero is not a singular value.  On a stacked frame, one matrix per row,
+        flattened."""
         u, v = frame
-        return (u @ np.diag(np.clip(q, 0.0, None)) @ v.T).ravel()
+        x = u @ diag_rows(np.clip(q, 0.0, None)) @ np.swapaxes(v, -1, -2)
+        return x.reshape(*x.shape[:-2], self.m * self.n)
 
     def _build_instance(self) -> FtvnInstance:
         return FtvnInstance(
             name=self.name,
             dim_v=self.m * self.n,
             dim_w=self.k,
-            image_contains=lambda q, tol: (q.size == self.k and is_sorted_desc(q, tol)
-                                           and q[-1] >= -tol * (1.0 + abs(q[0]))),
+            image_contains=lambda q, tol: (is_sorted_desc(q, tol)
+                                           & (q[..., -1] >= -tol * (1.0 + np.abs(q[..., 0])))),
             backend=self,
             decompose=self.decompose,
             rebuild=self.rebuild,
@@ -94,14 +96,15 @@ def rotation_instance() -> FtvnInstance:
     """lam = rotation through 90 degrees about the origin: (V, V, S) with S a
     linear isometry.  Any two elements commute; lam is not idempotent, which
     separates this system from the sorted-map families.  The rotation R is
-    the frame of every element: decompose x to (R x, R), rebuild q as R^T q."""
+    the frame of every element: decompose x to (R x, R), rebuild q as R^T q.
+    Every vector of R^2 is in the image."""
     return FtvnInstance(
         name="rot90",
         dim_v=2,
         dim_w=2,
-        image_contains=lambda q, tol: q.size == 2,
-        decompose=lambda x: on_rows(lambda xs: (xs @ _ROT.T, [_ROT] * len(xs)), x),
-        rebuild=lambda q, frame: frame.T @ q,
+        decompose=lambda x: on_rows(
+            lambda xs: (xs @ _ROT.T, np.broadcast_to(_ROT, (len(xs), 2, 2))), x),
+        rebuild=lambda q, frame: (np.swapaxes(frame, -1, -2) @ q[..., None])[..., 0],
     )
 
 
@@ -169,14 +172,17 @@ class SubspacePseudoInstance:
         return self.witness_search(c, q).x
 
     def _build_instance(self) -> FtvnInstance:
+        # no decomposition to stack: the feasible points of each row in turn
         def image_contains(q, tol):
-            return (q.size == 3 and is_sorted_desc(q, tol)
-                    and self.feasible_points(q, max(tol, 1e-9)).shape[0] > 0)
+            flags = [is_sorted_desc(r, tol)
+                     and self.feasible_points(r, max(tol, 1e-9)).shape[0] > 0
+                     for r in q.reshape(-1, 3)]
+            return np.array(flags, dtype=bool).reshape(q.shape[:-1])
 
         # draw() projects a standard normal of R^3 onto the plane: a standard
         # normal of the plane, as embed() of a standard normal of R^2
         def project(x):
-            return x - float(np.dot(x, self.normal)) * self.normal
+            return x - np.multiply.outer(dot_rows(x, self.normal), self.normal)
 
         return FtvnInstance(
             name=self.name,

@@ -125,13 +125,20 @@ def image_candidates(spec: SpectralSetSpec, inst: FtvnInstance,
         pts = spec.points
         if spec.permutation_invariant:
             pts = dedup_points([sort_desc(p) for p in pts], DEDUP_TOL)
-        keep = [p for p in pts if inst.image_contains(np.asarray(p, float), tol)]
-        return np.array(keep) if keep else np.zeros((0, pts.shape[1]))
+        return _in_image(inst, pts, tol)
     if isinstance(spec, GridOracle):
-        pts = spec.grid_points()
-        keep = [p for p in pts if spec.membership(p) and inst.image_contains(p, tol)]
+        pts = _in_image(inst, spec.grid_points(), tol)
+        keep = [p for p in pts if spec.membership(p)]
         return np.array(keep) if keep else np.zeros((0, pts.shape[1]))
     raise TypeError(f"no enumerable image for {type(spec).__name__}")
+
+
+def _in_image(inst: FtvnInstance, pts: np.ndarray, tol: float) -> np.ndarray:
+    """The rows of pts in the image of lam, from one stacked image test; none
+    when their width is not the instance's."""
+    if pts.shape[1] != inst.dim_w:
+        return np.zeros((0, pts.shape[1]))
+    return pts[inst.image_contains(pts, tol)]
 
 
 def membership_w(spec: SpectralSetSpec, inst: FtvnInstance, q: np.ndarray,

@@ -270,6 +270,33 @@ def test_cli_vi(tmp_path, capsys):
     assert doc["report"]["exact"] is True
 
 
+@pytest.mark.parametrize("command, field, value", [
+    ("vi", "tol", [1]),
+    ("vi", "g", 3),
+    ("vi", "seed", None),
+    ("envelope", "seed", None),
+    ("envelope", "q", None),
+])
+def test_cli_vi_and_envelope_fields_are_typed(tmp_path, capsys, command, field, value):
+    # a field of the wrong JSON type is a usage error naming the field: exit
+    # 1 and one stderr line, not an internal error
+    docs = {"vi": {"instance": "rn:2",
+                   "set": {"kind": "finite", "points": [[1, 0], [0, 1]]},
+                   "a": {"kind": "rn", "data": [1, 0]},
+                   "g": {"kind": "identity"}},
+            "envelope": {"instance": "rn:2",
+                         "pieces": [{"c": {"kind": "rn", "data": [1, 0]}, "alpha": 0}],
+                         "q": [1, -1]}}
+    doc_in = {**docs[command], field: value}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc_in))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {field}:"), lines
+
+
 def test_cli_usage_errors(tmp_path, capsys):
     assert main(["check", "--instance", "unknown:5"]) == 1
     assert main(["solve", str(tmp_path / "missing.json")]) == 1

@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import importlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis.extra.numpy import arrays
 from ftvn import (DimensionMismatch, axiom_suite, commute_check,
                   cone_sum_witness, get_instance, lambda_tilde,
                   norm_sublinearity_gap, registered_instances, sublinearity_gap)
-from ftvn.core import ElementV
+from ftvn.core import ElementV, FtvnInstance
+from ftvn.eja import sort_desc
 from ftvn.hyperbolic import hyperbolic_from_json
 
 from conftest import reference_orbit_sample
@@ -256,13 +259,110 @@ def test_stacked_decompose_matches_single_calls(name, data):
     xs = data.draw(arrays(np.float64, (k, inst.dim_v), elements=st.floats(-1e3, 1e3)),
                    label="xs")
     xs = np.array([inst.project_element(x) for x in xs])
-    eigs, frames = inst.decompose(xs)
-    assert eigs.shape == (k, inst.dim_w) and len(frames) == k
+    eigs, frame = inst.decompose(xs)
+    assert eigs.shape == (k, inst.dim_w)
     singles = [inst.decompose(x) for x in xs]
-    for i, (e, frame) in enumerate(singles):
+    targets = np.roll(eigs, -1, axis=0)
+    rebuilt = inst.rebuild(targets, frame)
+    assert rebuilt.shape == (k, inst.dim_v)
+    for i, (e, single_frame) in enumerate(singles):
         assert eigs[i].tobytes() == e.tobytes(), i
-        q = singles[(i + 1) % k][0]
-        assert inst.rebuild(q, frames[i]).tobytes() == inst.rebuild(q, frame).tobytes(), i
+        assert rebuilt[i].tobytes() == inst.rebuild(targets[i], single_frame).tobytes(), i
+
+
+@pytest.mark.parametrize("name", HOOK_INSTANCES + ["z-counterexample"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_stacked_hooks_match_single_calls(name, data):
+    # project_element, inner_v, image_contains and rebuild on a (k, .) stack:
+    # row i is the call on row i alone, bit for bit.  rebuild also takes one
+    # target for every frame of a stack, as sample_orbit does
+    inst = get_instance(name)
+    k = data.draw(st.integers(1, 6), label="k")
+    raw = data.draw(arrays(np.float64, (2, k, inst.dim_v), elements=st.floats(-1e3, 1e3)),
+                    label="raw")
+    xs, ys = inst.project_element(raw[0]), inst.project_element(raw[1])
+    ip = inst.inner_v(xs, ys)
+    assert xs.shape == (k, inst.dim_v) and ip.shape == (k,)
+    for i in range(k):
+        assert xs[i].tobytes() == inst.project_element(raw[0, i]).tobytes(), i
+        assert ip[i].tobytes() == np.float64(inst.inner_v(xs[i], ys[i])).tobytes(), i
+    # targets: eigenvalue rows, some reversed, which leaves the image of the
+    # sorted families
+    qs = inst.spectral(ys)[0]
+    flip = np.array(data.draw(st.lists(st.booleans(), min_size=k, max_size=k), label="flip"))
+    qs[flip] = qs[flip, ::-1]
+    flags = inst.image_contains(qs, 1e-9)
+    assert flags.shape == (k,)
+    for i in range(k):
+        assert bool(flags[i]) == bool(inst.image_contains(qs[i], 1e-9)), i
+    if inst.rebuild is None:
+        return
+    frame = inst.decompose(xs)[1]
+    rebuilt, orbit = inst.rebuild(qs, frame), inst.rebuild(qs[0], frame)
+    assert rebuilt.shape == orbit.shape == (k, inst.dim_v)
+    for i, x in enumerate(xs):
+        single = inst.decompose(x)[1]
+        assert rebuilt[i].tobytes() == inst.rebuild(qs[i], single).tobytes(), i
+        assert orbit[i].tobytes() == inst.rebuild(qs[0], single).tobytes(), i
+
+
+@pytest.mark.parametrize("name", HOOK_INSTANCES)
+def test_axiom_suite_stacks_every_hook_call(name):
+    # on an instance with the hooks the suite has no per-sample loop: four
+    # decompositions, one rebuild and one image check of whole stacks, and
+    # no lam or witness call; an orbit sample one decomposition and one
+    # rebuild
+    inst = get_instance(name)
+    calls = collections.Counter()
+
+    def counted(field):
+        fn = getattr(inst, field)
+
+        def wrapper(*args):
+            calls[field] += 1
+            return fn(*args)
+        return wrapper
+
+    fields = ("decompose", "rebuild", "image_contains", "lam", "a3_witness")
+    counted_inst = dataclasses.replace(inst, **{f: counted(f) for f in fields})
+    rep = axiom_suite(counted_inst, seed=4, n_samples=60)
+    assert rep == axiom_suite(inst, seed=4, n_samples=60)
+    assert calls == {"decompose": 4, "rebuild": 1, "image_contains": 1}
+    q = inst.lam(inst.draw(np.random.default_rng(5)))
+    calls.clear()
+    pts = counted_inst.sample_orbit(q, np.random.default_rng(6), 16)
+    assert calls == {"decompose": 1, "rebuild": 1}
+    np.testing.assert_array_equal(pts, inst.sample_orbit(q, np.random.default_rng(6), 16))
+
+
+def test_axiom_suite_fails_on_non_finite_residuals():
+    # an rn:2-like instance whose lam is NaN on some samples and whose
+    # witness never raises: each check counts its non-finite residuals in a
+    # note and the suite fails, while the maxima stay those of the finite
+    # residuals.  The same instance without the NaN passes with no such note
+    def witness(c, q):
+        x = np.empty(2)
+        x[np.argsort(-c, kind="stable")] = q
+        return x
+
+    def make(lam):
+        return FtvnInstance(name="rn:2-nan", dim_v=2, dim_w=2, lam=lam, a3_witness=witness)
+
+    sick = make(lambda x: np.full(2, np.nan) if x[0] > 1.0 else sort_desc(x))
+    rep = axiom_suite(sick, seed=0, n_samples=50)
+    n_nan = int(np.count_nonzero(np.random.default_rng(0).standard_normal((50, 2))[:, 0] > 1.0))
+    assert n_nan == 8
+    assert not rep.passed
+    assert f"A1: {n_nan} non-finite residuals" in rep.notes
+    labels = {note.split(":")[0] for note in rep.notes if "non-finite" in note}
+    assert labels == {"A1", "A2", "homogeneity", "sandwich-inner", "sandwich-dist",
+                      "A3-lambda", "A3-inner"}
+    for field in ("a1_max", "a2_violation", "homogeneity_max", "sandwich_inner_violation",
+                  "sandwich_dist_violation", "a3_max_lambda_residual", "a3_max_inner_residual"):
+        assert math.isfinite(getattr(rep, field)) and getattr(rep, field) <= 1e-12, field
+    healthy = axiom_suite(make(sort_desc), seed=0, n_samples=50)
+    assert healthy.passed and not any("non-finite" in note for note in healthy.notes)
 
 
 def test_element_types_immutable(rn2):

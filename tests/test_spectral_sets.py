@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ftvn import MonotonicityError
+from ftvn import MonotonicityError, get_instance
 from ftvn.spectral_sets import (FiniteSet, GridOracle, OrbitOf,
                                 OrderedPolyhedron, PRODUCT, SUM,
                                 SpectralFunctionSpec, ZERO_FN,
@@ -113,3 +115,26 @@ def test_custom_phi_orbit_invariance(rn3):
     pts = rn3.sample_orbit(q, rng, 50)
     vals = {round(phi(rn3.lam(x)), 10) for x in pts}
     assert len(vals) == 1
+
+
+def test_image_filters_make_one_stacked_call():
+    # a finite set's and a grid's image filter test all points in one
+    # image_contains call, and keep the points in order
+    inst = get_instance("svd:3x2")
+    calls = []
+
+    def counting(q, tol):
+        calls.append(np.shape(q))
+        return inst.image_contains(q, tol)
+
+    counted = dataclasses.replace(inst, image_contains=counting)
+    pts = np.array([[2.0, 1.0], [1.0, 2.0], [1.0, -0.5], [3.0, 0.0]])
+    np.testing.assert_array_equal(image_candidates(FiniteSet(points=pts), counted),
+                                  [[2.0, 1.0], [3.0, 0.0]])
+    assert calls == [(4, 2)]
+    calls.clear()
+    grid = GridOracle(membership=lambda q: q[0] <= 1.0, box=np.array([[0.0, 2.0], [0.0, 2.0]]),
+                      resolution=3)
+    np.testing.assert_array_equal(image_candidates(grid, counted),
+                                  [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    assert calls == [(9, 2)]
