@@ -227,6 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _key_error_text(exc: KeyError) -> str:
+    # a lookup of an input field raises with the bare key; a KeyError raised
+    # with a message ("unknown instance ...") keeps its text
+    key = exc.args[0] if len(exc.args) == 1 else None
+    if isinstance(key, str) and key.isidentifier():
+        return f"missing field {key!r}"
+    return str(exc)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -236,7 +245,10 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code = args.fn(args)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except KeyError as exc:
+        print(f"error: {_key_error_text(exc)}", file=sys.stderr)
+        return EXIT_USAGE
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (WitnessError, MonotonicityError) as exc:

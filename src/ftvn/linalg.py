@@ -7,9 +7,12 @@ against a Jacobi SVD of the Gram matrix.
 
 ``eigh_desc`` and ``svd_desc`` take one matrix or a stack of them, shape
 ``(k, m, n)``, and each row of a stacked result equals the result for that
-matrix alone, bit for bit.  The SVD of a stack is one LAPACK call; the
-eigensolver runs Jacobi on each matrix in turn, and that loop in
-``eigh_desc`` is the only loop over a stack in the spectral kernels.
+matrix alone, bit for bit.  The SVD of a stack is one LAPACK call.  The
+eigensolver sets up a whole stack at once (the symmetry test, the norms that
+set each stopping threshold, the symmetrize and the conversion to Python
+lists), then runs the one Jacobi rotation loop, ``jacobi_sweeps``, on each
+matrix in turn, from a rotation schedule cached per size; ``jacobi_eigh`` is
+the one-matrix stack.
 
 ``dot_rows``, ``vecmat_rows`` and ``diag_rows`` are the row-wise products the
 instances' hooks use on stacks, with the same bit-for-bit rule: each row is
@@ -18,6 +21,7 @@ one matmul of that row's own operands, the call numpy makes for one element.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -50,74 +54,108 @@ def is_symmetric(a: np.ndarray) -> bool:
                for r, c in zip(rows, zip(*rows)) for x, y in zip(r, c))
 
 
+@functools.cache
+def _rotation_schedule(n: int) -> tuple:
+    # the cyclic row-major order of the rotations of one sweep on an n x n
+    # matrix: (p, q, the rows other than p and q) for each p < q
+    return tuple((p, q, tuple(r for r in range(n) if r != p and r != q))
+                 for p in range(n - 1) for q in range(p + 1, n))
+
+
+def jacobi_sweeps(rows: list, vt: list, stop: float, schedule: tuple) -> None:
+    """Cyclic Jacobi sweeps on one symmetric matrix, in place.
+
+    ``rows`` is the matrix as a list of row lists and ``vt`` the identity in
+    the same form; each rotation is applied to ``rows`` and accumulated into
+    the rows of ``vt``.  Sweeps run in ``schedule``'s fixed row-major (p, q)
+    order, so results are deterministic, and stop once the off-diagonal
+    Frobenius norm is at most ``stop`` or after JACOBI_MAX_SWEEPS.
+
+    The loop works on plain Python floats: at the target sizes (n <= 64,
+    typically <= 8) per-element array dispatch costs more than the arithmetic
+    itself.
+    """
+    copysign, hypot, sqrt = math.copysign, math.hypot, math.sqrt
+    span = range(len(rows))
+    for _ in range(JACOBI_MAX_SWEEPS):
+        off = 0.0
+        for p, q, _ in schedule:
+            apq = rows[p][q]
+            off += apq * apq
+        if sqrt(2.0 * off) <= stop:
+            return
+        for p, q, others in schedule:
+            rp = rows[p]
+            rq = rows[q]
+            apq = rp[q]
+            if abs(apq) <= _EPS * (abs(rp[p]) + abs(rq[q])):
+                rp[q] = rq[p] = 0.0
+                continue
+            theta = (rq[q] - rp[p]) / (2.0 * apq)
+            t = copysign(1.0, theta) / (abs(theta) + hypot(theta, 1.0))
+            c = 1.0 / sqrt(t * t + 1.0)
+            s = t * c
+            h = t * apq
+            rp[p] -= h
+            rq[q] += h
+            rp[q] = rq[p] = 0.0
+            for r in others:
+                rr = rows[r]
+                arp = rr[p]
+                arq = rr[q]
+                x1 = c * arp - s * arq
+                x2 = s * arp + c * arq
+                rr[p] = rp[r] = x1
+                rr[q] = rq[r] = x2
+            vp = vt[p]
+            vq = vt[q]
+            for r in span:
+                wp = vp[r]
+                wq = vq[r]
+                vp[r] = c * wp - s * wq
+                vq[r] = s * wp + c * wq
+
+
+def _jacobi_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (w, v) of each matrix of a (k, n, n) float stack, unsorted, with
+    # a @ v[:, i] == w[i] * v[:, i].  The numpy work is done once for the
+    # whole stack; only the rotations run matrix by matrix
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("expected a square matrix")
+    k, n, _ = a.shape
+    exact = (a == a.transpose(0, 2, 1)).all(axis=(1, 2))  # a NaN never passes
+    for i in np.flatnonzero(~exact):
+        if not is_symmetric(a[i]):
+            raise ValueError("matrix is not symmetric")
+    if n == 1:
+        return a[:, 0].copy(), np.ones((k, 1, 1))
+    # the stopping threshold: 1e-13, with a roundoff floor proportional to
+    # ||a||, the x.dot(x) of np.linalg.norm
+    flat = a.reshape(k, n * n)
+    norms = np.sqrt(dot_rows(flat, flat))
+    stops = np.maximum(JACOBI_OFF_TOL, 32.0 * _EPS * (1.0 + norms)).tolist()
+    mats = (0.5 * (a + a.transpose(0, 2, 1))).tolist()
+    vts = np.broadcast_to(np.eye(n), (k, n, n)).tolist()  # rows: eigenvector columns
+    schedule = _rotation_schedule(n)
+    for rows, vt, stop in zip(mats, vts, stops):
+        jacobi_sweeps(rows, vt, stop, schedule)
+    w = np.array([[rows[i][i] for i in range(n)] for rows in mats]).reshape(k, n)
+    return w, np.array(vts).reshape(k, n, n).transpose(0, 2, 1)
+
+
 def jacobi_eigh(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a real symmetric matrix by cyclic Jacobi rotations.
 
-    Returns ``(w, v)`` with ``a @ v[:, i] == w[i] * v[:, i]``.  Sweeps run in a
-    fixed row-major (p, q) order, so results are deterministic.  Iteration
-    stops once the off-diagonal Frobenius norm drops below 1e-13 (with a
-    roundoff floor proportional to ||a||).
-
-    The inner loop works on plain Python floats: at the target sizes
-    (n <= 64, typically <= 8) per-element array dispatch costs more than the
-    arithmetic itself.
+    Returns ``(w, v)`` with ``a @ v[:, i] == w[i] * v[:, i]``, unsorted.
+    Iteration stops once the off-diagonal Frobenius norm drops below 1e-13
+    (with a roundoff floor proportional to ||a||).  The one-matrix stack of
+    ``eigh_desc``'s kernel.
     """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
         raise ValueError("expected a square matrix")
-    if not is_symmetric(a):
-        raise ValueError("matrix is not symmetric")
-    if n == 1:
-        return np.diag(a).copy(), np.eye(n)
-    stop = max(JACOBI_OFF_TOL, 32.0 * _EPS * (1.0 + float(np.linalg.norm(a))))
-    rows = (0.5 * (a + a.T)).tolist()
-    vt = np.eye(n).tolist()  # rows of vt are the eigenvector columns
-    copysign, hypot, sqrt = math.copysign, math.hypot, math.sqrt
-    span = range(n)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for i in range(n - 1):
-            ri = rows[i]
-            for j in range(i + 1, n):
-                off += ri[j] * ri[j]
-        if sqrt(2.0 * off) <= stop:
-            break
-        for p in range(n - 1):
-            rp = rows[p]
-            for q in range(p + 1, n):
-                rq = rows[q]
-                apq = rp[q]
-                if abs(apq) <= _EPS * (abs(rp[p]) + abs(rq[q])):
-                    rp[q] = rq[p] = 0.0
-                    continue
-                theta = (rq[q] - rp[p]) / (2.0 * apq)
-                t = copysign(1.0, theta) / (abs(theta) + hypot(theta, 1.0))
-                c = 1.0 / sqrt(t * t + 1.0)
-                s = t * c
-                h = t * apq
-                rp[p] -= h
-                rq[q] += h
-                rp[q] = rq[p] = 0.0
-                for r in span:
-                    if r == p or r == q:
-                        continue
-                    rr = rows[r]
-                    arp = rr[p]
-                    arq = rr[q]
-                    x1 = c * arp - s * arq
-                    x2 = s * arp + c * arq
-                    rr[p] = rp[r] = x1
-                    rr[q] = rq[r] = x2
-                vp = vt[p]
-                vq = vt[q]
-                for r in span:
-                    wp = vp[r]
-                    wq = vq[r]
-                    vp[r] = c * wp - s * wq
-                    vq[r] = s * wp + c * wq
-    w = np.array([rows[i][i] for i in range(n)])
-    return w, np.array(vt).T
+    w, v = _jacobi_stack(a[None])
+    return w[0], v[0]
 
 
 def _fix_column_signs(v: np.ndarray) -> np.ndarray:
@@ -141,9 +179,9 @@ def eigh_desc(a) -> tuple[np.ndarray, np.ndarray]:
     ``a`` is one symmetric matrix, shape (n, n), or a stack, shape (k, n, n);
     w has shape (n,) or (k, n) and v the shape of ``a``."""
     a = np.asarray(a, dtype=float)
-    pairs = [jacobi_eigh(m) for m in a.reshape(-1, *a.shape[-2:])]
-    w = np.array([p[0] for p in pairs]).reshape(a.shape[:-1])
-    v = np.array([p[1] for p in pairs]).reshape(a.shape)
+    w, v = _jacobi_stack(a.reshape(-1, *a.shape[-2:]))
+    w = w.reshape(a.shape[:-1])
+    v = v.reshape(a.shape)
     order = np.argsort(-w, axis=-1, kind="stable")
     v = np.take_along_axis(v, order[..., None, :], axis=-1)
     _fix_column_signs(v)

@@ -166,6 +166,8 @@ def set_spec_for(inst: FtvnInstance, obj) -> Any:
                 raise ValueError(f"finite set: points have {points.shape[1]} "
                                  f"coordinates, expected {n}")
             _check_size(points, "finite set: a point")
+        else:  # no points: the empty set of the instance's width
+            points = np.zeros((0, n))
         return FiniteSet(points=points,
                          permutation_invariant=bool(obj.get("permutation_invariant", False)))
     if kind == "polyhedron":

@@ -197,6 +197,7 @@ def test_cli_solve_orbit_problem(tmp_path, capsys):
 def test_cli_solve_infeasible_exit3(tmp_path, capsys):
     for q_set in [
             {"kind": "finite", "points": [[0, 1]]},
+            {"kind": "finite", "points": []},
             # q1 <= -1 and q2 >= 1 contradict q1 >= q2: the LP route finds it empty
             {"kind": "polyhedron", "halfspaces": [{"normal": [1, 0], "offset": -1},
                                                   {"normal": [0, -1], "offset": -1}]}]:
@@ -295,6 +296,40 @@ def test_cli_vi_and_envelope_fields_are_typed(tmp_path, capsys, command, field, 
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {field}:"), lines
+
+
+def test_cli_vi_empty_finite_set(tmp_path, capsys):
+    # an empty set has the instance's width and no member: a is not in it
+    doc_in = {"instance": "rn:2", "set": {"kind": "finite", "points": []},
+              "a": {"kind": "rn", "data": [1, 0]}, "g": {"kind": "identity"}}
+    path = tmp_path / "vi.json"
+    path.write_text(json.dumps(doc_in))
+    assert main(["vi", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: a does not belong to the spectral set "
+                                         "(lam(a) not in Q)"]
+    spec = set_spec_for(get_instance("rn:2"), doc_in["set"])
+    assert spec.points.shape == (0, 2)
+
+
+@pytest.mark.parametrize("command, doc_in, message", [
+    ("solve", {"instance": "rn:2", "set": {"kind": "finite", "points": [[1, 0]]}},
+     "error: missing field 'objective'"),
+    ("vi", {"instance": "rn:2", "set": {"kind": "finite", "points": [[1, 0]]},
+            "a": {"kind": "rn", "data": [1, 0]}},
+     "error: missing field 'g'"),
+    # a KeyError raised with a message keeps its text
+    ("vi", {"instance": "rn:2", "set": {"kind": "finite", "points": [[1, 0]]},
+            "a": {"kind": "rn", "data": [1, 0]}, "g": {"kind": "spiral"}},
+     "error: \"unknown map kind 'spiral'\""),
+])
+def test_cli_missing_field_is_named(tmp_path, capsys, command, doc_in, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc_in))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [message]
 
 
 def test_cli_usage_errors(tmp_path, capsys):
@@ -647,12 +682,14 @@ def _mutated_problems(draw):
     value = draw(st.sampled_from(_VALUES + [_DROP] if path else _VALUES))
     # test_cli_solve_huge_element_entries holds these
     assume(not (_element_entry(path) and value in _HUGE))
-    return _mutated(doc, path, value)
+    dropped = path[-1] if value is _DROP and isinstance(path[-1], str) else None
+    return _mutated(doc, path, value), dropped
 
 
-def _check_solve(problem, tmp_path_factory):
+def _check_solve(problem, tmp_path_factory, dropped=None):
     # an exit code of the documented four, one stderr line with no traceback,
-    # internal error or warning, and stdout empty or canonical JSON
+    # internal error or warning, and stdout empty or canonical JSON.  A
+    # usage error after a dropped field names the field
     path = tmp_path_factory.getbasetemp() / "mutant.json"
     path.write_text(json.dumps(problem))
     out, err = io.StringIO(), io.StringIO()
@@ -664,14 +701,17 @@ def _check_solve(problem, tmp_path_factory):
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and not caught, (lines, [str(w.message) for w in caught])
     assert "Traceback" not in lines[0] and "internal error" not in lines[0], lines[0]
+    if dropped is not None and code == 1:
+        assert lines[0] == f"error: missing field {dropped!r}", lines[0]
     text = out.getvalue()
     assert text == "" or canonical_dumps(json.loads(text)) == text
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(problem=_mutated_problems())
-def test_cli_solve_survives_mutated_problem_files(problem, tmp_path_factory):
-    _check_solve(problem, tmp_path_factory)
+@given(mutant=_mutated_problems())
+def test_cli_solve_survives_mutated_problem_files(mutant, tmp_path_factory):
+    problem, dropped = mutant
+    _check_solve(problem, tmp_path_factory, dropped)
 
 
 @pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: an element entry near 1e308 "

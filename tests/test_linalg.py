@@ -37,6 +37,44 @@ def test_jacobi_rejects_nonsymmetric():
         jacobi_eigh(np.array([[1.0, np.nan], [np.nan, 2.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                 np.array([[1.0, np.nan], [np.nan, 2.0]]),
+                                 np.array([[np.nan, 0.0], [0.0, 1.0]])])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_stack_rejects_nonsymmetric_at_any_position(bad, position):
+    # the stack's one exact-symmetry test sends a failing matrix to the
+    # per-matrix predicate, wherever it sits; a NaN fails both
+    rng = np.random.default_rng(4)
+    stack = np.array([random_symmetric(rng, 2) for _ in range(5)])
+    stack[position] = bad
+    with pytest.raises(ValueError, match="matrix is not symmetric"):
+        eigh_desc(stack)
+    # inside the predicate's tolerance the stack is decomposed, as one matrix is
+    stack[position] = random_symmetric(rng, 2) + np.array([[0.0, 1e-12], [0.0, 0.0]])
+    w, v = eigh_desc(stack)
+    w1, v1 = eigh_desc(stack[position])
+    assert w[position].tobytes() == w1.tobytes() and v[position].tobytes() == v1.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_empty_stack(n):
+    w, v = eigh_desc(np.zeros((0, n, n)))
+    assert w.shape == (0, n) and v.shape == (0, n, n)
+    assert w.dtype == v.dtype == np.float64
+
+
+def test_stack_of_one_by_one_matrices():
+    # no rotation and no rounding: the entries themselves, with unit vectors,
+    # also at the top of the float range
+    a = np.array([3.5, -2.0, 0.0, 1e308, -np.inf]).reshape(5, 1, 1)
+    w, v = eigh_desc(a)
+    assert w.shape == (5, 1) and v.shape == (5, 1, 1)
+    assert w.tobytes() == a[:, 0].tobytes()
+    assert np.array_equal(v, np.ones((5, 1, 1)))
+    w1, v1 = jacobi_eigh(a[3])
+    assert w1.tolist() == [1e308] and v1.tolist() == [[1.0]]
+
+
 def test_symmetry_predicate_matches_allclose():
     # the reference is the predicate jacobi_eigh used before: np.allclose with
     # an absolute tolerance scaled by the largest entry

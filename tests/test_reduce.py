@@ -775,11 +775,13 @@ def _bounded_box(k):
 def test_three_decompositions_per_solve(name, monkeypatch):
     # the lift direction, the lifted point and their sum: one decomposition
     # each, whatever the route and the sense.  The kernel counted is the one
-    # the instance decomposes with: Jacobi for sym, the LAPACK SVD for svd
+    # the instance decomposes with: the per-matrix Jacobi sweeps for sym,
+    # which count matrices whether or not they come in one stack, and the
+    # LAPACK SVD for svd
     import ftvn.linalg
     import ftvn.nds
     module, attr = ((ftvn.nds, "svd_desc") if name.startswith("svd:")
-                    else (ftvn.linalg, "jacobi_eigh"))
+                    else (ftvn.linalg, "jacobi_sweeps"))
     real = getattr(module, attr)
     calls = []
 
