@@ -61,19 +61,23 @@ def as_rows(x) -> np.ndarray:
     return np.asarray(getattr(x, "coords", x), dtype=float)
 
 
-def on_rows(kernel: Callable[[np.ndarray], tuple[np.ndarray, Any]], x) -> tuple[np.ndarray, Any]:
-    """A decompose hook's call: ``kernel(xs)`` takes a (k, dim_v) stack and
-    returns its eigenvalues, shape (k, dim_w), and the stack's frame: an
-    array, or a tuple of arrays, whose leading axis runs over the k rows.
-    x is such a stack, or a single element as the k = 1 case, whose
-    eigenvalue vector and frame come back unstacked."""
+def on_rows(kernel: Callable[[np.ndarray, bool], tuple[np.ndarray, Any]], x,
+            frames: bool = True) -> tuple[np.ndarray, Any]:
+    """A decompose hook's call: ``kernel(xs, frames)`` takes a (k, dim_v)
+    stack and returns its eigenvalues, shape (k, dim_w), and the stack's
+    frame: an array, or a tuple of arrays, whose leading axis runs over the
+    k rows, or None when ``frames`` is False.  x is such a stack, or a
+    single element as the k = 1 case, whose eigenvalue vector and frame come
+    back unstacked."""
     xs = as_rows(x)
     if xs.ndim == 1:
-        eigs, frame = kernel(xs[None])
-        return eigs[0], (tuple(a[0] for a in frame) if isinstance(frame, tuple) else frame[0])
+        eigs, frame = kernel(xs[None], frames)
+        if frame is not None:
+            frame = tuple(a[0] for a in frame) if isinstance(frame, tuple) else frame[0]
+        return eigs[0], frame
     if xs.ndim != 2:
         raise DimensionMismatch(f"expected an element or a stack of elements, got shape {xs.shape}")
-    return kernel(xs)
+    return kernel(xs, frames)
 
 
 def _frozen_vec(coords) -> np.ndarray:
@@ -138,9 +142,12 @@ class FtvnInstance:
     failure.
 
     An instance with a spectral decomposition gives it as two hooks, the
-    paper's construction: ``decompose(x) -> (eigs, frame)`` with eigs = lam(x)
-    and ``rebuild(q, frame) -> x`` with lam(x) = q, which puts the target
-    eigenvalues on the frame's own basis.
+    paper's construction: ``decompose(x, frames=True) -> (eigs, frame)`` with
+    eigs = lam(x) and ``rebuild(q, frame) -> x`` with lam(x) = q, which puts
+    the target eigenvalues on the frame's own basis.  With ``frames=False``
+    the hook returns ``(eigs, None)``, the same eigenvalues bit for bit,
+    without building the frame: lam(x) is the whole spectral map, and only a
+    rebuild on x's basis or a shared-frame witness needs the frame.
 
     Four hooks take a stack of k rows as well as a single element, the
     k = 1 case, and row i of a stacked result equals the call on row i
@@ -153,12 +160,13 @@ class FtvnInstance:
     ``image_contains(q, tol)``, for targets of width dim_w, returns one flag
     per row.  ``project_element`` maps a stack to a stack.  ``lam`` and
     ``a3_witness``, when left out, are derived from the hooks at
-    construction: the witness for (c, q) is q rebuilt on c's frame, which
-    makes it exact (:attr:`witness_is_exact`).  An instance without the hooks
-    gives ``lam`` and ``a3_witness`` itself, and its witness is taken for a
-    numerical search.  :meth:`spectral` is the one entry point for
-    (lam(x), frame), for one element or a stack; :func:`commute_check` takes
-    the frame of x + y as the shared-frame witness of a commuting pair.
+    construction: lam(x) is ``decompose(x, frames=False)[0]``, and the
+    witness for (c, q) is q rebuilt on c's frame, which makes it exact
+    (:attr:`witness_is_exact`).  An instance without the hooks gives ``lam``
+    and ``a3_witness`` itself, and its witness is taken for a numerical
+    search.  :meth:`spectral` is the one entry point for (lam(x), frame),
+    for one element or a stack; :func:`commute_check` takes the frame of
+    x + y as the shared-frame witness of a commuting pair.
 
     ``draw`` samples an element: a standard normal coordinate vector through
     ``project_element``.  :meth:`sample_orbit` samples the orbit of q through
@@ -178,7 +186,7 @@ class FtvnInstance:
     # matrix instances); free-coordinate searches compose through this
     project_element: Callable[[np.ndarray], np.ndarray] = lambda x: x
     backend: Any = None
-    decompose: Optional[Callable[[np.ndarray], tuple[np.ndarray, Any]]] = None
+    decompose: Optional[Callable[..., tuple[np.ndarray, Any]]] = None
     rebuild: Optional[Callable[[np.ndarray, Any], np.ndarray]] = None
 
     def __post_init__(self):
@@ -187,7 +195,7 @@ class FtvnInstance:
         if self.decompose is not None:
             decompose = self.decompose
             if self.lam is None:
-                object.__setattr__(self, "lam", lambda x: decompose(x)[0])
+                object.__setattr__(self, "lam", lambda x: decompose(x, frames=False)[0])
             if self.a3_witness is None:
                 object.__setattr__(self, "a3_witness",
                                    lambda c, q: self.witness_on(c, q, decompose(c)[1]))
@@ -200,12 +208,13 @@ class FtvnInstance:
         numerical search (restricted subspace, custom hyperbolic polynomial)."""
         return self.rebuild is not None
 
-    def spectral(self, x: np.ndarray) -> tuple[np.ndarray, Any]:
-        """(lam(x), frame of x); the frame is None without the hooks.  On a
-        (k, dim_v) stack, (the k eigenvalue rows, the stack's frame), in one
-        ``decompose`` call, or one ``lam`` call per row without the hooks."""
+    def spectral(self, x: np.ndarray, frames: bool = True) -> tuple[np.ndarray, Any]:
+        """(lam(x), frame of x); the frame is None without the hooks or with
+        ``frames=False``.  On a (k, dim_v) stack, (the k eigenvalue rows, the
+        stack's frame), in one ``decompose`` call, or one ``lam`` call per row
+        without the hooks."""
         if self.decompose is not None:
-            return self.decompose(x)
+            return self.decompose(x, frames=frames)
         if np.ndim(x) == 2:
             return np.array([self.lam(r) for r in x]).reshape(len(x), self.dim_w), None
         return self.lam(x), None
@@ -458,10 +467,11 @@ def axiom_suite(inst: FtvnInstance, seed: int, n_samples: int,
     xs = _draw_rows(inst, rng, n_samples)
     alphas = np.abs(rng.standard_normal(n_samples))
     # one decomposition call per batch: the samples (their lam, and their
-    # frame for the A3 witnesses), alpha x, -x, and below the witnesses
+    # frame for the A3 witnesses), alpha x, -x, and below the witnesses;
+    # only the samples' call builds a frame
     lams, frames = inst.spectral(xs)
-    lams_scaled = inst.spectral(alphas[:, None] * xs)[0]
-    lams_neg = inst.spectral(-xs)[0]
+    lams_scaled = inst.spectral(alphas[:, None] * xs, frames=False)[0]
+    lams_neg = inst.spectral(-xs, frames=False)[0]
 
     # inst.norm_v and inst.norm_w of each row
     def norm_v(a):
@@ -493,7 +503,7 @@ def axiom_suite(inst: FtvnInstance, seed: int, n_samples: int,
 
     # A3: q = lam(y) rebuilt on x's frame, against <lam x, q>
     witnesses, ok = _witness_rows(inst, xs, lys, frames)
-    lams_w = inst.spectral(witnesses)[0]
+    lams_w = inst.spectral(witnesses, frames=False)[0]
     cs, qs = xs[ok], lys[ok]
     nq = norm_w(qs)
     target = dot_rows(lams[ok], qs)

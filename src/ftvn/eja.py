@@ -13,8 +13,9 @@ Every algebra also exposes itself as a :class:`~ftvn.core.FtvnInstance` whose
 A3 witness is the constructive one: decompose c, then rebuild the target
 eigenvalues on c's own frame.  Each family's decomposition works on a stack
 of elements, one row each: (k, dim_v) to eigenvalues (k, rank) and idempotent
-rows (k, rank, dim_v), and the instance's rebuild, inner product, image test
-and projection work on stacks too.
+rows (k, rank, dim_v), or to the eigenvalues alone when no frame is asked
+for, and the instance's rebuild, inner product, image test and projection
+work on stacks too.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .core import (DEDUP_TOL, DEFAULT_TOL, FtvnInstance, as_rows, as_vec, on_rows,
                    register_instance)
-from .linalg import dot_rows, eigh_desc, is_symmetric, vecmat_rows
+from .linalg import dot_rows, eigh_desc, eigvalsh_desc, is_symmetric, vecmat_rows
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ class JordanAlgebra:
                  jordan_product: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  unit: np.ndarray,
                  inner_weights: np.ndarray,
-                 decompose: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                 decompose: Callable[[np.ndarray, bool], tuple[np.ndarray, Optional[np.ndarray]]],
                  simple: bool = False,
                  project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  parts: tuple = ()):
@@ -118,7 +119,8 @@ class JordanAlgebra:
         self.jordan_product = jordan_product
         self.unit = np.asarray(unit, dtype=float)
         self._w = np.asarray(inner_weights, dtype=float)
-        self._decompose = decompose  # (k, dim_v) -> eigenvalues, idempotent rows
+        # (k, dim_v), frames -> eigenvalues, idempotent rows (None without frames)
+        self._decompose = decompose
         self._project = project if project is not None else (lambda x: x)
         self.parts = parts  # the factor algebras of a product, in order; () otherwise
         self.instance = self._build_instance()
@@ -132,12 +134,13 @@ class JordanAlgebra:
     def norm(self, x) -> float:
         return math.sqrt(max(self.inner(x, x), 0.0))
 
-    def decompose(self, x) -> tuple[np.ndarray, JordanFrame]:
+    def decompose(self, x, frames: bool = True) -> tuple[np.ndarray, Optional[JordanFrame]]:
         """The instance's ``decompose`` hook: eigenvalues (nonincreasing) and
-        the Jordan frame whose idempotents rebuild x; on a stack, the
-        eigenvalue rows and the stack's frame."""
-        eigs, rows = on_rows(self._decompose, x)
-        return eigs, JordanFrame(rows)
+        the Jordan frame whose idempotents rebuild x, or None with
+        ``frames=False``; on a stack, the eigenvalue rows and the stack's
+        frame."""
+        eigs, rows = on_rows(self._decompose, x, frames)
+        return eigs, (JordanFrame(rows) if frames else None)
 
     # -- FTvN instance wrapper ----------------------------------------------
 
@@ -161,11 +164,13 @@ class JordanAlgebra:
 # ---------------------------------------------------------------------------
 # concrete families
 
-def sort_decompose(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sort_decompose(xs: np.ndarray, frames: bool = True) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The spectral decomposition of R^N, row by row of a (k, N) stack: each
-    row sorted nonincreasing, and the rows of the identity in that order."""
+    row sorted nonincreasing, and the rows of the identity in that order
+    (None with ``frames=False``)."""
     order = np.argsort(-xs, axis=1, kind="stable")
-    return xs[np.arange(len(xs))[:, None], order], np.eye(xs.shape[1])[order]
+    eigs = xs[np.arange(len(xs))[:, None], order]
+    return eigs, (np.eye(xs.shape[1])[order] if frames else None)
 
 
 def rn_algebra(n: int) -> JordanAlgebra:
@@ -211,10 +216,13 @@ def sym_algebra(n: int) -> JordanAlgebra:
         m = x.reshape(*x.shape[:-1], n, n)
         return (0.5 * (m + np.swapaxes(m, -1, -2))).reshape(x.shape)
 
-    def decompose(xs):
+    def decompose(xs, frames=True):
         # total on the flattening: the symmetric part is the element
         m = xs.reshape(len(xs), n, n)
-        w, v = eigh_desc(0.5 * (m + m.transpose(0, 2, 1)))
+        m = 0.5 * (m + m.transpose(0, 2, 1))
+        if not frames:
+            return eigvalsh_desc(m), None
+        w, v = eigh_desc(m)
         # outer products, no sums: each entry is one product, as for one matrix
         frame = np.einsum("hji,hki->hijk", v, v).reshape(len(xs), n, n * n)
         return w, frame
@@ -243,7 +251,7 @@ def spin_algebra(n: int) -> JordanAlgebra:
         out[1:] = x[0] * y[1:] + y[0] * x[1:]
         return out
 
-    def decompose(xs):
+    def decompose(xs, frames=True):
         x0 = xs[:, 0]
         xbar = xs[:, 1:]
         # bit for bit np.linalg.norm of each row alone
@@ -253,6 +261,8 @@ def spin_algebra(n: int) -> JordanAlgebra:
         eigs = np.empty((len(xs), 2))
         eigs[:, 0] = x0 + r
         eigs[:, 1] = x0 - r
+        if not frames:
+            return eigs, None
         frame = np.empty((len(xs), 2, n + 1))
         frame[:, :, 0] = 0.5
         frame[:, 0, 1:] = 0.5 * axis
@@ -285,18 +295,19 @@ def product_algebra(parts: list[JordanAlgebra]) -> JordanAlgebra:
         return np.concatenate([p.jordan_product(a, b)
                                for p, a, b in zip(parts, slices_v(x), slices_v(y))])
 
-    def decompose(xs):
+    def decompose(xs, frames=True):
         # each part's rows in their own block; a stable sort of the merged
         # eigenvalues breaks ties by part, then by index within the part
         eigs = np.empty((len(xs), rank))
-        frame = np.zeros((len(xs), rank, dim_v))
+        frame = np.zeros((len(xs), rank, dim_v)) if frames else None
         for i, p in enumerate(parts):
-            part_eigs, part_rows = p._decompose(xs[:, v_off[i]:v_off[i + 1]])
+            part_eigs, part_rows = p._decompose(xs[:, v_off[i]:v_off[i + 1]], frames)
             eigs[:, w_off[i]:w_off[i + 1]] = part_eigs
-            frame[:, w_off[i]:w_off[i + 1], v_off[i]:v_off[i + 1]] = part_rows
+            if frames:
+                frame[:, w_off[i]:w_off[i + 1], v_off[i]:v_off[i + 1]] = part_rows
         order = np.argsort(-eigs, axis=1, kind="stable")
         rows = np.arange(len(xs))[:, None]
-        return eigs[rows, order], frame[rows, order]
+        return eigs[rows, order], (frame[rows, order] if frames else None)
 
     def project(x):
         return np.concatenate([p._project(xi) for p, xi in zip(parts, slices_v(x))], axis=-1)

@@ -27,7 +27,7 @@ import numpy as np
 from .core import (FtvnError, FtvnInstance, WitnessError, as_rows, as_vec, on_rows,
                    register_instance)
 from .eja import is_sorted_desc, sort_decompose
-from .linalg import diag_rows, dot_rows, eigh_desc, vecmat_rows
+from .linalg import diag_rows, dot_rows, eigh_desc, eigvalsh_desc, vecmat_rows
 
 IMAG_TOL = 1e-7
 LEADING_TOL = 1e-12
@@ -66,7 +66,7 @@ class HyperbolicPolynomial:
     def __init__(self, dim: int, degree: int,
                  evaluator: Callable[[np.ndarray], float],
                  direction_e, name: str = "hyp",
-                 decompose: Optional[Callable[[np.ndarray], tuple]] = None,
+                 decompose: Optional[Callable[..., tuple]] = None,
                  rebuild: Optional[Callable[[np.ndarray, object], np.ndarray]] = None):
         if degree < 1:
             raise ValueError("degree must be at least 1")
@@ -132,7 +132,7 @@ class HyperbolicPolynomial:
         # the decomposition where there is one: the basis points and their
         # pairwise sums have repeated roots, where root extraction loses half
         # its digits (hyp:prod:4 reads them as complex)
-        eigs = self.lam(x) if self.decompose is None else self.decompose(x)[0]
+        eigs = self.lam(x) if self.decompose is None else self.decompose(x, frames=False)[0]
         return float(np.dot(eigs, eigs))
 
     def _build_gram(self) -> np.ndarray:
@@ -144,7 +144,7 @@ class HyperbolicPolynomial:
             for jj in range(i + 1, self.dim):
                 plus = self._norm_sq(basis[i] + basis[jj])
                 g[i, jj] = g[jj, i] = 0.5 * (plus - sq[i] - sq[jj])
-        w, _ = eigh_desc(g)
+        w = eigvalsh_desc(g)
         if w[-1] <= 1e-10 * max(1.0, w[0]):
             raise FtvnError(f"{self.name}: polarization form is not positive definite")
         rng = np.random.default_rng(0)
@@ -336,7 +336,7 @@ def coordinate_product_polynomial(n: int) -> HyperbolicPolynomial:
         evaluator=lambda v: float(np.prod(v)),
         direction_e=np.ones(n),
         name=f"prod:{n}",
-        decompose=lambda x: on_rows(sort_decompose, x),
+        decompose=lambda x, frames=True: on_rows(sort_decompose, x, frames),
         rebuild=vecmat_rows)
 
 
@@ -369,12 +369,17 @@ def det_sym_polynomial(n: int) -> HyperbolicPolynomial:
     the root map recovers the spectrum, and the eigenvectors V of the matrix
     are the frame: q is rebuilt as V diag(q) V^T."""
     dim = _svec_dim(n)
+
+    def kernel(xs, frames):
+        m = svec_to_mat(xs, n)
+        return eigh_desc(m) if frames else (eigvalsh_desc(m), None)
+
     return HyperbolicPolynomial(
         dim=dim, degree=n,
         evaluator=lambda v: float(np.linalg.det(svec_to_mat(np.asarray(v, float), n))),
         direction_e=mat_to_svec(np.eye(n)),
         name=f"detsym:{n}",
-        decompose=lambda x: on_rows(lambda xs: eigh_desc(svec_to_mat(xs, n)), x),
+        decompose=lambda x, frames=True: on_rows(kernel, x, frames),
         rebuild=lambda q, v: mat_to_svec(v @ diag_rows(q) @ np.swapaxes(v, -1, -2)))
 
 

@@ -5,14 +5,20 @@ stay free to serve as independent test oracles.  Adequate for n <= 64.  The
 SVD is numpy's LAPACK driver with a fixed sign convention; the tests check it
 against a Jacobi SVD of the Gram matrix.
 
-``eigh_desc`` and ``svd_desc`` take one matrix or a stack of them, shape
-``(k, m, n)``, and each row of a stacked result equals the result for that
-matrix alone, bit for bit.  The SVD of a stack is one LAPACK call.  The
-eigensolver sets up a whole stack at once (the symmetry test, the norms that
-set each stopping threshold, the symmetrize and the conversion to Python
-lists), then runs the one Jacobi rotation loop, ``jacobi_sweeps``, on each
-matrix in turn, from a rotation schedule cached per size; ``jacobi_eigh`` is
-the one-matrix stack.
+``eigh_desc``, ``eigvalsh_desc`` and ``svd_desc`` take one matrix or a
+stack of them, shape ``(k, m, n)``, and each row of a stacked result equals
+the result for that matrix alone, bit for bit.  The SVD of a stack is one
+LAPACK call.  The eigensolver sets up a whole stack at once (the symmetry
+test, the norms that set each stopping threshold, the symmetrize and the
+conversion to Python lists), then runs the one Jacobi rotation loop,
+``jacobi_sweeps``, on each matrix in turn, from a rotation schedule cached
+per size; ``jacobi_eigh`` is the one-matrix stack.  ``eigvalsh_desc``, named
+as numpy's ``eigvalsh``, runs the same sweeps without accumulating the
+eigenvectors: the matrix sees the same operations in the same order, so its
+eigenvalues are those of ``eigh_desc`` bit for bit, and each rotation skips
+its n-row eigenvector update.  A matrix whose norm overflows in ``x.dot(x)``
+(finite entries past about 1e154) takes its stopping threshold from a
+rescaled norm, so it is still rotated to its eigenvalues.
 
 ``dot_rows``, ``vecmat_rows`` and ``diag_rows`` are the row-wise products the
 instances' hooks use on stacks, with the same bit-for-bit rule: each row is
@@ -23,19 +29,13 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Optional
 
 import numpy as np
 
 JACOBI_OFF_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 40
 _EPS = np.finfo(float).eps
-
-
-def offdiag_norm(a: np.ndarray) -> float:
-    # summed directly over off-diagonal entries: the subtraction form
-    # ||A||^2 - ||diag||^2 cancels catastrophically near convergence
-    off = a[~np.eye(a.shape[0], dtype=bool)]
-    return float(np.sqrt(np.sum(off * off)))
 
 
 def is_symmetric(a: np.ndarray) -> bool:
@@ -62,12 +62,14 @@ def _rotation_schedule(n: int) -> tuple:
                  for p in range(n - 1) for q in range(p + 1, n))
 
 
-def jacobi_sweeps(rows: list, vt: list, stop: float, schedule: tuple) -> None:
+def jacobi_sweeps(rows: list, vt: Optional[list], stop: float, schedule: tuple) -> None:
     """Cyclic Jacobi sweeps on one symmetric matrix, in place.
 
     ``rows`` is the matrix as a list of row lists and ``vt`` the identity in
-    the same form; each rotation is applied to ``rows`` and accumulated into
-    the rows of ``vt``.  Sweeps run in ``schedule``'s fixed row-major (p, q)
+    the same form, or None; each rotation is applied to ``rows`` and
+    accumulated into the rows of ``vt`` when there is one.  ``rows`` sees the
+    same operations in the same order either way, so its diagonal does not
+    depend on ``vt``.  Sweeps run in ``schedule``'s fixed row-major (p, q)
     order, so results are deterministic, and stop once the off-diagonal
     Frobenius norm is at most ``stop`` or after JACOBI_MAX_SWEEPS.
 
@@ -107,6 +109,8 @@ def jacobi_sweeps(rows: list, vt: list, stop: float, schedule: tuple) -> None:
                 x2 = s * arp + c * arq
                 rr[p] = rp[r] = x1
                 rr[q] = rq[r] = x2
+            if vt is None:
+                continue
             vp = vt[p]
             vq = vt[q]
             for r in span:
@@ -116,9 +120,30 @@ def jacobi_sweeps(rows: list, vt: list, stop: float, schedule: tuple) -> None:
                 vq[r] = s * wp + c * wq
 
 
-def _jacobi_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _stop_thresholds(a: np.ndarray) -> list:
+    # each matrix's stopping threshold: 1e-13, with a roundoff floor
+    # proportional to ||a||, the x.dot(x) of np.linalg.norm.  Where x.dot(x)
+    # overflows on finite entries (past about 1e154) the norm is taken as
+    # max|a| * ||a / max|a|||, which stays finite; every other row keeps
+    # the plain form's bits
+    k, n, _ = a.shape
+    flat = a.reshape(k, n * n)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(dot_rows(flat, flat))
+    big = np.flatnonzero(np.isinf(norms))
+    if big.size:
+        peak = np.abs(flat[big]).max(axis=1)
+        fine = np.isfinite(peak)  # an infinite entry keeps its infinite norm
+        big, peak = big[fine], peak[fine]
+        unit = flat[big] / peak[:, None]
+        norms[big] = peak * np.sqrt(dot_rows(unit, unit))
+    return np.maximum(JACOBI_OFF_TOL, 32.0 * _EPS * (1.0 + norms)).tolist()
+
+
+def _jacobi_stack(a: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, Optional[np.ndarray]]:
     # (w, v) of each matrix of a (k, n, n) float stack, unsorted, with
-    # a @ v[:, i] == w[i] * v[:, i].  The numpy work is done once for the
+    # a @ v[:, i] == w[i] * v[:, i]; v is None when ``vectors`` is False,
+    # and w is the same either way.  The numpy work is done once for the
     # whole stack; only the rotations run matrix by matrix
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("expected a square matrix")
@@ -128,18 +153,17 @@ def _jacobi_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not is_symmetric(a[i]):
             raise ValueError("matrix is not symmetric")
     if n == 1:
-        return a[:, 0].copy(), np.ones((k, 1, 1))
-    # the stopping threshold: 1e-13, with a roundoff floor proportional to
-    # ||a||, the x.dot(x) of np.linalg.norm
-    flat = a.reshape(k, n * n)
-    norms = np.sqrt(dot_rows(flat, flat))
-    stops = np.maximum(JACOBI_OFF_TOL, 32.0 * _EPS * (1.0 + norms)).tolist()
+        return a[:, 0].copy(), (np.ones((k, 1, 1)) if vectors else None)
+    stops = _stop_thresholds(a)
     mats = (0.5 * (a + a.transpose(0, 2, 1))).tolist()
-    vts = np.broadcast_to(np.eye(n), (k, n, n)).tolist()  # rows: eigenvector columns
+    # rows: eigenvector columns
+    vts = np.broadcast_to(np.eye(n), (k, n, n)).tolist() if vectors else [None] * k
     schedule = _rotation_schedule(n)
     for rows, vt, stop in zip(mats, vts, stops):
         jacobi_sweeps(rows, vt, stop, schedule)
     w = np.array([[rows[i][i] for i in range(n)] for rows in mats]).reshape(k, n)
+    if not vectors:
+        return w, None
     return w, np.array(vts).reshape(k, n, n).transpose(0, 2, 1)
 
 
@@ -186,6 +210,17 @@ def eigh_desc(a) -> tuple[np.ndarray, np.ndarray]:
     v = np.take_along_axis(v, order[..., None, :], axis=-1)
     _fix_column_signs(v)
     return np.take_along_axis(w, order, axis=-1), v
+
+
+def eigvalsh_desc(a) -> np.ndarray:
+    """The eigenvalues of ``eigh_desc(a)``, bit for bit, without its
+    eigenvectors: the same sweeps with no rotation accumulated into a frame.
+
+    ``a`` is one symmetric matrix, shape (n, n), or a stack, shape (k, n, n);
+    the result has shape (n,) or (k, n)."""
+    a = np.asarray(a, dtype=float)
+    w = _jacobi_stack(a.reshape(-1, *a.shape[-2:]), vectors=False)[0].reshape(a.shape[:-1])
+    return np.take_along_axis(w, np.argsort(-w, axis=-1, kind="stable"), axis=-1)
 
 
 def svd_desc(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -52,18 +53,21 @@ class RectMatrixSpace:
     def gamma(self, x) -> np.ndarray:
         """The m x n matrix carrying sigma(x) on its leading diagonal."""
         out = np.zeros((self.m, self.n))
-        out[np.arange(self.k), np.arange(self.k)] = self.decompose(x)[0]
+        out[np.arange(self.k), np.arange(self.k)] = self.decompose(x, frames=False)[0]
         return out
 
-    def decompose(self, x) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """Singular values and the frame (u, v) of x = u diag(s) v^T; on a
-        stack, the singular value rows and the frame (u, v) of stacked
-        factors, from one LAPACK call."""
-        return on_rows(self._decompose, x)
+    def decompose(self, x, frames: bool = True) -> tuple[np.ndarray, Optional[tuple]]:
+        """Singular values and the frame (u, v) of x = u diag(s) v^T, or None
+        with ``frames=False``; on a stack, the singular value rows and the
+        frame (u, v) of stacked factors, from one LAPACK call.
 
-    def _decompose(self, xs: np.ndarray):
+        Without frames it is the same full LAPACK call: the values-only
+        routine rounds the singular values differently."""
+        return on_rows(self._decompose, x, frames)
+
+    def _decompose(self, xs: np.ndarray, frames: bool):
         u, s, v = svd_desc(xs.reshape(len(xs), self.m, self.n))
-        return s, (u, v)
+        return s, ((u, v) if frames else None)
 
     def rebuild(self, q, frame) -> np.ndarray:
         """u diag(q) v^T, with q clipped at zero: the target's roundoff below
@@ -98,12 +102,14 @@ def rotation_instance() -> FtvnInstance:
     separates this system from the sorted-map families.  The rotation R is
     the frame of every element: decompose x to (R x, R), rebuild q as R^T q.
     Every vector of R^2 is in the image."""
+    def kernel(xs, frames):
+        return xs @ _ROT.T, (np.broadcast_to(_ROT, (len(xs), 2, 2)) if frames else None)
+
     return FtvnInstance(
         name="rot90",
         dim_v=2,
         dim_w=2,
-        decompose=lambda x: on_rows(
-            lambda xs: (xs @ _ROT.T, np.broadcast_to(_ROT, (len(xs), 2, 2))), x),
+        decompose=lambda x, frames=True: on_rows(kernel, x, frames),
         rebuild=lambda q, frame: (np.swapaxes(frame, -1, -2) @ q[..., None])[..., 0],
     )
 

@@ -15,13 +15,17 @@ from .eja import dedup_points, sort_desc
 
 @dataclass(frozen=True)
 class FiniteSet:
-    """Q given as an explicit list of points of W."""
+    """Q given as an explicit list of points of W.  The empty set is a
+    (0, dim_w) array: an empty list carries no width."""
 
     points: np.ndarray
     permutation_invariant: bool = False
 
     def __post_init__(self):
-        pts = dedup_points(np.atleast_2d(np.asarray(self.points, dtype=float)))
+        pts = np.asarray(self.points, dtype=float)
+        if pts.size == 0 and (pts.ndim != 2 or pts.shape[1] == 0):
+            raise ValueError("an empty finite set needs its width: give a (0, dim_w) array")
+        pts = dedup_points(np.atleast_2d(pts))
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 

@@ -148,6 +148,14 @@ def _complete_orthonormal(u_cols: list[np.ndarray], m: int, count: int) -> list[
     return out
 
 
+def offdiag_norm(a: np.ndarray) -> float:
+    """The Frobenius norm of a's off-diagonal part, summed directly over the
+    off-diagonal entries: the subtraction form ||A||^2 - ||diag||^2 cancels
+    catastrophically near convergence."""
+    off = a[~np.eye(a.shape[0], dtype=bool)]
+    return float(np.sqrt(np.sum(off * off)))
+
+
 def svd_jacobi(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD ``x = u @ diag(s) @ v.T`` with s nonincreasing and nonnegative:
     the independent oracle for the LAPACK kernel ``ftvn.linalg.svd_desc``.

@@ -529,6 +529,28 @@ def test_cli_solve_cost_past_lp_limit_exit1(tmp_path, capsys, c, sense):
         "below 1e+20 in size"]
 
 
+def test_cli_solve_eigenvalues_past_norm_overflow_exit1(tmp_path, capsys):
+    # ||c|| overflows in x.dot(x); lam(c) is still (1e200, -1e200), not the
+    # unrotated diagonal (0, 0), so the supremum 2e200 is refused as an LP
+    # cost instead of being reported as an attained 0
+    problem = {
+        "instance": "sym:2",
+        "objective": {"kind": "linear", "c": [0, 1e200, 1e200, 0]},
+        "set": {"kind": "polyhedron", "halfspaces": [{"normal": [1, 0], "offset": 2},
+                                                     {"normal": [0, -1], "offset": 0}]},
+        "sense": "max"}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(problem))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the LP cost lam(c) is past the LP solver's limit: each entry must be "
+        "below 1e+20 in size"]
+
+
 def test_cli_internal_error_exit2(tmp_path, capsys, monkeypatch):
     # an exception no handler expects is a defect: exit 2, not usage's exit
     # 1, with one stderr line and no traceback

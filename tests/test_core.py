@@ -182,51 +182,58 @@ def test_axiom_suite_records_seed(rn3):
 
 def test_axiom_suite_lam_calls(monkeypatch):
     # one kernel call per batch: the samples, whose lam and frames serve A1,
-    # A2 and the A3 witnesses, then alpha x, -x and the witnesses.  On an
-    # instance with the hooks the lam field is never called
-    cases = [("sym:4", "ftvn.eja.eigh_desc"), ("svd:4x3", "ftvn.nds.svd_desc"),
-             ("product:rn:3+sym:3", "ftvn.eja.eigh_desc")]
-    for name, kernel in cases:
+    # A2 and the A3 witnesses, then alpha x, -x and the witnesses.  Only the
+    # samples' call builds a frame: the Jacobi kernel serves the other three
+    # as eigvalsh_desc, and svd makes its one full LAPACK call each time.  On
+    # an instance with the hooks the lam field is never called
+    jacobi = {"ftvn.eja.eigh_desc": 1, "ftvn.eja.eigvalsh_desc": 3}
+    cases = [("sym:4", jacobi), ("svd:4x3", {"ftvn.nds.svd_desc": 4}),
+             ("product:rn:3+sym:3", jacobi)]
+    for name, expected_calls in cases:
         inst = get_instance(name)
         expected = axiom_suite(inst, seed=9, n_samples=25)
-        lam_calls, kernel_calls = [], []
+        lam_calls = []
+        kernel_calls = collections.Counter()
 
         def counting(x):
             lam_calls.append(1)
             return inst.lam(x)
 
-        module, attr = kernel.rsplit(".", 1)
-        original = getattr(importlib.import_module(module), attr)
-
-        def counting_kernel(*args, original=original):
-            kernel_calls.append(1)
-            return original(*args)
-
         with monkeypatch.context() as m:
-            m.setattr(kernel, counting_kernel)
+            for kernel in ("ftvn.eja.eigh_desc", "ftvn.eja.eigvalsh_desc", "ftvn.nds.svd_desc"):
+                module, attr = kernel.rsplit(".", 1)
+                original = getattr(importlib.import_module(module), attr)
+
+                def counting_kernel(*args, original=original, kernel=kernel):
+                    kernel_calls[kernel] += 1
+                    return original(*args)
+
+                m.setattr(kernel, counting_kernel)
             rep = axiom_suite(dataclasses.replace(inst, lam=counting), seed=9, n_samples=25)
         assert len(lam_calls) == 0, name
-        assert len(kernel_calls) == 4, name
+        assert sum(kernel_calls.values()) == 4, name
+        assert kernel_calls == expected_calls, name
         assert rep == expected, name
 
 
 def test_decompose_hook_calls_per_batch():
     # a 100-sample suite decomposes four stacks of 100 rows (one call per
-    # sample and batch would be 400), and an orbit sample one stack
+    # sample and batch would be 400), and only the first builds a frame; an
+    # orbit sample decomposes one stack, with its frame
     inst = get_instance("svd:4x3")
     calls = []
 
-    def counting(x):
-        calls.append(np.shape(x))
-        return inst.decompose(x)
+    def counting(x, frames=True):
+        calls.append((np.shape(x), frames))
+        return inst.decompose(x, frames=frames)
 
     counted = dataclasses.replace(inst, decompose=counting)
     assert axiom_suite(counted, seed=4, n_samples=100) == axiom_suite(inst, seed=4, n_samples=100)
-    assert calls == [(100, 12)] * 4
+    assert calls == [((100, 12), True)] + [((100, 12), False)] * 3
     calls.clear()
     q = np.array([3.0, 2.0, 0.5])
     pts = counted.sample_orbit(q, np.random.default_rng(6), 64)
-    assert calls == [(64, 12)]
+    assert calls == [((64, 12), True)]
     np.testing.assert_array_equal(pts, inst.sample_orbit(q, np.random.default_rng(6), 64))
 
 
@@ -253,7 +260,9 @@ HOOK_INSTANCES = ["rn:4", "sym:3", "spin:3", "product:rn:2+sym:2+spin:2", "svd:3
 @given(data=st.data())
 def test_stacked_decompose_matches_single_calls(name, data):
     # row i of a stacked decomposition is the decomposition of row i alone,
-    # bit for bit: its eigenvalues, and a target rebuilt on its frame
+    # bit for bit: its eigenvalues, and a target rebuilt on its frame.
+    # frames=False, and lam, which is that call, give the same eigenvalues
+    # bit for bit and no frame, on the stack and on each row
     inst = get_instance(name)
     k = data.draw(st.integers(1, 6), label="k")
     xs = data.draw(arrays(np.float64, (k, inst.dim_v), elements=st.floats(-1e3, 1e3)),
@@ -261,6 +270,8 @@ def test_stacked_decompose_matches_single_calls(name, data):
     xs = np.array([inst.project_element(x) for x in xs])
     eigs, frame = inst.decompose(xs)
     assert eigs.shape == (k, inst.dim_w)
+    bare, no_frame = inst.spectral(xs, frames=False)
+    assert no_frame is None and bare.tobytes() == eigs.tobytes()
     singles = [inst.decompose(x) for x in xs]
     targets = np.roll(eigs, -1, axis=0)
     rebuilt = inst.rebuild(targets, frame)
@@ -268,6 +279,9 @@ def test_stacked_decompose_matches_single_calls(name, data):
     for i, (e, single_frame) in enumerate(singles):
         assert eigs[i].tobytes() == e.tobytes(), i
         assert rebuilt[i].tobytes() == inst.rebuild(targets[i], single_frame).tobytes(), i
+        single_bare, no_frame = inst.decompose(xs[i], frames=False)
+        assert no_frame is None and single_bare.tobytes() == e.tobytes(), i
+        assert inst.lam(xs[i]).tobytes() == e.tobytes(), i
 
 
 @pytest.mark.parametrize("name", HOOK_INSTANCES + ["z-counterexample"])
@@ -310,29 +324,31 @@ def test_stacked_hooks_match_single_calls(name, data):
 @pytest.mark.parametrize("name", HOOK_INSTANCES)
 def test_axiom_suite_stacks_every_hook_call(name):
     # on an instance with the hooks the suite has no per-sample loop: four
-    # decompositions, one rebuild and one image check of whole stacks, and
-    # no lam or witness call; an orbit sample one decomposition and one
-    # rebuild
+    # decompositions, of which one builds a frame, one rebuild and one image
+    # check of whole stacks, and no lam or witness call; an orbit sample one
+    # decomposition with its frame and one rebuild
     inst = get_instance(name)
     calls = collections.Counter()
 
     def counted(field):
         fn = getattr(inst, field)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[field] += 1
-            return fn(*args)
+            if kwargs.get("frames", True) and field == "decompose":
+                calls["frames"] += 1
+            return fn(*args, **kwargs)
         return wrapper
 
     fields = ("decompose", "rebuild", "image_contains", "lam", "a3_witness")
     counted_inst = dataclasses.replace(inst, **{f: counted(f) for f in fields})
     rep = axiom_suite(counted_inst, seed=4, n_samples=60)
     assert rep == axiom_suite(inst, seed=4, n_samples=60)
-    assert calls == {"decompose": 4, "rebuild": 1, "image_contains": 1}
+    assert calls == {"decompose": 4, "frames": 1, "rebuild": 1, "image_contains": 1}
     q = inst.lam(inst.draw(np.random.default_rng(5)))
     calls.clear()
     pts = counted_inst.sample_orbit(q, np.random.default_rng(6), 16)
-    assert calls == {"decompose": 1, "rebuild": 1}
+    assert calls == {"decompose": 1, "frames": 1, "rebuild": 1}
     np.testing.assert_array_equal(pts, inst.sample_orbit(q, np.random.default_rng(6), 16))
 
 

@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ftvn import get_instance
-from ftvn.linalg import eigh_desc, is_symmetric, jacobi_eigh, offdiag_norm, svd_desc
+from ftvn.linalg import eigh_desc, eigvalsh_desc, is_symmetric, jacobi_eigh, svd_desc
 
-from conftest import haar_batch, random_symmetric, svd_jacobi
+from conftest import haar_batch, offdiag_norm, random_symmetric, svd_jacobi
 
 
 def test_jacobi_against_numpy_oracle():
@@ -108,6 +110,62 @@ def test_jacobi_reconstructs(m):
     np.testing.assert_allclose(v @ np.diag(w) @ v.T, a, atol=1e-9 * (1 + np.abs(a).max()))
     assert np.all(np.diff(w) <= 1e-12)
     assert offdiag_norm(np.diag(w)) == 0.0
+
+
+def _stack_of(kind, rng, k, n, scale):
+    # k symmetric n x n matrices of one kind, at one scale
+    if kind == "diagonal":
+        return np.array([np.diag(rng.standard_normal(n)) for _ in range(k)]).reshape(k, n, n) * scale
+    if kind == "degenerate":
+        # repeated eigenvalues on a random frame
+        q = haar_batch(rng, k, n)
+        d = rng.choice([-1.0, 0.0, 2.0], size=(k, n))
+        return np.einsum("kij,kj,klj->kil", q, d, q) * scale
+    a = np.array([random_symmetric(rng, n) for _ in range(k)]).reshape(k, n, n) * scale
+    if kind == "nearly symmetric" and n > 1:
+        # off symmetry by less than the symmetry tolerance
+        peak = np.abs(a).max(axis=(1, 2), initial=0.0)
+        a[:, 0, 1] += 1e-12 * (1.0 + peak)
+    return a
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 24), k=st.integers(0, 30), exponent=st.integers(-300, 150),
+       kind=st.sampled_from(["general", "diagonal", "degenerate", "nearly symmetric"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_eigvalsh_matches_eigh_bit_for_bit(n, k, exponent, kind, seed):
+    # the sweeps without the eigenvector rotations leave the same diagonal
+    a = _stack_of(kind, np.random.default_rng(seed), k, n, 10.0 ** exponent)
+    w = eigvalsh_desc(a)
+    assert w.shape == (k, n)
+    assert w.tobytes() == eigh_desc(a)[0].tobytes()
+    if k:
+        assert eigvalsh_desc(a[0]).tobytes() == eigh_desc(a[0])[0].tobytes()
+
+
+def _near_1e200(rng):
+    g = random_symmetric(rng, 3)
+    return g * 1e200
+
+
+@pytest.mark.parametrize("a", [np.array([[0.0, 1e200], [1e200, 0.0]]),
+                               _near_1e200(np.random.default_rng(8))])
+def test_eigenvalues_past_norm_overflow(a):
+    # ||a|| overflows to inf from x.dot(x) here; the stopping threshold
+    # still comes out finite, so the sweeps run and no warning is raised
+    want = np.sort(np.linalg.eigvalsh(a))[::-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, v = eigh_desc(a)
+        w_only = eigvalsh_desc(a)
+    np.testing.assert_allclose(w, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    assert w_only.tobytes() == w.tobytes()
+    np.testing.assert_allclose(a @ v, v * w, atol=1e-12 * np.abs(want).max())
+    # a row that overflows leaves the rest of its stack unchanged
+    small = random_symmetric(np.random.default_rng(9), len(a))
+    stacked = eigh_desc(np.array([a, small]))
+    assert stacked[0][1].tobytes() == eigh_desc(small)[0].tobytes()
+    assert stacked[0][0].tobytes() == w.tobytes()
 
 
 def test_svd_against_numpy_oracle():

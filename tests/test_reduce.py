@@ -774,10 +774,12 @@ def _bounded_box(k):
 @pytest.mark.parametrize("name", ["sym:3", "svd:4x3", "svd:2x3"])
 def test_three_decompositions_per_solve(name, monkeypatch):
     # the lift direction, the lifted point and their sum: one decomposition
-    # each, whatever the route and the sense.  The kernel counted is the one
-    # the instance decomposes with: the per-matrix Jacobi sweeps for sym,
-    # which count matrices whether or not they come in one stack, and the
-    # LAPACK SVD for svd
+    # each, whatever the route and the sense, and the lifted point's, whose
+    # lam alone the certificate needs, builds no frame.  The kernel counted
+    # is the one the instance decomposes with: the per-matrix Jacobi sweeps
+    # for sym, which count matrices whether or not they come in one stack,
+    # and the LAPACK SVD for svd.  The hook counted is the instance's
+    # decompose, with lam and the witness derived from the counted hook
     import ftvn.linalg
     import ftvn.nds
     module, attr = ((ftvn.nds, "svd_desc") if name.startswith("svd:")
@@ -790,22 +792,33 @@ def test_three_decompositions_per_solve(name, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, attr, counting)
-    inst = get_instance(name)
+    plain = get_instance(name)
+    hook_frames = []
+
+    def counting_hook(x, frames=True):
+        hook_frames.append(frames)
+        return plain.decompose(x, frames=frames)
+
+    inst = dataclasses.replace(plain, decompose=counting_hook, lam=None, a3_witness=None)
     box = _bounded_box(inst.dim_w)
     rng = np.random.default_rng(12)
     for solve in (reduce_solve_linear, reduce_solve_distance):
         for sense in ("max", "min"):
             calls.clear()
+            hook_frames.clear()
             rep = solve(inst, inst.project_element(rng.standard_normal(inst.dim_v)), box,
                         sense=sense)
             assert rep.commutation.verdict, (solve.__name__, sense)
             assert 1 <= len(calls) <= 3, (solve.__name__, sense, len(calls))
+            assert hook_frames == [True, False, True], (solve.__name__, sense)
     pieces = tuple((inst.project_element(rng.standard_normal(inst.dim_v)), 0.1 * i)
                    for i in range(4))
     calls.clear()
+    hook_frames.clear()
     rep = reduce_solve(inst, MaxAffineObjective(pieces), box, sense="max")
     assert rep.solver_trace["method"] == "lp_per_piece" and rep.commutation.verdict
     assert 1 <= len(calls) <= len(pieces) + 2
+    assert len(hook_frames) == len(pieces) + 2 and hook_frames.count(False) == 1
 
 
 def _frame_arrays(frame):

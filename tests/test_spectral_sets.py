@@ -16,6 +16,22 @@ def test_finite_set_dedups():
     assert spec.points.shape == (2, 2)
 
 
+@pytest.mark.parametrize("points", [[], [[]], np.zeros(0), np.zeros((0, 0))])
+def test_empty_finite_set_without_width_is_refused(points):
+    # an empty list carries no width, and a set of width 0 is no set of W
+    with pytest.raises(ValueError, match=r"^an empty finite set needs its width: "
+                                         r"give a \(0, dim_w\) array$"):
+        FiniteSet(points=points)
+
+
+def test_empty_finite_set_of_given_width(rn2):
+    # the form serialize builds from "points": []: nothing is a member
+    spec = FiniteSet(points=np.zeros((0, 2)))
+    assert spec.points.shape == (0, 2)
+    assert not membership_w(spec, rn2, np.array([1.0, 0.0]))
+    assert image_candidates(spec, rn2).shape == (0, 2)
+
+
 def test_polyhedron_within_highs_limits():
     # the largest sizes HiGHS takes as they are are accepted; one step
     # further is refused before any LP sees it
