@@ -72,12 +72,20 @@ def on_rows(kernel: Callable[[np.ndarray, bool], tuple[np.ndarray, Any]], x,
     xs = as_rows(x)
     if xs.ndim == 1:
         eigs, frame = kernel(xs[None], frames)
-        if frame is not None:
-            frame = tuple(a[0] for a in frame) if isinstance(frame, tuple) else frame[0]
-        return eigs[0], frame
+        return eigs[0], frame_row(frame, 0)
     if xs.ndim != 2:
         raise DimensionMismatch(f"expected an element or a stack of elements, got shape {xs.shape}")
     return kernel(xs, frames)
+
+
+def frame_row(frame, i: int):
+    """Row i of a stacked frame: the frame of the stack's row i, with the
+    same bits as a decomposition of that row alone.  The frame is an array,
+    a tuple of arrays or a frame object that indexes its rows (a
+    JordanFrame), each with the leading axis of the stack; None stays None."""
+    if frame is None:
+        return None
+    return tuple(a[i] for a in frame) if isinstance(frame, tuple) else frame[i]
 
 
 def _frozen_vec(coords) -> np.ndarray:
@@ -117,10 +125,11 @@ class CommutationCert:
 
     ``verdict`` is decided on the inner-product residual at relative
     tolerance tol*(1 + ||x|| ||y||); the others are recorded so tests can
-    confirm they rise and fall together.  ``witness`` optionally carries
-    instance-specific shared-decomposition data (a Jordan frame, an
-    orthogonal pair, ...) when the verdict is positive.  ``lam_x`` is lam of
-    the first element as the check computed it.
+    confirm they rise and fall together.  ``witness`` optionally carries a
+    shared frame (a Jordan frame, an orthogonal pair, ...) when the verdict
+    is positive: the frame of y when the caller gave it, else that of x + y,
+    kept only when it rebuilds both elements.  ``lam_x`` is lam of the first
+    element as the check computed it.
     """
 
     residual_inner: float
@@ -165,8 +174,9 @@ class FtvnInstance:
     (:attr:`witness_is_exact`).  An instance without the hooks gives ``lam``
     and ``a3_witness`` itself, and its witness is taken for a numerical
     search.  :meth:`spectral` is the one entry point for (lam(x), frame),
-    for one element or a stack; :func:`commute_check` takes the frame of
-    x + y as the shared-frame witness of a commuting pair.
+    for one element or a stack; :func:`commute_check` takes the frame of y,
+    when the caller has it, or that of x + y as the shared-frame witness of
+    a commuting pair.
 
     ``draw`` samples an element: a standard normal coordinate vector through
     ``project_element``.  :meth:`sample_orbit` samples the orbit of q through
@@ -317,8 +327,9 @@ def check_element_space(inst: FtvnInstance, v: np.ndarray) -> None:
 
 
 def _frame_witness(inst: FtvnInstance, x, y, lx, ly, frame, tol: float):
-    """The frame of x + y when it rebuilds both x from lam(x) and y from
-    lam(y) to sqrt(tol) of their size, else None."""
+    """The candidate shared frame (that of y, or of x + y) when it rebuilds
+    both x from lam(x) and y from lam(y) to sqrt(tol) of their size, else
+    None."""
     bound = math.sqrt(tol)
     rx = inst.norm_v(x - inst.rebuild(lx, frame))
     ry = inst.norm_v(y - inst.rebuild(ly, frame))
@@ -328,21 +339,28 @@ def _frame_witness(inst: FtvnInstance, x, y, lx, ly, frame, tol: float):
 
 
 def commute_check(inst: FtvnInstance, x, y, tol: float = DEFAULT_TOL,
-                  lam_y: Optional[np.ndarray] = None) -> CommutationCert:
+                  spectral_y: Optional[tuple[np.ndarray, Any]] = None) -> CommutationCert:
     """Test whether x and y commute; all four equivalent residuals are recorded.
 
-    ``lam_y`` is lam(y) when the caller already has it.  lam(x) is always
-    computed here, so the certificate never takes the caller's word for x.
-    x + y is decomposed once; on an instance with the hooks its frame is the
-    shared-frame witness.
+    ``spectral_y`` is (lam(y), frame of y) from :meth:`FtvnInstance.spectral`
+    when the caller already has them, as the reduction engine does for the
+    direction its lift was rebuilt on.  Then x and x + y are decomposed in one
+    frameless call, and y's frame is the candidate shared frame.  Without it,
+    lam(x) and lam(y) come from one frameless call, and x + y is decomposed
+    with its frame, the candidate.  lam(x) is always computed here, so the
+    certificate never takes the caller's word for x, and a candidate frame is
+    the witness only when it rebuilds both x and y from their eigenvalues.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     xv = inst.check_element(x)
     yv = inst.check_element(y)
-    lx = inst.lam(xv)
-    ly = inst.lam(yv) if lam_y is None else lam_y
-    lxy, frame = inst.spectral(xv + yv)
+    if spectral_y is None:
+        lx, ly = inst.spectral(np.stack([xv, yv]), frames=False)[0]
+        lxy, frame = inst.spectral(xv + yv)
+    else:
+        ly, frame = spectral_y
+        lx, lxy = inst.spectral(np.stack([xv, xv + yv]), frames=False)[0]
     ip_v = inst.inner_v(xv, yv)
     ip_w = inst.inner_w(lx, ly)
     residual_inner = abs(ip_v - ip_w)

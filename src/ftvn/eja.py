@@ -47,6 +47,10 @@ class JordanFrame:
         arr.flags.writeable = False
         object.__setattr__(self, "idempotents", arr)
 
+    def __getitem__(self, i: int) -> "JordanFrame":
+        """The frame of row i of a stacked frame."""
+        return JordanFrame(self.idempotents[i])
+
 
 def sort_desc(q) -> np.ndarray:
     """Nonincreasing rearrangement q-down."""

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import (DEFAULT_TOL, CommutationCert, FtvnError, FtvnInstance,
                    WitnessError, as_vec, check_element_space, commute_check,
-                   lambda_tilde)
+                   frame_row, lambda_tilde)
 from .eja import JordanAlgebra
 from .solvers import (fd_gradient, project_polyhedron, projected_descent,
                       simplex_weight_grid, solve_lp, unit_rows)
@@ -95,7 +95,8 @@ class SolveReport:
 
 class _Piece(NamedTuple):
     """One affine piece t(q) = <w, q> + alpha on the W side, and its lift:
-    the direction d, lam(d) and d's frame, decomposed once per solve."""
+    the direction d, lam(d) and d's frame, decomposed once per solve with
+    the other pieces' directions, and reused by the certificate."""
 
     w: np.ndarray
     alpha: float
@@ -141,9 +142,11 @@ class _WSide:
             toward_c = (self.sign > 0) == isinstance(objective, LinearObjective)
             lifts = [(objective.c if toward_c else -objective.c, 0.0, toward_c)]
             self.commutes_with = "c" if toward_c else "-c"
-        for d, alpha, toward in lifts:
-            lam_d, frame = inst.spectral(d)
-            self.pieces.append(_Piece(lam_d if toward else -lam_d, alpha, d, lam_d, frame))
+        # every piece's direction in one framed call, each piece keeping its row
+        lams, frames = inst.spectral(np.array([d for d, _, _ in lifts]))
+        for i, ((d, alpha, toward), lam_d) in enumerate(zip(lifts, lams)):
+            self.pieces.append(_Piece(lam_d if toward else -lam_d, alpha, d, lam_d,
+                                      frame_row(frames, i)))
         # inner_w is the dot product, so t's gradient is w or (q - w) / ||q - w||
         w = self.pieces[0].w
         if isinstance(objective, LinearObjective):
@@ -166,15 +169,17 @@ class _WSide:
 
     def lift(self, q: np.ndarray) -> tuple[Optional[np.ndarray], Optional[CommutationCert]]:
         """The witness x over q, rebuilt on the kept frame of the active
-        piece's direction d, and its certificate: x and x + d are decomposed
-        there, lam(d) is reused.  Without pieces (a max-affine inf) the orbit
-        argmin is itself the lifted point, and has no certificate."""
+        piece's direction d, and its certificate: lam(d) and d's frame are
+        reused, so x and x + d are decomposed in one frameless call, and d's
+        frame, which x was built on, is the candidate shared frame.  Without
+        pieces (a max-affine inf) the orbit argmin is itself the lifted
+        point, and has no certificate."""
         inst = self.inst
         if not self.pieces:
             return self._orbit_min(q)[1], None
         p = self.pieces[int(np.argmax(self._piece_values(q)))]
         x = inst.witness_on(p.d, q, p.frame)
-        return x, commute_check(inst, x, p.d, self.tol, lam_y=p.lam_d)
+        return x, commute_check(inst, x, p.d, self.tol, spectral_y=(p.lam_d, p.frame))
 
     def probe(self, q: np.ndarray) -> None:
         # the combiner's monotonicity contract, checked on the t-range near q

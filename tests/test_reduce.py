@@ -774,11 +774,12 @@ def _bounded_box(k):
 @pytest.mark.parametrize("name", ["sym:3", "svd:4x3", "svd:2x3"])
 def test_three_decompositions_per_solve(name, monkeypatch):
     # the lift direction, the lifted point and their sum: one decomposition
-    # each, whatever the route and the sense, and the lifted point's, whose
-    # lam alone the certificate needs, builds no frame.  The kernel counted
-    # is the one the instance decomposes with: the per-matrix Jacobi sweeps
-    # for sym, which count matrices whether or not they come in one stack,
-    # and the LAPACK SVD for svd.  The hook counted is the instance's
+    # each, whatever the route and the sense, in two hook calls.  The
+    # direction's builds the one frame; the certificate reuses it and
+    # decomposes x and x + d in one frameless 2-row stack.  The kernel
+    # counted is the one the instance decomposes with: the per-matrix Jacobi
+    # sweeps for sym, which count matrices whether or not they come in one
+    # stack, and the LAPACK SVD for svd.  The hook counted is the instance's
     # decompose, with lam and the witness derived from the counted hook
     import ftvn.linalg
     import ftvn.nds
@@ -793,10 +794,10 @@ def test_three_decompositions_per_solve(name, monkeypatch):
 
     monkeypatch.setattr(module, attr, counting)
     plain = get_instance(name)
-    hook_frames = []
+    hook_calls = []
 
     def counting_hook(x, frames=True):
-        hook_frames.append(frames)
+        hook_calls.append((frames, np.shape(x)))
         return plain.decompose(x, frames=frames)
 
     inst = dataclasses.replace(plain, decompose=counting_hook, lam=None, a3_witness=None)
@@ -805,20 +806,21 @@ def test_three_decompositions_per_solve(name, monkeypatch):
     for solve in (reduce_solve_linear, reduce_solve_distance):
         for sense in ("max", "min"):
             calls.clear()
-            hook_frames.clear()
+            hook_calls.clear()
             rep = solve(inst, inst.project_element(rng.standard_normal(inst.dim_v)), box,
                         sense=sense)
-            assert rep.commutation.verdict, (solve.__name__, sense)
+            assert rep.commutation.verdict and rep.commutation.witness is not None
             assert 1 <= len(calls) <= 3, (solve.__name__, sense, len(calls))
-            assert hook_frames == [True, False, True], (solve.__name__, sense)
+            assert hook_calls == [(True, (1, inst.dim_v)), (False, (2, inst.dim_v))], \
+                (solve.__name__, sense)
     pieces = tuple((inst.project_element(rng.standard_normal(inst.dim_v)), 0.1 * i)
                    for i in range(4))
     calls.clear()
-    hook_frames.clear()
+    hook_calls.clear()
     rep = reduce_solve(inst, MaxAffineObjective(pieces), box, sense="max")
     assert rep.solver_trace["method"] == "lp_per_piece" and rep.commutation.verdict
     assert 1 <= len(calls) <= len(pieces) + 2
-    assert len(hook_frames) == len(pieces) + 2 and hook_frames.count(False) == 1
+    assert hook_calls == [(True, (len(pieces), inst.dim_v)), (False, (2, inst.dim_v))]
 
 
 def _frame_arrays(frame):
@@ -831,8 +833,9 @@ def _frame_arrays(frame):
 
 @pytest.mark.parametrize("name", ["rn:4", "sym:3", "spin:3", "product:rn:2+sym:2", "svd:3x2"])
 def test_certificate_equals_a_fresh_commute_check(name):
-    # the engine reuses lam(d) and the frame of x + d; the certificate must
-    # still be exactly the public check recomputed from scratch
+    # the engine reuses lam(d) and d's frame; the residuals, the verdict and
+    # lam(x) must still be exactly the public check recomputed from scratch,
+    # and the witness is d's own frame, the one x was rebuilt on
     inst = get_instance(name)
     box = _bounded_box(inst.dim_w)
     rng = np.random.default_rng(21)
@@ -847,10 +850,62 @@ def test_certificate_equals_a_fresh_commute_check(name):
                           "residual_addvec", "verdict"):
                 assert getattr(got, field) == getattr(fresh, field), (solve.__name__, sense, field)
             np.testing.assert_array_equal(got.lam_x, fresh.lam_x)
-            mine, theirs = _frame_arrays(got.witness), _frame_arrays(fresh.witness)
-            assert len(mine) == len(theirs)
+            mine, theirs = _frame_arrays(got.witness), _frame_arrays(inst.spectral(d)[1])
+            assert len(mine) == len(theirs) > 0
             for a, b in zip(mine, theirs):
                 np.testing.assert_array_equal(a, b)
+
+
+_CERT_FIELDS = ("residual_inner", "residual_dist", "residual_addnorm", "residual_addvec",
+                "verdict")
+
+
+@pytest.mark.parametrize("name", ["rn:4", "sym:3", "spin:3", "product:rn:2+sym:2", "svd:3x2",
+                                  "hyp:detsym:3"])
+def test_lift_certificate_matches_full_check(name):
+    # the lift's certificate reuses lam(d) and d's frame and decomposes x and
+    # x + d without frames; its residuals, verdict and lam(x) are the full
+    # check's bit for bit, at both senses, for linear and distance objectives
+    # and for a c with a repeated eigenvalue, and each verdict is true with
+    # its shared frame
+    inst = get_instance(name)
+    box = _bounded_box(inst.dim_w)
+    rng = np.random.default_rng(41)
+    c = inst.project_element(rng.standard_normal(inst.dim_v))
+    lam_c, frame = inst.spectral(c)
+    q = lam_c.copy()
+    q[1] = q[0]
+    repeated = inst.rebuild(q, frame)
+    lam_r = inst.lam(repeated)
+    assert lam_r[0] == pytest.approx(lam_r[1], abs=1e-12)
+    for c0 in (c, repeated):
+        for solve in (reduce_solve_linear, reduce_solve_distance):
+            for sense in ("max", "min"):
+                rep = solve(inst, c0, box, sense=sense, seed=3)
+                d = c0 if rep.commutes_with == "c" else -c0
+                got, full = rep.commutation, commute_check(inst, rep.optimizer_v, d)
+                for field in _CERT_FIELDS:
+                    assert getattr(got, field) == getattr(full, field), \
+                        (solve.__name__, sense, field)
+                np.testing.assert_array_equal(got.lam_x, full.lam_x)
+                # x is rebuilt on d's frame, so it always commutes with d
+                assert got.verdict and got.witness is not None, (solve.__name__, sense)
+
+
+def test_given_spectral_y_without_a_frame():
+    # an instance without hooks has no frame to give: the certificate has no
+    # witness, and its residuals and lam(x) are the plain call's
+    z = get_instance("z-counterexample")
+    rng = np.random.default_rng(43)
+    x = z.draw(rng)
+    for y in (z.draw(rng), 2.0 * x):
+        plain = commute_check(z, x, y)
+        given = commute_check(z, x, y, spectral_y=(z.lam(y), None))
+        assert plain.witness is None and given.witness is None
+        for field in _CERT_FIELDS:
+            assert getattr(given, field) == getattr(plain, field), field
+        np.testing.assert_array_equal(given.lam_x, plain.lam_x)
+    assert plain.verdict
 
 
 @pytest.mark.parametrize("name", ["rn:4", "sym:3", "svd:4x3"])
