@@ -6,7 +6,7 @@ from .core import (AxiomReport, CommutationCert, DimensionMismatch, ElementV,
                    lambda_tilde, norm_sublinearity_gap, registered_instances,
                    register_instance, sublinearity_gap)
 from . import eja, hyperbolic, nds  # noqa: F401  (instance registration)
-from .eja import (JordanAlgebra, JordanFrame, algebra_from_name,
+from .eja import (JordanAlgebra, algebra_from_name,
                   idempotent_orbit_max, majorization_check,
                   operator_commute_check, q_cap_qdown, sigma_orbit, sort_desc)
 from .hyperbolic import (CompletenessReport, HyperbolicPolynomial,

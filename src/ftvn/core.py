@@ -61,28 +61,11 @@ def as_rows(x) -> np.ndarray:
     return np.asarray(getattr(x, "coords", x), dtype=float)
 
 
-def on_rows(kernel: Callable[[np.ndarray, bool], tuple[np.ndarray, Any]], x,
-            frames: bool = True) -> tuple[np.ndarray, Any]:
-    """A decompose hook's call: ``kernel(xs, frames)`` takes a (k, dim_v)
-    stack and returns its eigenvalues, shape (k, dim_w), and the stack's
-    frame: an array, or a tuple of arrays, whose leading axis runs over the
-    k rows, or None when ``frames`` is False.  x is such a stack, or a
-    single element as the k = 1 case, whose eigenvalue vector and frame come
-    back unstacked."""
-    xs = as_rows(x)
-    if xs.ndim == 1:
-        eigs, frame = kernel(xs[None], frames)
-        return eigs[0], frame_row(frame, 0)
-    if xs.ndim != 2:
-        raise DimensionMismatch(f"expected an element or a stack of elements, got shape {xs.shape}")
-    return kernel(xs, frames)
-
-
 def frame_row(frame, i: int):
     """Row i of a stacked frame: the frame of the stack's row i, with the
-    same bits as a decomposition of that row alone.  The frame is an array,
-    a tuple of arrays or a frame object that indexes its rows (a
-    JordanFrame), each with the leading axis of the stack; None stays None."""
+    same bits as a decomposition of that row alone.  The frame is an array
+    or a tuple of arrays, each with the leading axis of the stack; None
+    stays None."""
     if frame is None:
         return None
     return tuple(a[i] for a in frame) if isinstance(frame, tuple) else frame[i]
@@ -145,42 +128,21 @@ class CommutationCert:
 class FtvnInstance:
     """A concrete realization of (V, W, lam).
 
-    All callables operate on bare 1-d numpy coordinate vectors.  ``lam`` must
-    be positively homogeneous and satisfy A1/A2; ``a3_witness(c, q)`` returns
-    x with lam(x) = q maximizing <c, x>, raising :class:`WitnessError` on
-    failure.
+    ``lam`` is positively homogeneous and satisfies A1/A2; ``a3_witness(c,
+    q)`` returns x with lam(x) = q maximizing <c, x>, or raises
+    :class:`WitnessError`.  An instance with a spectral decomposition gives
+    two hooks instead, the paper's construction, and lam and the witness
+    are derived from them.  ``decompose(xs, frames=True)`` maps a (k,
+    dim_v) stack to its eigenvalues, shape (k, dim_w), and its frame, the
+    row frames stacked on a leading axis (None with ``frames=False``, the
+    same eigenvalues bit for bit); ``rebuild(qs, frame)`` puts (k, dim_w)
+    targets, or one target for every row, on such a frame.  The witness for
+    (c, q) is then q rebuilt on c's frame (:attr:`witness_is_exact`).
+    :meth:`spectral` is the one entry point for (lam(x), frame), for one
+    element or a stack.
 
-    An instance with a spectral decomposition gives it as two hooks, the
-    paper's construction: ``decompose(x, frames=True) -> (eigs, frame)`` with
-    eigs = lam(x) and ``rebuild(q, frame) -> x`` with lam(x) = q, which puts
-    the target eigenvalues on the frame's own basis.  With ``frames=False``
-    the hook returns ``(eigs, None)``, the same eigenvalues bit for bit,
-    without building the frame: lam(x) is the whole spectral map, and only a
-    rebuild on x's basis or a shared-frame witness needs the frame.
-
-    Four hooks take a stack of k rows as well as a single element, the
-    k = 1 case, and row i of a stacked result equals the call on row i
-    alone, bit for bit.  ``decompose`` maps a (k, dim_v) stack to
-    eigenvalues of shape (k, dim_w) and the stack's frame, the row frames
-    stacked on a leading axis (:func:`on_rows`).  ``rebuild`` takes (k,
-    dim_w) targets with such a frame, or one target for every row of it, and
-    returns (k, dim_v) elements.  ``inner_v`` takes two (k, dim_v) stacks
-    (or one stack and one element) and returns k inner products, and
-    ``image_contains(q, tol)``, for targets of width dim_w, returns one flag
-    per row.  ``project_element`` maps a stack to a stack.  ``lam`` and
-    ``a3_witness``, when left out, are derived from the hooks at
-    construction: lam(x) is ``decompose(x, frames=False)[0]``, and the
-    witness for (c, q) is q rebuilt on c's frame, which makes it exact
-    (:attr:`witness_is_exact`).  An instance without the hooks gives ``lam``
-    and ``a3_witness`` itself, and its witness is taken for a numerical
-    search.  :meth:`spectral` is the one entry point for (lam(x), frame),
-    for one element or a stack; :func:`commute_check` takes the frame of y,
-    when the caller has it, or that of x + y as the shared-frame witness of
-    a commuting pair.
-
-    ``draw`` samples an element: a standard normal coordinate vector through
-    ``project_element``.  :meth:`sample_orbit` samples the orbit of q through
-    the hooks.
+    ``inner_v``, ``image_contains`` and ``project_element`` take stacks too;
+    row i of any stacked result equals the call on row i alone, bit for bit.
     """
 
     name: str
@@ -190,8 +152,6 @@ class FtvnInstance:
     a3_witness: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     inner_v: Callable[[np.ndarray, np.ndarray], Any] = dot_rows
     image_contains: Callable[[np.ndarray, float], Any] = lambda q, tol: np.ones(q.shape[:-1], bool)
-    # maps a coordinate gradient to its inner_v representer (identity for dot)
-    riesz: Callable[[np.ndarray], np.ndarray] = lambda g: g
     # projection onto the manifold of valid elements (symmetrization for
     # matrix instances); free-coordinate searches compose through this
     project_element: Callable[[np.ndarray], np.ndarray] = lambda x: x
@@ -203,12 +163,11 @@ class FtvnInstance:
         if (self.decompose is None) != (self.rebuild is None):
             raise TypeError(f"{self.name}: decompose and rebuild come together")
         if self.decompose is not None:
-            decompose = self.decompose
             if self.lam is None:
-                object.__setattr__(self, "lam", lambda x: decompose(x, frames=False)[0])
+                object.__setattr__(self, "lam", lambda x: self.spectral(x, frames=False)[0])
             if self.a3_witness is None:
                 object.__setattr__(self, "a3_witness",
-                                   lambda c, q: self.witness_on(c, q, decompose(c)[1]))
+                                   lambda c, q: self.witness_on(c, q, self.spectral(c)[1]))
         if self.lam is None or self.a3_witness is None:
             raise TypeError(f"{self.name}: give lam and a3_witness, or decompose and rebuild")
 
@@ -218,16 +177,31 @@ class FtvnInstance:
         numerical search (restricted subspace, custom hyperbolic polynomial)."""
         return self.rebuild is not None
 
-    def spectral(self, x: np.ndarray, frames: bool = True) -> tuple[np.ndarray, Any]:
+    def spectral(self, x, frames: bool = True) -> tuple[np.ndarray, Any]:
         """(lam(x), frame of x); the frame is None without the hooks or with
         ``frames=False``.  On a (k, dim_v) stack, (the k eigenvalue rows, the
         stack's frame), in one ``decompose`` call, or one ``lam`` call per row
-        without the hooks."""
-        if self.decompose is not None:
-            return self.decompose(x, frames=frames)
-        if np.ndim(x) == 2:
-            return np.array([self.lam(r) for r in x]).reshape(len(x), self.dim_w), None
-        return self.lam(x), None
+        without the hooks.  One element is decomposed as the one-row stack."""
+        xs = as_rows(x)
+        if xs.ndim not in (1, 2):
+            raise DimensionMismatch(f"expected an element or a stack of elements, "
+                                    f"got shape {xs.shape}")
+        if self.decompose is None:
+            if xs.ndim == 2:
+                return np.array([self.lam(r) for r in xs]).reshape(len(xs), self.dim_w), None
+            return self.lam(xs), None
+        if xs.ndim == 1:
+            eigs, frame = self.decompose(xs[None], frames=frames)
+            return eigs[0], frame_row(frame, 0)
+        return self.decompose(xs, frames=frames)
+
+    def riesz(self, g) -> np.ndarray:
+        """The inner_v representer of a coordinate gradient g: G^-1 g on the
+        element space, with G the Gram matrix of inner_v on the coordinate
+        basis."""
+        basis = np.eye(self.dim_v)
+        gram = np.array([self.inner_v(e, basis) for e in basis])
+        return self.project_element(np.linalg.solve(gram, g))
 
     def witness_on(self, c: np.ndarray, q, frame) -> np.ndarray:
         """The A3 witness for (c, q) when c's frame from :meth:`spectral` is
@@ -274,7 +248,7 @@ class FtvnInstance:
         the hooks."""
         if self.rebuild is None:
             raise TypeError(f"{self.name}: orbit sampling needs decompose and rebuild")
-        frames = self.decompose(_draw_rows(self, rng, count))[1]
+        frames = self.spectral(_draw_rows(self, rng, count))[1]
         return self.rebuild(np.asarray(q, dtype=float), frames)
 
 

@@ -12,10 +12,10 @@ Four families are provided, all carrying the trace inner product:
 Every algebra also exposes itself as a :class:`~ftvn.core.FtvnInstance` whose
 A3 witness is the constructive one: decompose c, then rebuild the target
 eigenvalues on c's own frame.  Each family's decomposition works on a stack
-of elements, one row each: (k, dim_v) to eigenvalues (k, rank) and idempotent
-rows (k, rank, dim_v), or to the eigenvalues alone when no frame is asked
-for, and the instance's rebuild, inner product, image test and projection
-work on stacks too.
+of elements, one row each: (k, dim_v) to eigenvalues (k, rank) and a frame
+of idempotent rows (k, rank, dim_v), or to the eigenvalues alone when no
+frame is asked for, and the instance's rebuild, inner product, image test and
+projection work on stacks too.
 """
 
 from __future__ import annotations
@@ -27,29 +27,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (DEDUP_TOL, DEFAULT_TOL, FtvnInstance, as_rows, as_vec, on_rows,
-                   register_instance)
+from .core import DEDUP_TOL, DEFAULT_TOL, FtvnInstance, as_rows, as_vec, register_instance
 from .linalg import dot_rows, eigh_desc, eigvalsh_desc, is_symmetric, vecmat_rows
-
-
-@dataclass(frozen=True)
-class JordanFrame:
-    """Ordered complete system of orthogonal primitive idempotents (rows),
-    shape (rank, dim_v); the frame of a stack of k elements has the leading
-    axis k."""
-
-    idempotents: np.ndarray
-
-    def __post_init__(self):
-        # C order whatever the source layout: rebuild multiplies by these rows,
-        # and its roundoff follows the memory layout
-        arr = np.array(self.idempotents, dtype=float, order="C")
-        arr.flags.writeable = False
-        object.__setattr__(self, "idempotents", arr)
-
-    def __getitem__(self, i: int) -> "JordanFrame":
-        """The frame of row i of a stacked frame."""
-        return JordanFrame(self.idempotents[i])
 
 
 def sort_desc(q) -> np.ndarray:
@@ -101,7 +80,8 @@ def sigma_orbit(points, tol: float = DEDUP_TOL) -> np.ndarray:
 
 
 class JordanAlgebra:
-    """One algebra in coordinates: product, unit, inner product, decomposition.
+    """One algebra in coordinates: product, unit and inner product; its
+    instance carries the decomposition kernel.
 
     Instances are immutable by convention; every method is a pure function
     of its arguments.
@@ -123,11 +103,9 @@ class JordanAlgebra:
         self.jordan_product = jordan_product
         self.unit = np.asarray(unit, dtype=float)
         self._w = np.asarray(inner_weights, dtype=float)
-        # (k, dim_v), frames -> eigenvalues, idempotent rows (None without frames)
-        self._decompose = decompose
         self._project = project if project is not None else (lambda x: x)
         self.parts = parts  # the factor algebras of a product, in order; () otherwise
-        self.instance = self._build_instance()
+        self.instance = self._build_instance(decompose)
 
     # -- algebra structure -------------------------------------------------
 
@@ -138,30 +116,22 @@ class JordanAlgebra:
     def norm(self, x) -> float:
         return math.sqrt(max(self.inner(x, x), 0.0))
 
-    def decompose(self, x, frames: bool = True) -> tuple[np.ndarray, Optional[JordanFrame]]:
-        """The instance's ``decompose`` hook: eigenvalues (nonincreasing) and
-        the Jordan frame whose idempotents rebuild x, or None with
-        ``frames=False``; on a stack, the eigenvalue rows and the stack's
-        frame."""
-        eigs, rows = on_rows(self._decompose, x, frames)
-        return eigs, (JordanFrame(rows) if frames else None)
-
     # -- FTvN instance wrapper ----------------------------------------------
 
-    def _build_instance(self) -> FtvnInstance:
+    def _build_instance(self, decompose) -> FtvnInstance:
         # lam and a3_witness derive from the decompose/rebuild hooks, and
-        # commute_check takes its shared frame from them
+        # commute_check takes its shared frame from them; a frame is the
+        # idempotents as rows, so a rebuild is q @ frame
         return FtvnInstance(
             name=self.name,
             dim_v=self.dim_v,
             dim_w=self.rank,
             inner_v=self.inner,
             image_contains=is_sorted_desc,
-            riesz=lambda g: self._project(g) / self._w,
             project_element=self._project,
             backend=self,
-            decompose=self.decompose,
-            rebuild=lambda q, frame: vecmat_rows(q, frame.idempotents),
+            decompose=decompose,
+            rebuild=vecmat_rows,
         )
 
 
@@ -227,8 +197,10 @@ def sym_algebra(n: int) -> JordanAlgebra:
         if not frames:
             return eigvalsh_desc(m), None
         w, v = eigh_desc(m)
-        # outer products, no sums: each entry is one product, as for one matrix
-        frame = np.einsum("hji,hki->hijk", v, v).reshape(len(xs), n, n * n)
+        # outer products, no sums: each entry is one product, as for one
+        # matrix.  In C order: rebuild multiplies by these rows, and its
+        # roundoff follows the memory layout
+        frame = np.einsum("hji,hki->hijk", v, v, order="C").reshape(len(xs), n, n * n)
         return w, frame
 
     return JordanAlgebra(
@@ -305,7 +277,7 @@ def product_algebra(parts: list[JordanAlgebra]) -> JordanAlgebra:
         eigs = np.empty((len(xs), rank))
         frame = np.zeros((len(xs), rank, dim_v)) if frames else None
         for i, p in enumerate(parts):
-            part_eigs, part_rows = p._decompose(xs[:, v_off[i]:v_off[i + 1]], frames)
+            part_eigs, part_rows = p.instance.decompose(xs[:, v_off[i]:v_off[i + 1]], frames)
             eigs[:, w_off[i]:w_off[i + 1]] = part_eigs
             if frames:
                 frame[:, w_off[i]:w_off[i + 1], v_off[i]:v_off[i + 1]] = part_rows
@@ -356,8 +328,8 @@ class MajorizationReport:
 
 def majorization_check(alg: JordanAlgebra, x, y, tol: float = DEFAULT_TOL) -> MajorizationReport:
     """lam(x+y) against lam(x) + lam(y): prefix sums dominated, totals equal."""
-    xv = as_vec(x)
-    yv = as_vec(y)
+    xv = alg.instance.check_element(x)
+    yv = alg.instance.check_element(y)
     lam = alg.instance.lam
     s = np.cumsum(lam(xv) + lam(yv))
     t = np.cumsum(lam(xv + yv))
@@ -373,10 +345,8 @@ def idempotent_orbit_max(alg: JordanAlgebra, c, k: int) -> tuple[float, np.ndarr
     attained at the sum of the first k idempotents of c's own frame."""
     if not 1 <= k <= alg.rank:
         raise ValueError(f"k must lie in 1..{alg.rank}")
-    eigs, frame = alg._decompose(as_vec(c)[None])
-    value = float(np.sum(eigs[0, :k]))
-    idem = np.sum(frame[0, :k], axis=0)
-    return value, idem
+    eigs, frame = alg.instance.spectral(alg.instance.check_element(c))
+    return float(np.sum(eigs[:k])), np.sum(frame[:k], axis=0)
 
 
 # ---------------------------------------------------------------------------

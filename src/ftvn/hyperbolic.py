@@ -24,8 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (FtvnError, FtvnInstance, WitnessError, as_rows, as_vec, on_rows,
-                   register_instance)
+from .core import FtvnError, FtvnInstance, WitnessError, as_rows, as_vec, register_instance
 from .eja import is_sorted_desc, sort_decompose
 from .linalg import diag_rows, dot_rows, eigh_desc, eigvalsh_desc, vecmat_rows
 
@@ -128,22 +127,19 @@ class HyperbolicPolynomial:
             self._gram = self._build_gram()
         return self._gram
 
-    def _norm_sq(self, x) -> float:
-        # the decomposition where there is one: the basis points and their
-        # pairwise sums have repeated roots, where root extraction loses half
-        # its digits (hyp:prod:4 reads them as complex)
-        eigs = self.lam(x) if self.decompose is None else self.decompose(x, frames=False)[0]
-        return float(np.dot(eigs, eigs))
-
     def _build_gram(self) -> np.ndarray:
-        basis = np.eye(self.dim)
-        sq = np.array([self._norm_sq(b) for b in basis])
-        g = np.empty((self.dim, self.dim))
-        for i in range(self.dim):
-            g[i, i] = sq[i]
-            for jj in range(i + 1, self.dim):
-                plus = self._norm_sq(basis[i] + basis[jj])
-                g[i, jj] = g[jj, i] = 0.5 * (plus - sq[i] - sq[jj])
+        # ||lam||^2 of the basis points and of their pairwise sums, in one
+        # spectral call: from the decomposition where there is one, since
+        # these points have repeated roots, where root extraction loses half
+        # its digits (hyp:prod:4 reads them as complex)
+        n = self.dim
+        basis = np.eye(n)
+        i, j = np.triu_indices(n, k=1)
+        eigs = self.as_instance().spectral(np.concatenate([basis, basis[i] + basis[j]]),
+                                           frames=False)[0]
+        sq = dot_rows(eigs, eigs)
+        g = np.diag(sq[:n])
+        g[i, j] = g[j, i] = 0.5 * (sq[n:] - sq[i] - sq[j])
         w = eigvalsh_desc(g)
         if w[-1] <= 1e-10 * max(1.0, w[0]):
             raise FtvnError(f"{self.name}: polarization form is not positive definite")
@@ -183,7 +179,6 @@ class HyperbolicPolynomial:
             a3_witness=self._search_witness if search else None,
             inner_v=self.inner,
             image_contains=is_sorted_desc,
-            riesz=lambda g: np.linalg.solve(self.gram, g),
             backend=self,
             decompose=self.decompose,
             rebuild=self.rebuild,
@@ -336,7 +331,7 @@ def coordinate_product_polynomial(n: int) -> HyperbolicPolynomial:
         evaluator=lambda v: float(np.prod(v)),
         direction_e=np.ones(n),
         name=f"prod:{n}",
-        decompose=lambda x, frames=True: on_rows(sort_decompose, x, frames),
+        decompose=sort_decompose,
         rebuild=vecmat_rows)
 
 
@@ -370,7 +365,7 @@ def det_sym_polynomial(n: int) -> HyperbolicPolynomial:
     are the frame: q is rebuilt as V diag(q) V^T."""
     dim = _svec_dim(n)
 
-    def kernel(xs, frames):
+    def decompose(xs, frames=True):
         m = svec_to_mat(xs, n)
         return eigh_desc(m) if frames else (eigvalsh_desc(m), None)
 
@@ -379,7 +374,7 @@ def det_sym_polynomial(n: int) -> HyperbolicPolynomial:
         evaluator=lambda v: float(np.linalg.det(svec_to_mat(np.asarray(v, float), n))),
         direction_e=mat_to_svec(np.eye(n)),
         name=f"detsym:{n}",
-        decompose=lambda x, frames=True: on_rows(kernel, x, frames),
+        decompose=decompose,
         rebuild=lambda q, v: mat_to_svec(v @ diag_rows(q) @ np.swapaxes(v, -1, -2)))
 
 

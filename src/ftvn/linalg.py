@@ -12,11 +12,10 @@ LAPACK call.  The eigensolver sets up a whole stack at once (the symmetry
 test, the norms that set each stopping threshold, the symmetrize and the
 conversion to Python lists), then runs the one Jacobi rotation loop,
 ``jacobi_sweeps``, on each matrix in turn, from a rotation schedule cached
-per size; ``jacobi_eigh`` is the one-matrix stack.  ``eigvalsh_desc``, named
-as numpy's ``eigvalsh``, runs the same sweeps without accumulating the
-eigenvectors: the matrix sees the same operations in the same order, so its
-eigenvalues are those of ``eigh_desc`` bit for bit, and each rotation skips
-its n-row eigenvector update.  A matrix whose norm overflows in ``x.dot(x)``
+per size.  ``eigvalsh_desc``, named as numpy's ``eigvalsh``, runs the same
+sweeps without accumulating the eigenvectors: the matrix sees the same
+operations in the same order, so its eigenvalues are those of ``eigh_desc``
+bit for bit, and each rotation skips its n-row eigenvector update.  A matrix whose norm overflows in ``x.dot(x)``
 (finite entries past about 1e154) takes its stopping threshold from a
 rescaled norm, so it is still rotated to its eigenvalues.
 
@@ -165,21 +164,6 @@ def _jacobi_stack(a: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, Opti
     if not vectors:
         return w, None
     return w, np.array(vts).reshape(k, n, n).transpose(0, 2, 1)
-
-
-def jacobi_eigh(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a real symmetric matrix by cyclic Jacobi rotations.
-
-    Returns ``(w, v)`` with ``a @ v[:, i] == w[i] * v[:, i]``, unsorted.
-    Iteration stops once the off-diagonal Frobenius norm drops below 1e-13
-    (with a roundoff floor proportional to ||a||).  The one-matrix stack of
-    ``eigh_desc``'s kernel.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("expected a square matrix")
-    w, v = _jacobi_stack(a[None])
-    return w[0], v[0]
 
 
 def _fix_column_signs(v: np.ndarray) -> np.ndarray:

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .core import FtvnInstance, WitnessError, as_vec, on_rows, register_instance
+from .core import FtvnInstance, WitnessError, as_vec, register_instance
 from .eja import dedup_points, is_sorted_desc, sort_desc
 from .linalg import diag_rows, dot_rows, svd_desc
 
@@ -53,19 +52,16 @@ class RectMatrixSpace:
     def gamma(self, x) -> np.ndarray:
         """The m x n matrix carrying sigma(x) on its leading diagonal."""
         out = np.zeros((self.m, self.n))
-        out[np.arange(self.k), np.arange(self.k)] = self.decompose(x, frames=False)[0]
+        out[np.arange(self.k), np.arange(self.k)] = self.instance.spectral(x, frames=False)[0]
         return out
 
-    def decompose(self, x, frames: bool = True) -> tuple[np.ndarray, Optional[tuple]]:
-        """Singular values and the frame (u, v) of x = u diag(s) v^T, or None
-        with ``frames=False``; on a stack, the singular value rows and the
-        frame (u, v) of stacked factors, from one LAPACK call.
+    def _decompose(self, xs: np.ndarray, frames: bool = True):
+        """The instance's decompose hook: the singular value rows of a (k,
+        m*n) stack and its frame (u, v) of stacked factors, x = u diag(s)
+        v^T, from one LAPACK call, or None with ``frames=False``.
 
         Without frames it is the same full LAPACK call: the values-only
         routine rounds the singular values differently."""
-        return on_rows(self._decompose, x, frames)
-
-    def _decompose(self, xs: np.ndarray, frames: bool):
         u, s, v = svd_desc(xs.reshape(len(xs), self.m, self.n))
         return s, ((u, v) if frames else None)
 
@@ -85,7 +81,7 @@ class RectMatrixSpace:
             image_contains=lambda q, tol: (is_sorted_desc(q, tol)
                                            & (q[..., -1] >= -tol * (1.0 + np.abs(q[..., 0])))),
             backend=self,
-            decompose=self.decompose,
+            decompose=self._decompose,
             rebuild=self.rebuild,
         )
 
@@ -102,14 +98,14 @@ def rotation_instance() -> FtvnInstance:
     separates this system from the sorted-map families.  The rotation R is
     the frame of every element: decompose x to (R x, R), rebuild q as R^T q.
     Every vector of R^2 is in the image."""
-    def kernel(xs, frames):
+    def decompose(xs, frames=True):
         return xs @ _ROT.T, (np.broadcast_to(_ROT, (len(xs), 2, 2)) if frames else None)
 
     return FtvnInstance(
         name="rot90",
         dim_v=2,
         dim_w=2,
-        decompose=lambda x, frames=True: on_rows(kernel, x, frames),
+        decompose=decompose,
         rebuild=lambda q, frame: (np.swapaxes(frame, -1, -2) @ q[..., None])[..., 0],
     )
 
@@ -198,7 +194,6 @@ class SubspacePseudoInstance:
             a3_witness=self._a3_witness,
             image_contains=image_contains,
             project_element=project,
-            riesz=project,
             backend=self,
         )
 

@@ -272,7 +272,8 @@ def reduce_solve(inst: FtvnInstance, objective: Objective, set_spec: SpectralSet
     ValueError when sense is neither "max" nor "min", or when c (every
     piece's c, for a max-affine objective) is off the instance's element
     space: the value would be that of c's projection, and the certificate
-    would find no shared frame.  ValueError too when an LP's cost has an
+    would find no shared frame.  DimensionMismatch when c has the wrong
+    length.  ValueError too when an LP's cost has an
     entry of COST_LIMIT or more in size, which the LP solver reads as
     infinite.
     """
@@ -281,7 +282,7 @@ def reduce_solve(inst: FtvnInstance, objective: Objective, set_spec: SpectralSet
     directions = ([c for c, _ in objective.pieces] if isinstance(objective, MaxAffineObjective)
                   else [objective.c])
     for c in directions:
-        check_element_space(inst, c)
+        check_element_space(inst, inst.check_element(c))
     ws = _WSide(inst, objective, set_spec, phi, combiner, sense, tol, seed)
     for label, applies, solve in _ROUTES:
         if applies(ws):

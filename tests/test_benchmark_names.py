@@ -9,10 +9,14 @@ name against the code here.
 import dataclasses
 import importlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
-from ftvn import get_instance
+import ftvn.reduce
+import ftvn.serialize
+from ftvn import axiom_suite, get_instance
 from ftvn.solvers import ordered_polyhedron_projectors
 
 from conftest import load_perfbench
@@ -64,3 +68,33 @@ def test_workload_instances_take_traced_fields():
             fields = {attr: getattr(inst, attr) for attr in spans.INSTANCE_FIELDS.values()}
             assert all(callable(fn) for fn in fields.values()), name
             dataclasses.replace(inst, **fields)
+
+
+@pytest.mark.parametrize("workload", ["sym-solve", "wside-solve", "axiom-check"])
+def test_traced_round_wraps_every_name_and_keeps_the_bytes(workload):
+    # the first schedule round of the workload, run as the harness's traced
+    # pass runs it: every wrapped name resolves (a missing one nulls its
+    # metric), and the traced reports are the untraced bytes
+    spans = load_perfbench("spans")
+    workloads = load_perfbench("workloads")
+    serialize = ftvn.serialize
+    api = SimpleNamespace(problem_from_json=serialize.problem_from_json,
+                          solve_report_json=serialize.solve_report_json,
+                          axiom_report_json=serialize.axiom_report_json,
+                          canonical_dumps=serialize.canonical_dumps, SCHEMA=serialize.SCHEMA,
+                          reduce_solve=ftvn.reduce.reduce_solve, get_instance=get_instance,
+                          axiom_suite=axiom_suite)
+    make_op, period, _ = workloads.WORKLOADS[workload]
+    ops = [make_op(1, i) for i in range(period)]
+    plain = [workloads.execute(op, api, spans.NullTracer()) for op in ops]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        traced = []
+        for op in ops:
+            tracer.begin_op(op.index)
+            traced.append(workloads.execute(op, api, tracer))
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == {}
+    assert traced == plain

@@ -272,14 +272,14 @@ def test_stacked_decompose_matches_single_calls(name, data):
     assert eigs.shape == (k, inst.dim_w)
     bare, no_frame = inst.spectral(xs, frames=False)
     assert no_frame is None and bare.tobytes() == eigs.tobytes()
-    singles = [inst.decompose(x) for x in xs]
+    singles = [inst.spectral(x) for x in xs]
     targets = np.roll(eigs, -1, axis=0)
     rebuilt = inst.rebuild(targets, frame)
     assert rebuilt.shape == (k, inst.dim_v)
     for i, (e, single_frame) in enumerate(singles):
         assert eigs[i].tobytes() == e.tobytes(), i
         assert rebuilt[i].tobytes() == inst.rebuild(targets[i], single_frame).tobytes(), i
-        single_bare, no_frame = inst.decompose(xs[i], frames=False)
+        single_bare, no_frame = inst.spectral(xs[i], frames=False)
         assert no_frame is None and single_bare.tobytes() == e.tobytes(), i
         assert inst.lam(xs[i]).tobytes() == e.tobytes(), i
 
@@ -316,7 +316,7 @@ def test_stacked_hooks_match_single_calls(name, data):
     rebuilt, orbit = inst.rebuild(qs, frame), inst.rebuild(qs[0], frame)
     assert rebuilt.shape == orbit.shape == (k, inst.dim_v)
     for i, x in enumerate(xs):
-        single = inst.decompose(x)[1]
+        single = inst.spectral(x)[1]
         assert rebuilt[i].tobytes() == inst.rebuild(qs[i], single).tobytes(), i
         assert orbit[i].tobytes() == inst.rebuild(qs[0], single).tobytes(), i
 
@@ -393,6 +393,41 @@ def test_element_tag_checked(rn2, rn3):
     e = rn3.element(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(DimensionMismatch):
         rn2.check_element(e)
+
+
+# one instance per registered family, and the closed form of its riesz map
+RIESZ_FORMS = {
+    "rn:3": "eja", "sym:3": "eja", "spin:3": "eja", "product:rn:2+sym:2+spin:2": "eja",
+    "svd:3x2": "identity", "rot90": "identity", "z-counterexample": "project",
+    "hyp:prod:3": "gram", "hyp:detsym:3": "gram",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RIESZ_FORMS))
+def test_riesz_matches_each_family_closed_form(name):
+    # the derived riesz, the Gram solve on the element space, is each
+    # family's own representer bit for bit: g over the trace weights for a
+    # Jordan algebra, G^-1 g for a hyperbolic polynomial's Gram matrix G, the
+    # plane's projection for z, and g itself for a dot product
+    inst = get_instance(name)
+    form = RIESZ_FORMS[name]
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        g = rng.standard_normal(inst.dim_v)
+        if form == "eja":
+            want = inst.project_element(g) / inst.backend._w
+        elif form == "gram":
+            want = np.linalg.solve(inst.backend.gram, g)
+        elif form == "project":
+            want = inst.project_element(g)
+        else:
+            want = g
+        assert inst.riesz(g).tobytes() == want.tobytes()
+
+
+def test_riesz_forms_cover_the_registry():
+    heads = {name.partition(":")[0] for name in RIESZ_FORMS}
+    assert heads == set(registered_instances())
 
 
 def test_registry_lists_families():

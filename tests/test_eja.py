@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from ftvn import commute_check
-from ftvn.eja import (JordanFrame, algebra_from_name, idempotent_orbit_max,
+from ftvn import DimensionMismatch, commute_check
+from ftvn.eja import (algebra_from_name, idempotent_orbit_max,
                       majorization_check, operator_commute_check, q_cap_qdown,
                       sigma_orbit, sort_desc, sym_coords)
 
@@ -39,21 +39,21 @@ def test_jordan_axioms_sampled(algebras):
 
 def test_spectral_decompose_sym2_hand_value():
     alg = algebra_from_name("sym:2")
-    eigs, _ = alg.instance.decompose(sym_coords(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    eigs, _ = alg.instance.spectral(sym_coords(np.array([[0.0, 1.0], [1.0, 0.0]])))
     np.testing.assert_allclose(eigs, [1.0, -1.0], atol=1e-12)
 
 
 def test_spectral_decompose_spin_closed_form():
     alg = algebra_from_name("spin:2")
     x = np.array([1.0, 1.0, 0.0])  # x0=1, xbar=(1,0)
-    eigs, _ = alg.instance.decompose(x)
+    eigs, _ = alg.instance.spectral(x)
     np.testing.assert_allclose(eigs, [2.0, 0.0], atol=1e-14)
     assert alg.inner(x, x) == pytest.approx(4.0)  # trace-norm^2 = 2(x0^2+|xbar|^2)
 
 
 def test_unit_decomposes_to_ones(algebras):
     for alg in algebras.values():
-        eigs, _ = alg.instance.decompose(alg.unit)
+        eigs, _ = alg.instance.spectral(alg.unit)
         np.testing.assert_allclose(eigs, 1.0, atol=1e-12)
 
 
@@ -63,19 +63,18 @@ def test_decompose_reconstructs(algebras):
         inst = alg.instance
         for _ in range(15):
             x = inst.draw(rng)
-            eigs, frame = inst.decompose(x)
+            eigs, frame = inst.spectral(x)
             rebuilt = inst.rebuild(eigs, frame)
             assert alg.norm(x - rebuilt) <= 1e-9 * (1 + alg.norm(x))
             assert np.all(np.diff(eigs) <= 1e-12)
             # frame orthonormality under the trace inner product
-            rows = frame.idempotents
             for i in range(alg.rank):
                 for j in range(alg.rank):
                     expect = 1.0 if i == j else 0.0
-                    assert alg.inner(rows[i], rows[j]) == pytest.approx(expect, abs=1e-9)
+                    assert alg.inner(frame[i], frame[j]) == pytest.approx(expect, abs=1e-9)
                 np.testing.assert_allclose(
-                    alg.jordan_product(rows[i], rows[i]), rows[i], atol=1e-9)
-            np.testing.assert_allclose(rows.sum(axis=0), alg.unit, atol=1e-9)
+                    alg.jordan_product(frame[i], frame[i]), frame[i], atol=1e-9)
+            np.testing.assert_allclose(frame.sum(axis=0), alg.unit, atol=1e-9)
 
 
 def test_frame_degeneracy_by_perturbation():
@@ -84,8 +83,8 @@ def test_frame_degeneracy_by_perturbation():
     alg = algebra_from_name("sym:3")
     x = sym_coords(np.diag([2.0, 2.0, -1.0]))
     eps = 1e-6
-    eigs, frame = alg.instance.decompose(x)
-    eigs_pert, _ = alg.instance.decompose(x + eps * alg.unit)
+    eigs, frame = alg.instance.spectral(x)
+    eigs_pert, _ = alg.instance.spectral(x + eps * alg.unit)
     np.testing.assert_allclose(eigs_pert - eps, eigs, atol=1e-9)
     rebuilt = alg.instance.rebuild(eigs, frame)
     assert alg.norm(x - rebuilt) <= 1e-9
@@ -96,24 +95,23 @@ def test_spin_degenerate_axis_default():
     # an orthonormal reconstructing frame
     alg = algebra_from_name("spin:3")
     x = np.array([2.0, 0.0, 0.0, 0.0])
-    eigs, frame = alg.instance.decompose(x)
+    eigs, frame = alg.instance.spectral(x)
     np.testing.assert_allclose(eigs, [2.0, 2.0])
     rebuilt = alg.instance.rebuild(eigs, frame)
     assert alg.norm(x - rebuilt) <= 1e-12
-    rows = frame.idempotents
-    assert alg.inner(rows[0], rows[1]) == pytest.approx(0.0, abs=1e-12)
+    assert alg.inner(frame[0], frame[1]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_build_from_frame_examples():
     rn = algebra_from_name("rn:3").instance
-    _, frame = rn.decompose(np.array([5.0, 1.0, 3.0]))
+    _, frame = rn.spectral(np.array([5.0, 1.0, 3.0]))
     np.testing.assert_allclose(rn.rebuild(np.zeros(3), frame), 0.0)
-    x = rn.rebuild(np.array([1.0, 3.0, 2.0]), JordanFrame(np.eye(3)))
+    x = rn.rebuild(np.array([1.0, 3.0, 2.0]), np.eye(3))
     np.testing.assert_allclose(x, [1.0, 3.0, 2.0])
     np.testing.assert_allclose(rn.lam(x), [3.0, 2.0, 1.0])
 
     sym = algebra_from_name("sym:2").instance
-    _, frame = sym.decompose(sym_coords(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    _, frame = sym.spectral(sym_coords(np.array([[0.0, 1.0], [1.0, 0.0]])))
     y = sym.rebuild(np.array([5.0, -5.0]), frame)
     np.testing.assert_allclose(y.reshape(2, 2), [[0.0, 5.0], [5.0, 0.0]], atol=1e-10)
 
@@ -157,9 +155,9 @@ def test_strong_commute_examples(rn2):
     x = sym_coords(np.array([[0.0, 1.0], [1.0, 0.0]]))
     cert = commute_check(sym, x, 2 * x)
     assert cert.verdict
-    assert isinstance(cert.witness, JordanFrame)
-    # witness frame simultaneously rebuilds both elements in eigen-order
-    frame = cert.witness.idempotents
+    # witness frame: idempotent rows that rebuild both elements in eigen-order
+    frame = cert.witness
+    assert isinstance(frame, np.ndarray) and frame.shape == (2, 4)
     np.testing.assert_allclose(sym.lam(x) @ frame, x, atol=1e-8)
     np.testing.assert_allclose(sym.lam(2 * x) @ frame, 2 * x, atol=1e-8)
 
@@ -168,7 +166,7 @@ def test_strong_commute_same_frame_builds(algebras):
     rng = np.random.default_rng(8)
     for alg in algebras.values():
         inst = alg.instance
-        _, frame = inst.decompose(inst.draw(rng))
+        _, frame = inst.spectral(inst.draw(rng))
         p = sort_desc(rng.standard_normal(alg.rank))
         q = sort_desc(rng.standard_normal(alg.rank))
         cert = commute_check(inst, inst.rebuild(p, frame), inst.rebuild(q, frame))
@@ -254,6 +252,15 @@ def test_idempotent_orbit_max():
 
     with pytest.raises(ValueError):
         idempotent_orbit_max(sym, c, 3)
+
+
+def test_wrong_length_elements_raise_dimension_mismatch():
+    sym = algebra_from_name("sym:2")
+    with pytest.raises(DimensionMismatch, match="sym:2: element has length 3, expected 4"):
+        idempotent_orbit_max(sym, np.ones(3), 1)
+    rn = algebra_from_name("rn:3")
+    with pytest.raises(DimensionMismatch, match="rn:3: element has length 2, expected 3"):
+        majorization_check(rn, np.ones(3), np.ones(2))
 
 
 def test_fan_theobald_equality_iff_strong_commute(sym3):

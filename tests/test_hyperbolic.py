@@ -151,7 +151,7 @@ def test_stock_witnesses_rebuild_on_the_frame(make, n):
     rng = np.random.default_rng(4)
     for _ in range(25):
         x = rng.standard_normal(hp.dim)
-        eigs, _ = inst.decompose(x)
+        eigs, _ = inst.spectral(x)
         np.testing.assert_allclose(hp.lam(x), eigs, rtol=0, atol=1e-10 * (1 + np.linalg.norm(x)))
         c = rng.standard_normal(hp.dim)
         q = hp.lam(rng.standard_normal(hp.dim))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ftvn import get_instance
-from ftvn.linalg import eigh_desc, eigvalsh_desc, is_symmetric, jacobi_eigh, svd_desc
+from ftvn.linalg import eigh_desc, eigvalsh_desc, is_symmetric, svd_desc
 
 from conftest import haar_batch, offdiag_norm, random_symmetric, svd_jacobi
 
@@ -34,9 +34,9 @@ def test_jacobi_deterministic():
 
 def test_jacobi_rejects_nonsymmetric():
     with pytest.raises(ValueError):
-        jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        eigh_desc(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="not symmetric"):
-        jacobi_eigh(np.array([[1.0, np.nan], [np.nan, 2.0]]))
+        eigh_desc(np.array([[1.0, np.nan], [np.nan, 2.0]]))
 
 
 @pytest.mark.parametrize("bad", [np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -73,12 +73,12 @@ def test_stack_of_one_by_one_matrices():
     assert w.shape == (5, 1) and v.shape == (5, 1, 1)
     assert w.tobytes() == a[:, 0].tobytes()
     assert np.array_equal(v, np.ones((5, 1, 1)))
-    w1, v1 = jacobi_eigh(a[3])
+    w1, v1 = eigh_desc(a[3])
     assert w1.tolist() == [1e308] and v1.tolist() == [[1.0]]
 
 
 def test_symmetry_predicate_matches_allclose():
-    # the reference is the predicate jacobi_eigh used before: np.allclose with
+    # the reference is the predicate the eigensolver used before: np.allclose with
     # an absolute tolerance scaled by the largest entry
     rng = np.random.default_rng(3)
     values = [0.0, 1.0, -1.0, 2.0, 1e-12, 5e-11, 1.0 + 1e-6, 1.0 + 1e-4,

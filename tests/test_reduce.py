@@ -7,7 +7,8 @@ from scipy.optimize import OptimizeResult
 
 import ftvn.reduce
 import ftvn.solvers
-from ftvn import MonotonicityError, commute_check, get_instance, lambda_tilde
+from ftvn import (DimensionMismatch, MonotonicityError, commute_check, get_instance,
+                  lambda_tilde)
 from ftvn.eja import sort_desc, sym_coords
 from ftvn.reduce import (DistanceObjective, LinearObjective, MaxAffineObjective,
                          _ROUTES, _WSide, envelope_lower_affine, envelope_lower_exact,
@@ -826,9 +827,7 @@ def test_three_decompositions_per_solve(name, monkeypatch):
 def _frame_arrays(frame):
     if frame is None:
         return []
-    if isinstance(frame, tuple):
-        return list(frame)
-    return [frame.idempotents]
+    return list(frame) if isinstance(frame, tuple) else [frame]
 
 
 @pytest.mark.parametrize("name", ["rn:4", "sym:3", "spin:3", "product:rn:2+sym:2", "svd:3x2"])
@@ -968,6 +967,19 @@ def test_direction_off_the_element_space_raises(sym3):
     with pytest.raises(ValueError, match=message):
         reduce_solve(sym3, MaxAffineObjective(pieces), box)
     assert reduce_solve_linear(sym3, sym3.project_element(c), box).commutation.verdict
+
+
+def test_direction_of_the_wrong_length_raises(rn3):
+    # a c or a max-affine piece of the wrong length is a DimensionMismatch,
+    # raised before any arithmetic on it
+    box = _bounded_box(3)
+    short = np.array([1.0, 2.0])
+    for solve in (reduce_solve_linear, reduce_solve_distance):
+        with pytest.raises(DimensionMismatch, match="rn:3: element has length 2, expected 3"):
+            solve(rn3, short, box)
+    pieces = ((np.array([1.0, 0.0, 0.0]), 0.0), (short, 1.0))
+    with pytest.raises(DimensionMismatch, match="rn:3: element has length 2"):
+        reduce_solve(rn3, MaxAffineObjective(pieces), box)
 
 
 # ---------------------------------------------------------------------------
