@@ -23,7 +23,7 @@ from .core import FtvnError, MonotonicityError, WitnessError, axiom_suite, get_i
 from .reduce import (envelope_lower_affine, envelope_lower_exact, envelope_upper,
                      hausdorff_spectral, reduce_solve, vi_commutation_check)
 from .regressions import run_pack
-from .serialize import (SCHEMA, _number, _typed, axiom_report_json, canonical_dumps,
+from .serialize import (SCHEMA, _floats, _number, _typed, axiom_report_json, canonical_dumps,
                         element_from_json, farr, fnum, objective_from_json,
                         problem_from_json, set_spec_for, solve_report_json,
                         vi_report_json)
@@ -115,7 +115,7 @@ def _cmd_envelope(args) -> int:
     obj = _load_json(args.input)
     inst = get_instance(obj["instance"])
     objective = objective_from_json(inst, {"kind": "max_affine", "pieces": obj["pieces"]})
-    q = np.asarray(obj["q"], dtype=float)
+    q = _floats(obj["q"], "q")
     if q.shape != (inst.dim_w,):
         raise ValueError(f"q: expected {inst.dim_w} numbers, got shape {q.shape}")
     seed = int(_number(obj.get("seed", 0), "seed"))
@@ -162,8 +162,8 @@ def _make_field(inst, obj):
     if kind == "identity":
         return lambda x: x
     if kind == "affine":
-        mat = np.asarray(obj["matrix"], dtype=float)
-        b = np.asarray(obj["b"], dtype=float)
+        mat = _floats(obj["matrix"], "g: matrix")
+        b = _floats(obj["b"], "g: b")
         return lambda x: mat @ x + b
     raise KeyError(f"unknown map kind {kind!r}")
 

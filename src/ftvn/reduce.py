@@ -34,8 +34,8 @@ from .solvers import (fd_gradient, project_polyhedron, projected_descent,
 from .solvers import dykstra_project  # noqa: F401  unused; perfbench/spans.py wraps it here
 from .spectral_sets import (COST_LIMIT, Combiner, FiniteSet, GridOracle, OrbitOf,
                             OrderedPolyhedron, SpectralFunctionSpec,
-                            SpectralSetSpec, SUM, ZERO_FN, image_candidates,
-                            membership_w, probe_monotone)
+                            SpectralSetSpec, SUM, ZERO_FN, generator_point,
+                            image_candidates, membership_w, probe_monotone)
 
 
 @dataclass(frozen=True)
@@ -307,10 +307,21 @@ def _scan(ws: _WSide, label: str) -> SolveReport:
 
 
 def _lp(ws: _WSide, label: str) -> SolveReport:
-    # one LP per piece, the best kept; infeasibility belongs to the set, so
-    # the first LP settles it
-    a_ub, b_ub = ws.spec.rows()
-    coeffs, const = ws.phi.affine_parts(ws.spec.dim)
+    """One LP per piece, the best kept; infeasibility belongs to the set, so
+    the first LP settles it.
+
+    Each LP is solved over the cone's generator coordinates d, q = T d (see
+    ``OrderedPolyhedron.generator_rows``): the ordering rows are the bounds
+    d_1..d_{n-1} >= 0, and the cost w.q is cumsum(w).d.  A cost whose prefix
+    sums reach COST_LIMIT, which HiGHS reads as infinite, is scaled by the
+    power of two that brings its largest entry into [1, 2), and its value
+    back, which is exact.
+    """
+    a_d, b_d = ws.spec.generator_rows()
+    n = ws.spec.dim
+    lower = np.zeros(n)
+    lower[-1] = -math.inf
+    coeffs, const = ws.phi.affine_parts(n)
     costs = [p.w + coeffs for p in ws.pieces]
     if not all(np.all(np.abs(cost) < COST_LIMIT) for cost in costs):
         raise ValueError(f"the LP cost lam(c) is past the LP solver's limit: each "
@@ -318,15 +329,19 @@ def _lp(ws: _WSide, label: str) -> SolveReport:
     trace = {"method": label, "iterations": 0}
     best = None
     for p, cost in zip(ws.pieces, costs):
-        lp = solve_lp(cost, a_ub, b_ub, maximize=ws.sign > 0)
+        cost_d = np.cumsum(cost)
+        top = float(np.abs(cost_d).max())
+        shift = 1 - math.frexp(top)[1] if top >= COST_LIMIT else 0
+        lp = solve_lp(np.ldexp(cost_d, shift), a_d, b_d, maximize=ws.sign > 0,
+                      bounds=(lower, None))
         trace["iterations"] += lp.iterations
         if lp.status == "infeasible":
             return ws.report(trace, -ws.sign * math.inf, infeasible=True)
         if lp.status == "unbounded":
             return ws.report(trace, ws.sign * math.inf)
-        cand = lp.value + p.alpha + const
+        cand = math.ldexp(lp.value, -shift) + p.alpha + const
         if best is None or ws.sign * cand > ws.sign * best[0]:
-            best = (cand, lp.x)
+            best = (cand, generator_point(lp.x))
     ws.probe(best[1])
     return ws.report(trace, best[0], best[1], attained=True)
 

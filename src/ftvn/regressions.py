@@ -110,7 +110,7 @@ def _check_det_roots(seed: int) -> RegressionResult:
 def _check_flagship(seed: int) -> RegressionResult:
     sym2 = get_instance("sym:2")
     c = sym_coords(np.diag([1.0, -1.0]))
-    spec = OrderedPolyhedron(halfspaces=(
+    spec = OrderedPolyhedron.from_halfspaces((
         ((-1.0, 0.0), -1.0),   # q1 >= 1
         ((1.0, 0.0), 2.0),     # q1 <= 2
         ((0.0, -1.0), 0.0),    # q2 >= 0

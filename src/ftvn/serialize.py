@@ -7,8 +7,9 @@ inputs therefore give byte-identical reports.
 
 from __future__ import annotations
 
-import json
 import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any
 
 import numpy as np
@@ -35,12 +36,71 @@ def fnum(x) -> dict:
 
 
 def farr(arr) -> dict:
-    vals = [float(v) for v in np.asarray(arr, dtype=float).ravel()]
-    return {"dec": vals, "hex": [v.hex() for v in vals]}
+    vals = np.asarray(arr, dtype=float).ravel().tolist()
+    return {"dec": vals, "hex": list(map(float.hex, vals))}
 
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` and a
+    newline, byte for byte.  ``indent`` sends ``json.dumps`` to its
+    pure-Python encoder, one generator step per item; here a list of floats
+    or of strings is one join.  A non-finite float raises ValueError and an
+    object JSON has no type for TypeError, as in ``json.dumps``."""
+    return _dumps(obj, "\n") + "\n"
+
+
+def _dumps(obj: Any, nl: str) -> str:
+    # nl: the newline and the indent of the line obj starts on
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        if kinds == {float} and all(map(math.isfinite, obj)):
+            items = map(float.__repr__, obj)
+        elif kinds == {str}:
+            items = map(_json_str, obj)
+        else:
+            items = (_dumps(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            _json_str(_json_key(k)) + ": " + _dumps(v, inner)
+            for k, v in sorted(obj.items())) + nl + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    # the keys json.dumps takes, written as it writes them
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True or key is False or key is None:
+        return _dumps(key, "")
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -51,12 +111,15 @@ _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", _NUMBER: "a
                int: "a number", float: "a number", bool: "a boolean", type(None): "null"}
 
 
+def _type_name(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
 def _typed(value, kind, field: str):
     """value, when it has the JSON type `kind`; otherwise a usage error
     (ValueError) that names the field.  A boolean is no number."""
     if isinstance(value, bool) or not isinstance(value, kind):
-        got = _JSON_TYPES.get(type(value), type(value).__name__)
-        raise ValueError(f"{field}: expected {_JSON_TYPES[kind]}, got {got}")
+        raise ValueError(f"{field}: expected {_JSON_TYPES[kind]}, got {_type_name(value)}")
     return value
 
 
@@ -64,6 +127,69 @@ def _number(value, field: str) -> float:
     if not math.isfinite(_typed(value, _NUMBER, field)):
         raise ValueError(f"{field}: expected a finite number, got {value}")
     return float(value)
+
+
+def _misfit(values, kinds) -> int:
+    """The index of the first of values whose type is not one of kinds
+    (exactly: a boolean is no int), or -1, from one type scan."""
+    if set(map(type, values)) <= kinds:
+        return -1
+    return next(i for i, v in enumerate(values) if type(v) not in kinds)
+
+
+_NUMBER_TYPES = {int, float}
+
+
+def _floats(value, field: str) -> np.ndarray:
+    """value as a float array, when it is a JSON array, or an array of
+    arrays, of numbers; otherwise a usage error (ValueError) that names the
+    field.  One type scan per level of nesting."""
+    level = _typed(value, list, field)
+    kinds = set(map(type, level))
+    while kinds == {list}:
+        level = list(chain.from_iterable(level))
+        kinds = set(map(type, level))
+    if not kinds <= _NUMBER_TYPES:
+        bad = next(v for v in level if type(v) not in _NUMBER_TYPES)
+        raise ValueError(f"{field}: expected numbers, got {_type_name(bad)}")
+    return np.array(value, dtype=float)
+
+
+def _halfspace_arrays(value, field: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, n) normals and m offsets of the array of halfspace objects
+    value, each checked for all halfspaces at once.  A usage error names
+    the first bad halfspace."""
+    hs = _typed(value, list, f"{field}: halfspaces")
+    i = _misfit(hs, {dict})
+    if i >= 0:
+        _typed(hs[i], dict, f"{field}: halfspace {i}")
+    normals = [h["normal"] for h in hs]
+    offsets = [h["offset"] for h in hs]
+    i = _misfit(offsets, _NUMBER_TYPES)
+    if i < 0:
+        b = np.array(offsets, dtype=float)
+        finite = np.isfinite(b)
+        i = -1 if finite.all() else int(np.argmin(finite))
+    if i >= 0:  # raises, naming the offset
+        _number(offsets[i], f"{field}: halfspace {i} offset")
+    i = _misfit(normals, {list})
+    if i >= 0:
+        _typed(normals[i], list, f"{field}: halfspace {i} normal")
+    if not set(map(type, chain.from_iterable(normals))) <= _NUMBER_TYPES:
+        i = next(i for i, a in enumerate(normals) if _misfit(a, _NUMBER_TYPES) >= 0)
+        bad = normals[i][_misfit(normals[i], _NUMBER_TYPES)]
+        raise ValueError(f"{field}: halfspace {i} normal: expected numbers, "
+                         f"got {_type_name(bad)}")
+    lengths = list(map(len, normals))
+    if lengths.count(n) < len(lengths):
+        i = next(i for i, k in enumerate(lengths) if k != n)
+        raise ValueError(f"{field}: halfspace {i} has a normal of length {lengths[i]}, "
+                         f"expected {n}")
+    a = np.array(normals, dtype=float).reshape(len(normals), n)
+    finite = np.isfinite(a).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{field}: halfspace {np.argmin(finite)} has a non-finite entry")
+    return a, b
 
 
 # Every number of a finite set's point, a grid or a table, and every
@@ -96,18 +222,18 @@ def _checked_element(inst: FtvnInstance, coords) -> np.ndarray:
 
 
 def element_from_json(inst: FtvnInstance, obj) -> np.ndarray:
-    if isinstance(obj, (list, tuple)):
-        return _checked_element(inst, obj)
+    if isinstance(obj, list):
+        return _checked_element(inst, _floats(obj, "element"))
     kind = _typed(obj, dict, "element")["kind"]
     if kind == "rn":
-        coords = np.asarray(obj["data"], dtype=float)
+        coords = _floats(obj["data"], "rn element: data")
     elif kind == "sym":
-        coords = sym_coords(np.asarray(obj["data"], dtype=float))
+        coords = sym_coords(_floats(obj["data"], "sym element: data"))
     elif kind == "spin":
         coords = np.concatenate([[_number(obj["x0"], "spin element: x0")],
-                                 np.asarray(obj["xbar"], dtype=float)])
+                                 _floats(obj["xbar"], "spin element: xbar")])
     elif kind == "rect":
-        coords = np.asarray(obj["data"], dtype=float).ravel()
+        coords = _floats(obj["data"], "rect element: data").ravel()
     elif kind == "product":
         alg = inst.backend
         if not isinstance(alg, JordanAlgebra) or alg.kind != "product":
@@ -160,7 +286,7 @@ def set_spec_for(inst: FtvnInstance, obj) -> Any:
     n = inst.dim_w
     kind = _typed(obj, dict, "set")["kind"]
     if kind == "finite":
-        points = np.atleast_2d(np.asarray(obj["points"], dtype=float))
+        points = np.atleast_2d(_floats(obj["points"], "finite set: points"))
         if points.size:
             if points.shape[1] != n:
                 raise ValueError(f"finite set: points have {points.shape[1]} "
@@ -171,19 +297,11 @@ def set_spec_for(inst: FtvnInstance, obj) -> Any:
         return FiniteSet(points=points,
                          permutation_invariant=bool(obj.get("permutation_invariant", False)))
     if kind == "polyhedron":
-        hs = tuple((np.asarray(a, dtype=float), b)
-                   for a, b in _halfspaces(obj["halfspaces"], "polyhedron set"))
-        for i, (normal, _) in enumerate(hs):
-            if normal.shape != (n,):
-                raise ValueError(f"polyhedron set: halfspace {i} has a normal of "
-                                 f"length {normal.size}, expected {n}")
-        if not np.isfinite([a for a, _ in hs]).all():
-            raise ValueError("polyhedron set: a halfspace has a non-finite entry")
-        return OrderedPolyhedron(halfspaces=hs)
+        return OrderedPolyhedron(*_halfspace_arrays(obj["halfspaces"], "polyhedron set", n))
     if kind == "orbit":
         return OrbitOf(element_from_json(inst, obj["u"]))
     if kind == "grid":
-        box = np.asarray(obj["box"], dtype=float)
+        box = _floats(obj["box"], "grid set: box")
         if box.shape != (n, 2):
             raise ValueError(f"grid set: box has shape {box.shape}, expected ({n}, 2)")
         _check_size(box, "grid set: the box")
@@ -193,8 +311,9 @@ def set_spec_for(inst: FtvnInstance, obj) -> Any:
             radius = _number(member["radius"], "grid set: ball radius")
             fn = lambda q: bool(np.linalg.norm(q - center) <= radius)
         elif member["kind"] == "halfspaces":
-            hs = [(_grid_vector(f"halfspace {i} normal", a, n), b)
-                  for i, (a, b) in enumerate(_halfspaces(member["halfspaces"], "grid set"))]
+            normals, offsets = _halfspace_arrays(member["halfspaces"], "grid set", n)
+            _check_size(normals, "grid set: a halfspace normal")
+            hs = list(zip(normals, offsets.tolist()))
             fn = lambda q: all(float(np.dot(a, q)) <= b + 1e-12 for a, b in hs)
         else:
             raise KeyError(f"unknown grid membership {member['kind']!r}")
@@ -203,17 +322,8 @@ def set_spec_for(inst: FtvnInstance, obj) -> Any:
     raise KeyError(f"unknown set kind {kind!r}")
 
 
-def _halfspaces(value, field: str) -> list[tuple[Any, float]]:
-    """(normal, offset) of each halfspace object in the array value."""
-    out = []
-    for i, h in enumerate(_typed(value, list, f"{field}: halfspaces")):
-        at = f"{field}: halfspace {i}"
-        out.append((_typed(h, dict, at)["normal"], _number(h["offset"], f"{at} offset")))
-    return out
-
-
 def _grid_vector(name: str, obj, n: int) -> np.ndarray:
-    vec = np.asarray(obj, dtype=float)
+    vec = _floats(obj, f"grid set: {name}")
     if vec.shape != (n,):
         raise ValueError(f"grid set: {name} has length {vec.size}, expected {n}")
     _check_size(vec, f"grid set: {name}")
@@ -229,8 +339,8 @@ def phi_from_json(obj) -> SpectralFunctionSpec:
     if kind == "neg_logdet":
         return neg_logdet_fn()
     if kind == "custom_table":
-        points = np.atleast_2d(np.asarray(obj["points"], dtype=float))
-        values = np.asarray(obj["values"], dtype=float)
+        points = np.atleast_2d(_floats(obj["points"], "custom_table spectral_fn: points"))
+        values = _floats(obj["values"], "custom_table spectral_fn: values")
         if values.shape != points.shape[:1]:
             raise ValueError("custom_table spectral_fn: values must be numbers, one per point")
         _check_size(points, "custom_table spectral_fn: a point")

@@ -268,21 +268,31 @@ class _HighsResult(NamedTuple):
     message: str                # HiGHS's model status
 
 
+# One HiGHS object per process, built on the first LP: building one costs
+# about a sixth of a small LP.  Each call clears its model, solution, basis
+# and info, and resets and sets every option, so no call sees another's state.
+_solver = None
+
+
 def _highs(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, bounds=(None, None),
            method: str = "highs-ds") -> _HighsResult:
-    """min c.q subject to a_ub @ q <= b_ub and bounds[0] <= q <= bounds[1]
-    (None: no bound), one fresh HiGHS object per call.
+    """min c.q subject to a_ub @ q <= b_ub and bounds[0] <= q <= bounds[1],
+    where each bound is None (none), one number for every column, or one per
+    column (-inf and inf for none).
 
     HiGHS runs through the binding scipy vendors, the one scipy's
     ``linprog`` calls, with the options ``linprog(method=method,
     options={"presolve": False})`` passes, so status, point, value and
     iteration count are the same, except on a model HiGHS refuses to load;
-    the per-call option and input checks of ``linprog`` are left out.
+    the per-call option and input checks of ``linprog`` are left out.  The
+    process's one HiGHS object is cleared first and given every option, so
+    the answer is that of a fresh object.
 
     The binding, the compiled module ``scipy.optimize._highspy._core``, is
     loaded from its file on the first call by :func:`_scipy_extension`,
     without importing scipy.optimize.
     """
+    global _solver
     highspy = _scipy_extension("scipy.optimize._highspy._core",
                                "LP solve needs scipy's HiGHS binding")
     m, n = a_ub.shape
@@ -292,8 +302,8 @@ def _highs(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, bounds=(None, None
     lp.num_col_ = n
     lp.num_row_ = m
     lp.col_cost_ = c
-    lp.col_lower_ = np.full(n, -inf if lo is None else lo)
-    lp.col_upper_ = np.full(n, inf if hi is None else hi)
+    lp.col_lower_ = np.full(n, -inf if lo is None else lo, dtype=float)
+    lp.col_upper_ = np.full(n, inf if hi is None else hi, dtype=float)
     lp.row_lower_ = np.full(m, -inf)
     lp.row_upper_ = b_ub
     # the nonzeros of a_ub column by column (compressed sparse columns)
@@ -305,10 +315,14 @@ def _highs(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, bounds=(None, None
     matrix.start_ = np.searchsorted(cols, np.arange(n + 1))
     matrix.index_ = rows
     matrix.value_ = a_ub.T[cols, rows]
-    # set on the fresh object one by one: building a HighsOptions object to
-    # pass costs about a sixth of a small LP.  An option HiGHS rejects is an
-    # error, not a warning: without presolve="off" the answers can be wrong
-    solver = highspy._Highs()
+    if _solver is None:
+        _solver = highspy._Highs()
+    solver = _solver
+    solver.clearModel()
+    solver.resetOptions()
+    # set one by one: building a HighsOptions object to pass costs about a
+    # sixth of a small LP.  An option HiGHS rejects is an error, not a
+    # warning: without presolve="off" the answers can be wrong
     options = dict(_HIGHS_OPTIONS, solver="ipm" if method == "highs-ipm" else "simplex")
     for name, value in options.items():
         if solver.setOptionValue(name, value) != highspy.HighsStatus.kOk:
@@ -353,17 +367,22 @@ def scale_tiny_rows(a_ub: np.ndarray, b_ub: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
-             maximize: bool = False, bounded: bool = False) -> LpResult:
-    """min (or max) c.q subject to a_ub @ q <= b_ub, q free.
+             maximize: bool = False, bounded: bool = False,
+             bounds=(None, None)) -> LpResult:
+    """min (or max) c.q subject to a_ub @ q <= b_ub and the column bounds
+    ``bounds`` (as :func:`_highs` takes them; by default q is free).
 
-    One HiGHS dual-simplex call: the optimum it returns is a basic solution
+    One HiGHS dual-simplex call, through the process's one HiGHS object,
+    cleared before each model: the optimum it returns is a basic solution
     (a vertex whenever the feasible set has one) and the same input always
     gives the same point.  When HiGHS ends with an outcome other than
     optimal, infeasible or unbounded, two LPs that are bounded by
     construction decide unboundedness: a zero-objective feasibility LP and
-    the recession LP over directions d with a_ub @ d <= 0 in the unit box.
-    If the set is nonempty and some such d improves the objective, the LP is
-    unbounded; otherwise :class:`FtvnError` carries HiGHS's first message.
+    the recession LP over directions d with a_ub @ d <= 0 in the unit box,
+    with d_i >= 0 where q_i has a lower bound and d_i <= 0 where it has an
+    upper one.  If the set is nonempty and some such d improves the
+    objective, the LP is unbounded; otherwise :class:`FtvnError` carries
+    HiGHS's first message.
 
     ``bounded`` says the LP is feasible and bounded by construction.  Any
     dual-simplex outcome but optimal is then retried with HiGHS's
@@ -387,11 +406,11 @@ def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
             raise ValueError(f"LP row {i} is past the LP solver's limits: scaled so that its "
                              f"largest normal entry ({np.abs(a_in[i]).max():g}) lies in "
                              f"[1, 2), its offset {b_in[i]:g} reaches {OFFSET_LIMIT:g} in size")
-    res = _highs(sign * c, a_ub, b_ub, method="highs-ds")
+    res = _highs(sign * c, a_ub, b_ub, bounds=bounds, method="highs-ds")
     status = _LP_STATUS.get(res.status)
     nit = res.nit
     if bounded and status != "optimal":
-        res = _highs(sign * c, a_ub, b_ub, method="highs-ipm")
+        res = _highs(sign * c, a_ub, b_ub, bounds=bounds, method="highs-ipm")
         nit += res.nit
         status = _LP_STATUS.get(res.status)
         if status != "optimal":
@@ -399,8 +418,8 @@ def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
     if status is None:
         # HiGHS (scipy 1.17.1) ends some unbounded LPs with model status
         # "Unknown"; two such cases are in the tests
-        feas = _highs(np.zeros_like(c), a_ub, b_ub, method="highs-ds")
-        ray = _highs(sign * c, a_ub, np.zeros_like(b_ub), bounds=(-1.0, 1.0),
+        feas = _highs(np.zeros_like(c), a_ub, b_ub, bounds=bounds, method="highs-ds")
+        ray = _highs(sign * c, a_ub, np.zeros_like(b_ub), bounds=_recession_box(bounds),
                      method="highs-ds")
         nit += feas.nit + ray.nit
         # the margin stays above HiGHS's 1e-7 feasibility tolerance on a_ub @ d
@@ -413,6 +432,15 @@ def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
     if status == "unbounded":
         return LpResult(status, None, -sign * math.inf, nit)
     return LpResult(status, res.x, sign * float(res.fun), nit)
+
+
+def _recession_box(bounds) -> tuple:
+    """The unit box cut by the recession cone of the column bounds: d_i in
+    [0, 1] where q_i has a finite lower bound, [-1, 0] where it has a finite
+    upper one, and [-1, 1] where it is free."""
+    lo, hi = (np.isfinite(np.asarray(-math.inf if b is None else b, dtype=float))
+              for b in bounds)
+    return np.where(lo, 0.0, -1.0), np.where(hi, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

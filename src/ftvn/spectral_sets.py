@@ -39,10 +39,17 @@ OFFSET_LIMIT = 1e20
 NORMAL_ENTRY_LIMIT = 1e15
 COST_LIMIT = 1e20
 
+# HiGHS's tolerances are absolute, so the LP in the cone's coordinates scales
+# each row of prefix sums whose largest entry is this or more in size into
+# [1, 2) (see ``OrderedPolyhedron.generator_rows``); ``solve_lp`` scales tiny
+# rows the same way
+BIG_ROW = 2.0 ** 10
+
 
 @dataclass(frozen=True)
 class OrderedPolyhedron:
-    """{q : <normal_i, q> <= offset_i} intersected with the nonincreasing cone.
+    """{q : normals @ q <= offsets} intersected with the nonincreasing cone:
+    one halfspace per row of the (m, n) array ``normals``.
 
     Emptiness is not assumed; infeasibility is a legal solve outcome.  Each
     offset must be below OFFSET_LIMIT and each normal entry below
@@ -50,23 +57,39 @@ class OrderedPolyhedron:
     wrongly or not at all.
     """
 
-    halfspaces: tuple  # of (normal ndarray, offset float)
+    normals: np.ndarray
+    offsets: np.ndarray
 
     def __post_init__(self):
-        hs = tuple((np.asarray(n, dtype=float), float(b)) for n, b in self.halfspaces)
-        if not hs:
+        normals = np.asarray(self.normals, dtype=float)
+        offsets = np.asarray(self.offsets, dtype=float)
+        if normals.ndim != 2 or normals.shape[0] == 0:
             raise ValueError("a polyhedron needs at least one halfspace; "
                              "its dimension is read from the normals")
-        for i, (normal, offset) in enumerate(hs):
-            if not (abs(offset) < OFFSET_LIMIT and np.all(np.abs(normal) < NORMAL_ENTRY_LIMIT)):
-                raise ValueError(f"polyhedron set: halfspace {i} is past the LP solver's "
-                                 f"limits: each offset must be below {OFFSET_LIMIT:g} and "
-                                 f"each normal entry below {NORMAL_ENTRY_LIMIT:g} in size")
-        object.__setattr__(self, "halfspaces", hs)
+        if offsets.shape != normals.shape[:1]:
+            raise ValueError(f"a polyhedron needs one offset per normal: {normals.shape[0]} "
+                             f"normals, offsets of shape {offsets.shape}")
+        # one test for the whole set; NaN fails it too
+        inside = ((np.abs(offsets) < OFFSET_LIMIT)
+                  & np.all(np.abs(normals) < NORMAL_ENTRY_LIMIT, axis=1))
+        if not inside.all():
+            raise ValueError(f"polyhedron set: halfspace {np.argmin(inside)} is past the LP "
+                             f"solver's limits: each offset must be below {OFFSET_LIMIT:g} "
+                             f"and each normal entry below {NORMAL_ENTRY_LIMIT:g} in size")
+        normals.flags.writeable = offsets.flags.writeable = False
+        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "offsets", offsets)
+
+    @classmethod
+    def from_halfspaces(cls, halfspaces) -> "OrderedPolyhedron":
+        """The set of (normal, offset) pairs."""
+        halfspaces = list(halfspaces)
+        return cls(np.array([a for a, _ in halfspaces], dtype=float),
+                   np.array([b for _, b in halfspaces], dtype=float))
 
     @property
     def dim(self) -> int:
-        return self.halfspaces[0][0].size
+        return self.normals.shape[1]
 
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(a_ub, b_ub) with the set = {q : a_ub @ q <= b_ub}: the halfspaces,
@@ -76,8 +99,37 @@ class OrderedPolyhedron:
         cone = np.zeros((n - 1, n))
         cone[i, i] = -1.0
         cone[i, i + 1] = 1.0
-        return (np.vstack([np.array([a for a, _ in self.halfspaces]), cone]),
-                np.concatenate([np.array([b for _, b in self.halfspaces]), np.zeros(n - 1)]))
+        return np.vstack([self.normals, cone]), np.concatenate([self.offsets, np.zeros(n - 1)])
+
+    def generator_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a_d, b_d) with the set = {T d : a_d @ d <= b_d, d_1..d_{n-1} >= 0},
+        where T is upper triangular of ones, so that q = T d has q_i = d_i +
+        ... + d_n and d_i = q_i - q_{i+1}: the generators of the nonincreasing
+        cone, with the ordering rows turned into bounds on d.
+
+        a_d = normals @ T holds the prefix sums of each normal, which can
+        reach NORMAL_ENTRY_LIMIT though no entry of the normal does.  Each
+        row whose largest entry is BIG_ROW or more in size is multiplied,
+        with its offset, by the power of two that brings that entry into
+        [1, 2), which is exact and leaves the set as it is.
+        """
+        a = np.cumsum(self.normals, axis=1)
+        top = np.abs(a).max(axis=1)
+        big = top >= BIG_ROW
+        if not big.any():
+            return a, self.offsets
+        # top = f 2^e with f in [0.5, 1), so top 2^(1 - e) lies in [1, 2)
+        shift = np.where(big, 1 - np.frexp(top)[1], 0)
+        return np.ldexp(a, shift[:, None]), np.ldexp(self.offsets, shift)
+
+
+def generator_point(d: np.ndarray) -> np.ndarray:
+    """q = T d (see :meth:`OrderedPolyhedron.generator_rows`), with d_1 ..
+    d_{n-1} clipped at 0: the reverse cumulative sum adds a nonnegative term
+    at each step, so q is exactly nonincreasing."""
+    d = np.asarray(d, dtype=float)
+    steps = np.append(np.maximum(d[:-1], 0.0), d[-1])
+    return np.cumsum(steps[::-1])[::-1]
 
 
 @dataclass(frozen=True)

@@ -182,9 +182,9 @@ def test_criterion_5_reduction_identity_bruteforce():
 def test_criterion_6_flagship():
     sym2 = get_instance("sym:2")
     c = sym_coords(np.diag([1.0, -1.0]))
-    spec = OrderedPolyhedron(halfspaces=(((-1.0, 0.0), -1.0),
-                                         ((1.0, 0.0), 2.0),
-                                         ((0.0, -1.0), 0.0)))
+    spec = OrderedPolyhedron.from_halfspaces((((-1.0, 0.0), -1.0),
+                                              ((1.0, 0.0), 2.0),
+                                              ((0.0, -1.0), 0.0)))
     rep = reduce_solve_linear(sym2, c, spec, sense="max")
     # independent LP oracle: vertex enumeration over the same polytope
     a_ub = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [-1.0, 1.0]])

@@ -26,6 +26,17 @@ def _resolve(module_name, attr):
     return getattr(importlib.import_module(module_name), attr)
 
 
+def _api():
+    # the functions perfbench/run.py's Api resolves
+    serialize = ftvn.serialize
+    return SimpleNamespace(problem_from_json=serialize.problem_from_json,
+                           solve_report_json=serialize.solve_report_json,
+                           axiom_report_json=serialize.axiom_report_json,
+                           canonical_dumps=serialize.canonical_dumps, SCHEMA=serialize.SCHEMA,
+                           reduce_solve=ftvn.reduce.reduce_solve, get_instance=get_instance,
+                           axiom_suite=axiom_suite)
+
+
 def test_traced_functions_resolve_and_return_work_counts():
     spans = load_perfbench("spans")
     # the per-layer metrics also read the Dykstra sweep cap
@@ -77,13 +88,7 @@ def test_traced_round_wraps_every_name_and_keeps_the_bytes(workload):
     # metric), and the traced reports are the untraced bytes
     spans = load_perfbench("spans")
     workloads = load_perfbench("workloads")
-    serialize = ftvn.serialize
-    api = SimpleNamespace(problem_from_json=serialize.problem_from_json,
-                          solve_report_json=serialize.solve_report_json,
-                          axiom_report_json=serialize.axiom_report_json,
-                          canonical_dumps=serialize.canonical_dumps, SCHEMA=serialize.SCHEMA,
-                          reduce_solve=ftvn.reduce.reduce_solve, get_instance=get_instance,
-                          axiom_suite=axiom_suite)
+    api = _api()
     make_op, period, _ = workloads.WORKLOADS[workload]
     ops = [make_op(1, i) for i in range(period)]
     plain = [workloads.execute(op, api, spans.NullTracer()) for op in ops]
@@ -98,3 +103,22 @@ def test_traced_round_wraps_every_name_and_keeps_the_bytes(workload):
         tracer.uninstall()
     assert tracer.missing == {}
     assert traced == plain
+
+
+@pytest.mark.parametrize("workload", ["sym-solve", "wside-solve"])
+def test_benchmark_oracles_pass_two_rounds(workload):
+    # the reports of the first two schedule rounds at seed 1, checked by the
+    # benchmark's own oracles: a report the benchmark would count as an
+    # incorrect output fails here first
+    spans = load_perfbench("spans")
+    workloads = load_perfbench("workloads")
+    oracles = load_perfbench("oracles")
+    make_op, period, _ = workloads.WORKLOADS[workload]
+    api = _api()
+    failures = {}
+    for i in range(2 * period):
+        op = make_op(1, i)
+        reason = oracles.check(op, workloads.execute(op, api, spans.NullTracer()))
+        if reason is not None:
+            failures[f"{op.index} {op.label}/{op.oracle}"] = reason
+    assert failures == {}

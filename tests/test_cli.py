@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import OptimizeResult
 
 import ftvn.cli
@@ -458,6 +458,43 @@ def test_cli_wrong_json_types_are_usage_errors(tmp_path, capsys):
         assert len(captured.err.splitlines()) == 1 and needle in captured.err, captured.err
 
 
+_BOX = [{"normal": [1, 0], "offset": 1}, {"normal": [0, -1], "offset": 1}]
+
+
+@pytest.mark.parametrize("instance, halfspaces, c, message", [
+    ("rn:2", [{"normal": ["1", True], "offset": 1}], [1, 0],
+     "polyhedron set: halfspace 0 normal: expected numbers, got a string"),
+    ("rn:2", _BOX + [{"normal": [1, True], "offset": 1}], [1, 0],
+     "polyhedron set: halfspace 2 normal: expected numbers, got a boolean"),
+    ("rn:2", [{"normal": [[1], [0]], "offset": 1}], [1, 0],
+     "polyhedron set: halfspace 0 normal: expected numbers, got an array"),
+    ("rn:2", _BOX + [{"normal": [1, 0], "offset": False}], [1, 0],
+     "polyhedron set: halfspace 2 offset: expected a number, got a boolean"),
+    ("rn:2", _BOX, ["1", False], "element: expected numbers, got a string"),
+    ("rn:2", _BOX, [1, False], "element: expected numbers, got a boolean"),
+    ("rn:2", _BOX, {"kind": "rn", "data": [True, 0]},
+     "rn element: data: expected numbers, got a boolean"),
+    ("sym:2", _BOX, {"kind": "sym", "n": 2, "data": [[1, "0"], ["0", 1]]},
+     "sym element: data: expected numbers, got a string"),
+    ("spin:2", _BOX, {"kind": "spin", "x0": 1, "xbar": [True, 0]},
+     "spin element: xbar: expected numbers, got a boolean"),
+    ("svd:2x2", _BOX, {"kind": "rect", "m": 2, "n": 2, "data": [[1, 0], [None, 1]]},
+     "rect element: data: expected numbers, got null"),
+], ids=["normal-string", "normal-boolean", "normal-nested", "offset-boolean", "c-string",
+        "c-boolean", "rn-boolean", "sym-string", "spin-boolean", "rect-null"])
+def test_cli_strings_and_booleans_are_no_numbers(tmp_path, capsys, instance, halfspaces, c,
+                                                 message):
+    # a string, a boolean or null where a number belongs is a usage error
+    # naming the field, never read as the number 1 or 0
+    problem = {"instance": instance, "objective": {"kind": "linear", "c": c}, "sense": "max",
+               "set": {"kind": "polyhedron", "halfspaces": halfspaces}}
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(problem))
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [f"error: {message}"]
+
+
 def test_cli_hausdorff_refuses_a_polyhedron(tmp_path, capsys):
     path = tmp_path / "sets.json"
     path.write_text(json.dumps({
@@ -589,6 +626,42 @@ def test_canonical_dumps_sorted_keys():
     assert text.endswith("\n")
 
 
+# JSON-like documents: escaped and unicode strings, bool beside int, floats
+# (non-finite ones too) and np.float64, lists of floats or strings alone,
+# nested lists, tuples and dicts, empty containers, and keys of every type
+# json.dumps takes
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+            | st.floats().map(np.float64))
+_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+_DOCS = st.recursive(
+    _SCALARS | st.lists(st.floats()) | st.lists(st.text()),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)
+                   | st.dictionaries(_KEYS, inner, max_size=3)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=_DOCS)
+@example(doc=[1.0, -math.inf])
+@example(doc={"a": [np.float64(math.inf)]})
+@example(doc={"a": np.int64(1)})
+@example(doc=[np.bool_(True)])
+@example(doc={(1, 2): 3})
+@example(doc={1: 2, "a": 3})
+def test_canonical_dumps_is_json_dumps(doc):
+    # json.dumps is the oracle: the same bytes, or the same exception type
+    # (ValueError for a non-finite float, TypeError for a type JSON has not
+    # or for keys that do not sort)
+    try:
+        want = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except (ValueError, TypeError) as exc:
+        with pytest.raises(type(exc)):
+            canonical_dumps(doc)
+    else:
+        assert canonical_dumps(doc) == want
+
+
 _STARTUP_PROBE = textwrap.dedent("""
     import contextlib, io, sys
     import ftvn
@@ -604,7 +677,7 @@ _STARTUP_PROBE = textwrap.dedent("""
     import numpy as np
     from ftvn.solvers import project_polyhedron, solve_lp
     rn2 = ftvn.get_instance("rn:2")
-    box = ftvn.OrderedPolyhedron(halfspaces=(((1.0, 0.0), 2.0), ((0.0, -1.0), 0.0)))
+    box = ftvn.OrderedPolyhedron.from_halfspaces((((1.0, 0.0), 2.0), ((0.0, -1.0), 0.0)))
     ftvn.reduce_solve_linear(rn2, rn2.element([1.0, -1.0]), box, sense="max")
     ftvn.reduce_solve(rn2, ftvn.DistanceObjective(rn2.element([3.0, -1.0])), box)
     highs, nnls_lib = "scipy.optimize._highspy._core", "scipy.optimize._slsqplib"

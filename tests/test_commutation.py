@@ -66,7 +66,7 @@ def test_vi_polyhedron_constant_field(rn2):
     # a spectral set over a bounded polyhedron: the global minimizer of a
     # linear function solves the VI for the constant field, and commutes
     from ftvn.reduce import reduce_solve_linear
-    spec = OrderedPolyhedron(halfspaces=(((1.0, 0.0), 1.0), ((0.0, -1.0), 1.0)))
+    spec = OrderedPolyhedron.from_halfspaces((((1.0, 0.0), 1.0), ((0.0, -1.0), 1.0)))
     c = np.array([2.0, 0.5])
     a = reduce_solve_linear(rn2, c, spec, sense="min").optimizer_v
     rep = vi_commutation_check(rn2, lambda x: c, spec, a, seed=5, tol=1e-6)
@@ -184,7 +184,7 @@ def _vi_problem(s):
         halfspaces.append((a, float(a @ p + 0.3)))
     c = inst.draw(rng)
     g = inst.draw(rng)
-    spec = OrderedPolyhedron(halfspaces=tuple(halfspaces))
+    spec = OrderedPolyhedron.from_halfspaces(tuple(halfspaces))
     a = reduce_solve_linear(inst, c, spec, sense="max").optimizer_v
     return inst, spec, p, g, a
 
@@ -194,8 +194,8 @@ def _permuted_copies_lp_min(g, spec):
     # polyhedron Q {q : A q <= b}; a copy is {x : A[:, sigma] x <= b}
     from scipy.optimize import linprog
     n = g.size
-    rows = [a for a, _ in spec.halfspaces]
-    offsets = [b for _, b in spec.halfspaces]
+    rows = list(spec.normals)
+    offsets = list(spec.offsets)
     for i in range(n - 1):
         row = np.zeros(n)
         row[i], row[i + 1] = -1.0, 1.0

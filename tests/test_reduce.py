@@ -105,17 +105,17 @@ def test_reduce_empty_set_infeasible(rn2):
     rep = reduce_solve_linear(rn2, np.array([1.0, 2.0]), spec, sense="min")
     assert rep.optimal_value == math.inf
 
-    poly = OrderedPolyhedron(halfspaces=(((1.0, 0.0), -1.0),   # q1 <= -1
-                                         ((0.0, -1.0), -1.0)))  # q2 >= 1
+    poly = OrderedPolyhedron.from_halfspaces((((1.0, 0.0), -1.0),   # q1 <= -1
+                                              ((0.0, -1.0), -1.0)))  # q2 >= 1
     rep = reduce_solve_linear(rn2, np.array([1.0, 2.0]), poly, sense="max")
     assert rep.infeasible  # cone forces q1 >= q2 but constraints force q1 < q2
 
 
 def test_flagship_lp_with_vertex_oracle(sym2):
     c = sym_coords(np.diag([1.0, -1.0]))
-    spec = OrderedPolyhedron(halfspaces=(((-1.0, 0.0), -1.0),
-                                         ((1.0, 0.0), 2.0),
-                                         ((0.0, -1.0), 0.0)))
+    spec = OrderedPolyhedron.from_halfspaces((((-1.0, 0.0), -1.0),
+                                              ((1.0, 0.0), 2.0),
+                                              ((0.0, -1.0), 0.0)))
     rep = reduce_solve_linear(sym2, c, spec, sense="max")
     assert rep.optimal_value == pytest.approx(2.0, abs=1e-9)
     assert rep.attained and rep.commutation.verdict
@@ -138,9 +138,9 @@ def test_reduce_distance_examples(rn2, sym2):
     assert rep.commutation.verdict
 
     c = sym_coords(np.diag([-1.0, 0.0]))
-    spec = OrderedPolyhedron(halfspaces=(((-1.0, 0.0), -1.0),
-                                         ((1.0, 0.0), 2.0),
-                                         ((0.0, -1.0), 0.0)))
+    spec = OrderedPolyhedron.from_halfspaces((((-1.0, 0.0), -1.0),
+                                              ((1.0, 0.0), 2.0),
+                                              ((0.0, -1.0), 0.0)))
     rep = reduce_solve_distance(sym2, c, spec, sense="min")
     assert rep.optimal_value == pytest.approx(math.sqrt(2.0), abs=1e-8)
     np.testing.assert_allclose(rep.optimizer_w, [1.0, 0.0], atol=1e-8)
@@ -193,16 +193,16 @@ def test_lp_routes_make_one_lp_call_each(sym2, rn2, monkeypatch):
         return solve_lp(*args, **kwargs)
 
     monkeypatch.setattr(ftvn.reduce, "solve_lp", counting)
-    box = OrderedPolyhedron(halfspaces=(((-1.0, 0.0), -1.0),
-                                        ((1.0, 0.0), 2.0),
-                                        ((0.0, -1.0), 0.0)))
+    box = OrderedPolyhedron.from_halfspaces((((-1.0, 0.0), -1.0),
+                                             ((1.0, 0.0), 2.0),
+                                             ((0.0, -1.0), 0.0)))
     rep = reduce_solve_linear(sym2, sym_coords(np.diag([1.0, -1.0])), box, sense="max")
     assert rep.solver_trace["method"] == "lp_simplex" and not rep.infeasible
     assert len(calls) == 1
 
     calls.clear()
-    empty = OrderedPolyhedron(halfspaces=(((1.0, 0.0), -1.0),   # q1 <= -1
-                                          ((0.0, -1.0), -1.0)))  # q2 >= 1
+    empty = OrderedPolyhedron.from_halfspaces((((1.0, 0.0), -1.0),   # q1 <= -1
+                                               ((0.0, -1.0), -1.0)))  # q2 >= 1
     for sense in ("max", "min"):
         rep = reduce_solve_linear(rn2, np.array([1.0, 2.0]), empty, sense=sense)
         assert rep.infeasible and rep.solver_trace["method"] == "lp_simplex"
@@ -242,9 +242,9 @@ def test_max_affine_over_polyhedron_lp_per_piece(sym2):
     # oracle = vertex enumeration of the same polytope
     pieces = ((sym_coords(np.diag([1.0, -1.0])), 0.0),
               (sym_coords(np.array([[0.0, 1.0], [1.0, 0.0]])), 0.25))
-    spec = OrderedPolyhedron(halfspaces=(((-1.0, 0.0), -1.0),
-                                         ((1.0, 0.0), 2.0),
-                                         ((0.0, -1.0), 0.0)))
+    spec = OrderedPolyhedron.from_halfspaces((((-1.0, 0.0), -1.0),
+                                              ((1.0, 0.0), 2.0),
+                                              ((0.0, -1.0), 0.0)))
     rep = reduce_solve(sym2, MaxAffineObjective(pieces), spec, sense="max")
     assert rep.solver_trace["method"] == "lp_per_piece"
     assert rep.attained
@@ -265,8 +265,8 @@ def test_projected_descent_path_with_nonaffine_phi(sym2):
     phi = SpectralFunctionSpec(phi=lambda q: 0.25 * float(np.sum(q ** 2)),
                                convex=True)
     c = sym_coords(np.diag([3.0, 0.5]))
-    spec = OrderedPolyhedron(halfspaces=(((1.0, 0.0), 2.0),
-                                         ((0.0, -1.0), 0.0)))
+    spec = OrderedPolyhedron.from_halfspaces((((1.0, 0.0), 2.0),
+                                              ((0.0, -1.0), 0.0)))
     rep = reduce_solve_distance(sym2, c, spec, phi=phi, sense="min", seed=3)
     assert rep.solver_trace["method"] == "projected_descent"
     assert not rep.attained
@@ -288,7 +288,7 @@ def _box(n, lo, hi):
     top[0] = 1.0
     bottom = np.zeros(n)
     bottom[-1] = -1.0
-    return OrderedPolyhedron(halfspaces=((top, hi), (bottom, -lo)))
+    return OrderedPolyhedron.from_halfspaces(((top, hi), (bottom, -lo)))
 
 
 def _finite_projections_only(monkeypatch):
@@ -341,7 +341,7 @@ def test_convex_descent_falls_through_infinite_starts(rn2, monkeypatch):
     assert rep.optimal_value == pytest.approx(2.0 - math.log(2.0), abs=1e-8)
 
     # phi is +inf on the whole set: every start ends there and no optimizer exists
-    negative = OrderedPolyhedron(halfspaces=(((1.0, 0.0), -1.0),))
+    negative = OrderedPolyhedron.from_halfspaces((((1.0, 0.0), -1.0),))
     rep = reduce_solve_linear(rn2, np.array([1.0, 0.5]), negative,
                               phi=neg_logdet_fn(), sense="min", seed=0)
     assert rep.solver_trace["starts"] == 32 and rep.optimizer_w is None
@@ -356,7 +356,7 @@ def test_convex_descent_unbounded_below(rn2):
     # linear part falls without bound along q1 = q2 -> inf, faster than the
     # logs rise, so the infimum is -inf and no point attains it.  The Newton
     # descent reports about -2.2e180 as converged instead
-    half = OrderedPolyhedron(halfspaces=(((0.0, -1.0), -0.1),))
+    half = OrderedPolyhedron.from_halfspaces((((0.0, -1.0), -0.1),))
     rep = reduce_solve_linear(rn2, np.array([-1.0, -1.0]), half, phi=neg_logdet_fn(),
                               sense="min")
     assert rep.optimal_value == -math.inf and not rep.attained
@@ -425,7 +425,7 @@ def test_convex_descent_matches_all_starts():
         assert rep.solver_trace["convex"] is True
         assert rep.solver_trace["starts"] < 32
 
-        projs = ordered_polyhedron_projectors(spec.halfspaces, n)
+        projs = ordered_polyhedron_projectors(zip(spec.normals, spec.offsets), n)
         project = lambda q: dykstra_project(q, projs)[0]
         start_rng = np.random.default_rng(seed)
         anchor = project(np.zeros(n))
@@ -485,14 +485,15 @@ def test_convex_descent_reaches_frank_wolfe_tolerance():
     for s in range(40):
         rng = np.random.default_rng(s)
         n = int(rng.integers(2, 6))
-        halfspaces = list(_box(n, 0.1, 3.0).halfspaces)
+        box = _box(n, 0.1, 3.0)
+        halfspaces = list(zip(box.normals, box.offsets))
         for _ in range(3):
             a = rng.standard_normal(n)
             p = np.sort(rng.uniform(0.5, 2.0, n))[::-1]
             halfspaces.append((a, float(a @ p) + 0.3))
         c = rng.standard_normal(n)
         inst = get_instance(f"rn:{n}")
-        rep = reduce_solve_linear(inst, c, OrderedPolyhedron(halfspaces=tuple(halfspaces)),
+        rep = reduce_solve_linear(inst, c, OrderedPolyhedron.from_halfspaces(tuple(halfspaces)),
                                   phi=neg_logdet_fn(), sense="min", seed=s)
         if rep.infeasible:
             empty.append(s)
@@ -516,9 +517,9 @@ def test_descent_never_projects_non_finite_points(sym2, monkeypatch):
     # the README flagship with neg_logdet at sense max: the supremum is +inf at
     # q2 -> 0, where finite differences turn non-finite
     seen = _finite_projections_only(monkeypatch)
-    flagship = OrderedPolyhedron(halfspaces=(((-1.0, 0.0), -1.0),
-                                             ((1.0, 0.0), 2.0),
-                                             ((0.0, -1.0), 0.0)))
+    flagship = OrderedPolyhedron.from_halfspaces((((-1.0, 0.0), -1.0),
+                                                  ((1.0, 0.0), 2.0),
+                                                  ((0.0, -1.0), 0.0)))
     c = sym_coords(np.diag([1.0, -1.0]))
     rep = reduce_solve_linear(sym2, c, flagship, phi=neg_logdet_fn(), sense="max",
                               seed=42)
@@ -532,7 +533,7 @@ def test_projection_at_narrow_angle_is_exact(rn2):
     # two nearly parallel halfspaces, where Dykstra creeps and stops at its
     # sweep cap with q2 = -2.99970: the projection is exact, onto the one
     # active halfspace a.q <= 1 with a = (1, -1e-4)
-    spec = OrderedPolyhedron(halfspaces=(((1.0, 1e-4), 1.0), ((1.0, -1e-4), 1.0)))
+    spec = OrderedPolyhedron.from_halfspaces((((1.0, 1e-4), 1.0), ((1.0, -1e-4), 1.0)))
     rep = reduce_solve_distance(rn2, np.array([10.0, -3.0]), spec, sense="min")
     assert rep.solver_trace == {"method": "dykstra_projection"}
     assert rep.attained
@@ -754,9 +755,9 @@ def test_interval_image_spin():
 
 def test_interval_image_flagship(sym2):
     c = sym_coords(np.diag([1.0, -1.0]))
-    spec = OrderedPolyhedron(halfspaces=(((-1.0, 0.0), -1.0),
-                                         ((1.0, 0.0), 2.0),
-                                         ((0.0, -1.0), 0.0)))
+    spec = OrderedPolyhedron.from_halfspaces((((-1.0, 0.0), -1.0),
+                                              ((1.0, 0.0), 2.0),
+                                              ((0.0, -1.0), 0.0)))
     box = interval_image(sym2, c, spec)
     assert box.hi == pytest.approx(2.0, abs=1e-9)
     assert box.lo == pytest.approx(-2.0, abs=1e-9)
@@ -767,9 +768,9 @@ def test_interval_image_flagship(sym2):
 
 def _bounded_box(k):
     # q_1 <= 3, q_k >= 0.5 and one cut: bounded, with nonnegative points
-    return OrderedPolyhedron(halfspaces=((tuple(np.eye(k)[0]), 3.0),
-                                         (tuple(-np.eye(k)[-1]), -0.5),
-                                         (tuple(np.full(k, 1.0 / k)), 2.0)))
+    return OrderedPolyhedron.from_halfspaces(((tuple(np.eye(k)[0]), 3.0),
+                                              (tuple(-np.eye(k)[-1]), -0.5),
+                                              (tuple(np.full(k, 1.0 / k)), 2.0)))
 
 
 @pytest.mark.parametrize("name", ["sym:3", "svd:4x3", "svd:2x3"])
@@ -999,9 +1000,9 @@ def _unknown_linprog(monkeypatch, first_only=True):
     return methods
 
 
-EMPTY2 = OrderedPolyhedron(halfspaces=(((1.0, 0.0), -1.0), ((0.0, -1.0), -1.0)))
-BOX2 = OrderedPolyhedron(halfspaces=(((-1.0, 0.0), -1.0), ((1.0, 0.0), 2.0),
-                                     ((0.0, -1.0), 0.0)))
+EMPTY2 = OrderedPolyhedron.from_halfspaces((((1.0, 0.0), -1.0), ((0.0, -1.0), -1.0)))
+BOX2 = OrderedPolyhedron.from_halfspaces((((-1.0, 0.0), -1.0), ((1.0, 0.0), 2.0),
+                                          ((0.0, -1.0), 0.0)))
 
 
 def test_phase1_decides_when_highs_is_unknown(rn2, monkeypatch):
@@ -1107,7 +1108,7 @@ ROUTE_COMBINERS = {"sum": SUM, "product": PRODUCT}
 ROUTE_SETS = (FiniteSet(points=ROUTE_PTS), OrbitOf(np.array([1.0, 2.0])),
               GridOracle(membership=lambda q: q[0] + q[1] <= 4.0,
                          box=np.array([[0.5, 2.5], [0.5, 2.5]]), resolution=5),
-              OrderedPolyhedron(halfspaces=(((1.0, 0.0), 2.5), ((0.0, -1.0), -0.5))))
+              OrderedPolyhedron.from_halfspaces((((1.0, 0.0), 2.5), ((0.0, -1.0), -0.5))))
 
 
 def test_route_table_pins_every_combination(rn2):

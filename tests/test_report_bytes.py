@@ -41,11 +41,11 @@ SVD43 = get_instance("svd:4x3")
 C3 = sym_coords(np.array([[2.0, 0.5, -0.3], [0.5, -1.0, 0.8], [-0.3, 0.8, 0.4]]))
 D3 = sym_coords(np.array([[0.1, -0.7, 0.2], [-0.7, 1.5, 0.0], [0.2, 0.0, -2.0]]))
 # 1 >= q_1 >= q_2 >= q_3 >= -2, and q_1 + q_2 <= 1.5
-BOX3 = OrderedPolyhedron(halfspaces=(((1.0, 0.0, 0.0), 1.0), ((0.0, 0.0, -1.0), 2.0),
-                                     ((1.0, 1.0, 0.0), 1.5)))
-BOX2 = OrderedPolyhedron(halfspaces=(((1.0, 0.0), 2.0), ((0.0, -1.0), 0.0)))
-EMPTY2 = OrderedPolyhedron(halfspaces=(((1.0, 0.0), -1.0), ((0.0, -1.0), -1.0)))
-POS3 = OrderedPolyhedron(halfspaces=(((1.0, 0.0, 0.0), 4.0), ((0.0, 0.0, -1.0), -0.5)))
+BOX3 = OrderedPolyhedron.from_halfspaces((((1.0, 0.0, 0.0), 1.0), ((0.0, 0.0, -1.0), 2.0),
+                                          ((1.0, 1.0, 0.0), 1.5)))
+BOX2 = OrderedPolyhedron.from_halfspaces((((1.0, 0.0), 2.0), ((0.0, -1.0), 0.0)))
+EMPTY2 = OrderedPolyhedron.from_halfspaces((((1.0, 0.0), -1.0), ((0.0, -1.0), -1.0)))
+POS3 = OrderedPolyhedron.from_halfspaces((((1.0, 0.0, 0.0), 4.0), ((0.0, 0.0, -1.0), -0.5)))
 QUADRATIC = SpectralFunctionSpec(phi=lambda q: 0.25 * float(np.sum(q ** 2)), convex=True)
 
 
@@ -96,11 +96,11 @@ def _solve(case):
 # case -> (route, SHA-256 of the canonical report)
 PINNED = {
     "lp_simplex_max": ("lp_simplex",
-                       "e6d61c251adae2a1c121743eae3188d7d41494e80a065fbec2a7e8716a5bd458"),
+                       "4381e80171e2a0d191c2251a5fc078e5c7728a6d82fd12a4cba49d8d9d283880"),
     "lp_simplex_min": ("lp_simplex",
-                       "ef0dc8a8fd6c7975ea92f2f9dd1168b7acec058dfd7204593b33b84e76b6126e"),
+                       "8c3148d9f21a5d91dde89974bd29050d4f0f49f6fb8b3610708be83e51c4ec69"),
     "lp_per_piece": ("lp_per_piece",
-                     "87c01181de2b516743c223f14888b2e94d9becd8471c0a4e387ba9b39ad5eaca"),
+                     "ef8008e80ea6ed29b9c93c78d52f44b3c22352edbc129be03ccbf75038ddd36a"),
     "dykstra_projection": ("dykstra_projection",
                            "158484c26c485051f0d84c0afe8ad87693418c20a505a90fd4a4dc73c08ea062"),
     "descent_newton": ("projected_descent",
@@ -162,8 +162,8 @@ def test_axiom_report_bytes_are_pinned(name):
 # workload -> SHA-256 of the canonical reports of its ops 0-39 at seed 1, in
 # order, each built and run as perfbench/workloads.py does
 PINNED_WORKLOADS = {
-    "sym-solve": "62122fbb00f1f91fa21e48d7f264c285cd145c38bcdb89ea7474cf0aeff8efdc",
-    "wside-solve": "86c712c201b5d935773e555da741d3179e349d5795bd2aa392a522b502b21407",
+    "sym-solve": "6921539062825555a0914578940b21536ed482b907ef1a549a0e6c493985b271",
+    "wside-solve": "a5abf1230810115e97a2c1e40779c1aef1a0764cf3a64e7794e044ee5b6408cf",
     "axiom-check": "ca0772caaff36b0d6b7b515f21f9a8faf34db36e778d712846e6545139792211",
 }
 

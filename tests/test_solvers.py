@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -53,7 +54,7 @@ def test_dykstra_matches_slsqp_oracle():
                   (np.array([0.0, -1.0]), 0.0),
                   (np.array([1.0, 1.0]), 3.0)]
     projs = ordered_polyhedron_projectors(halfspaces, 2)
-    a_ub, b_ub = OrderedPolyhedron(halfspaces=tuple(halfspaces)).rows()
+    a_ub, b_ub = OrderedPolyhedron.from_halfspaces(tuple(halfspaces)).rows()
     rng = np.random.default_rng(1)
     cons = [{"type": "ineq", "fun": lambda q, a=a, b=b: b - np.dot(a, q)}
             for a, b in halfspaces]
@@ -84,7 +85,7 @@ def test_projection_sweep_against_highs_and_dykstra():
             scale = 1.0 if well else 10.0 ** rng.uniform(-3, 3)
             halfspaces.append((tuple(scale * rng.standard_normal(n)),
                                float(scale * rng.uniform(-1, 2))))
-        spec = OrderedPolyhedron(halfspaces=tuple(halfspaces))
+        spec = OrderedPolyhedron.from_halfspaces(tuple(halfspaces))
         a_ub, b_ub = spec.rows()
         w = rng.standard_normal(n) * (3.0 if well else 10.0 ** rng.uniform(0, 4))
         q, certified = project_polyhedron(w, a_ub, b_ub)
@@ -95,8 +96,8 @@ def test_projection_sweep_against_highs_and_dykstra():
         counts["empty" if empty else "nonempty"] += 1
         assert certified == (not empty), trial
         if certified and well:
-            ref, sweeps = dykstra_project(w, ordered_polyhedron_projectors(spec.halfspaces, n),
-                                          max_sweeps=2000)
+            projs = ordered_polyhedron_projectors(zip(spec.normals, spec.offsets), n)
+            ref, sweeps = dykstra_project(w, projs, max_sweeps=2000)
             if sweeps < 2000:
                 counts["compared"] += 1
                 np.testing.assert_allclose(q, ref, atol=1e-8 * (1.0 + np.abs(w).max()))
@@ -133,7 +134,7 @@ def test_lp_against_vertex_enumeration():
         halfspaces = [(row, 5.0) for row in np.vstack([np.eye(n), -np.eye(n)])]
         halfspaces += [(rng.standard_normal(n), abs(rng.standard_normal()) + 0.5)
                        for _ in range(3)]
-        a_ub, b_ub = OrderedPolyhedron(halfspaces=tuple(halfspaces)).rows()
+        a_ub, b_ub = OrderedPolyhedron.from_halfspaces(tuple(halfspaces)).rows()
         assert a_ub.shape == (2 * n + 3 + n - 1, n)
         c = rng.standard_normal(n)
         res = solve_lp(c, a_ub, b_ub, maximize=bool(trial % 2))
@@ -152,7 +153,7 @@ def _random_ordered_lp(seed):
     k = rng.integers(1, n + 1)
     halfspaces = tuple((tuple(rng.standard_normal(n)), float(rng.uniform(-1, 2)))
                        for _ in range(k))
-    a_ub, b_ub = OrderedPolyhedron(halfspaces=halfspaces).rows()
+    a_ub, b_ub = OrderedPolyhedron.from_halfspaces(halfspaces).rows()
     return rng.standard_normal(n), a_ub, b_ub
 
 
@@ -166,7 +167,7 @@ def test_lp_infeasible_and_unbounded():
     assert res.status == "unbounded"
 
     # a nonempty ordered polyhedron in R^7 that HiGHS's presolve calls infeasible
-    spec = OrderedPolyhedron(halfspaces=(
+    spec = OrderedPolyhedron.from_halfspaces((
         ((-0.02, -0.44, 0.01, -0.45, 0.86, 2.02, -0.13), -0.21),
         ((0.9, -1.23, -1.38, 1.63, -1.79, -1.47, 0.98), 1.26)))
     a_ub, b_ub = spec.rows()
@@ -243,7 +244,7 @@ def test_tiny_row_past_offset_limit_is_refused():
     res = solve_lp(np.array([1.0]), np.array([[1e-9]]), np.array([1e10]), maximize=True)
     assert res.status == "optimal" and res.value == pytest.approx(1e19, rel=1e-12)
     # the same set through the engine, on rn:1: an error, never "unbounded"
-    set_spec = OrderedPolyhedron(halfspaces=(((1e-9,), 1e12),))
+    set_spec = OrderedPolyhedron.from_halfspaces((((1e-9,), 1e12),))
     with pytest.raises(ValueError, match="past the LP solver's limits"):
         reduce_solve_linear(get_instance("rn:1"), np.array([1.0]), set_spec, sense="max")
 
@@ -283,7 +284,7 @@ def test_projection_missing_kernel_raises(monkeypatch):
     with pytest.raises(FtvnError, match=r"needs scipy's NNLS kernel \(scipy >="):
         project_polyhedron(np.array([2.0]), np.array([[1.0]]), np.array([1.0]))
     rn1 = ftvn.get_instance("rn:1")
-    half = OrderedPolyhedron(halfspaces=(((1.0,), 1.0),))
+    half = OrderedPolyhedron.from_halfspaces((((1.0,), 1.0),))
     with pytest.raises(FtvnError, match=r"needs scipy's NNLS kernel \(scipy >="):
         ftvn.reduce_solve(rn1, ftvn.DistanceObjective(rn1.element([2.0])), half)
 
@@ -374,19 +375,106 @@ def test_highs_binding_matches_linprog():
         assert res.status == 4 and res.message == "Unknown"
 
 
-def test_highs_keeps_no_state_between_calls():
-    # a fresh HiGHS object per call: solving B, or an ipm LP, in between
-    # leaves A's answer unchanged bit for bit
-    lp_a, lp_b = _random_ordered_lp(3), _random_ordered_lp(4)
-    first = solve_lp(*lp_a, maximize=True)
+def test_highs_keeps_no_state_between_calls(monkeypatch):
+    # the process's one HiGHS object is cleared, and its options reset,
+    # before each LP.  A, an LP in the cone's coordinates (per-column
+    # bounds), is solved on a fresh object, then again right after itself,
+    # after B, after an ipm LP, after an infeasible LP, after an unbounded LP
+    # and after an ipm retry: the same point, value and iterations
+    monkeypatch.setattr(ftvn.solvers, "_solver", None)
+    spec = OrderedPolyhedron.from_halfspaces((((1.0, 0.0, 0.0), 3.0), ((0.0, 0.0, -1.0), 1.0),
+                                              ((0.5, -1.0, 2.0), 1.5)))
+    lp_a = (np.cumsum([2.0, -1.0, 0.5]), *spec.generator_rows())
+    bounds = (np.array([0.0, 0.0, -np.inf]), None)
+    lp_b = _random_ordered_lp(4)
+    infeasible = (np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([-2.0, 1.0]))
+    unbounded = (np.array([1.0, 0.0]), np.array([[1.0, 0.0]]), np.array([1.0]))
+    first = solve_lp(*lp_a, maximize=True, bounds=bounds)
     assert first.status == "optimal"
-    for other in (lambda: solve_lp(*lp_b),
-                  lambda: ftvn.solvers._highs(*lp_b, method="highs-ipm")):
-        other()
-        again = solve_lp(*lp_a, maximize=True)
+    others = (lambda: solve_lp(*lp_a, maximize=True, bounds=bounds),
+              lambda: solve_lp(*lp_b),
+              lambda: ftvn.solvers._highs(*lp_b, method="highs-ipm"),
+              lambda: solve_lp(*infeasible),
+              lambda: solve_lp(*unbounded),
+              # an infeasible LP said to be bounded: the dual simplex fails
+              # and ipm is retried
+              lambda: solve_lp(*infeasible, bounded=True))
+    statuses = []
+    for other in others:
+        statuses.append(other().status)
+        again = solve_lp(*lp_a, maximize=True, bounds=bounds)
         assert (again.status, again.value, again.iterations) == \
             (first.status, first.value, first.iterations)
         np.testing.assert_array_equal(again.x, first.x)
+    assert statuses[3:] == ["infeasible", "unbounded", "unknown"]
+
+
+def _ordered_polyhedron(rng, n, case):
+    """A random ordered polyhedron in R^n: random cuts, or cuts whose prefix
+    sums pass NORMAL_ENTRY_LIMIT though no entry does ("large"), or nonempty
+    bounded sets whose cuts pair each entry with its near negative, so that
+    every second prefix sum cancels to 1e-12..1e-4 against entries of order
+    1 ("cancel")."""
+    k = int(rng.integers(1, n + 2))
+    normals = rng.standard_normal((k, n))
+    offsets = rng.uniform(-1.0, 2.0, k)
+    if case == "large":
+        normals = 9e14 * np.sign(normals)
+        normals[0] = 9e14
+        offsets *= 9e14
+    elif case == "cancel":
+        pairs = n // 2
+        tiny = 10.0 ** rng.uniform(-12, -4, (k, pairs))
+        noise = tiny * rng.standard_normal((k, pairs))
+        normals[:, 1:2 * pairs:2] = noise - normals[:, 0:2 * pairs:2]
+        # a sorted point p strictly inside every cut, and q_1 <= 3 and
+        # q_n >= -3: the set is nonempty and bounded
+        p = np.sort(rng.uniform(-1.0, 2.0, n))[::-1]
+        box = np.zeros((2, n))
+        box[0, 0], box[1, -1] = 1.0, -1.0
+        normals = np.vstack([normals, box])
+        offsets = np.append(normals[:k] @ p + rng.uniform(0.1, 1.0, k), [3.0, 3.0])
+    return OrderedPolyhedron(normals, offsets)
+
+
+def test_cone_lp_matches_row_form():
+    # the engine's LP route (on rn:n, whose lam is a sort) solves over the
+    # cone's generator coordinates; HiGHS on the rows of the same set is the
+    # reference.  Same status; values within tol (1 + |v|); q in the set by
+    # its rows and exactly nonincreasing
+    tol = 1e-8
+    statuses = {}
+    for seed in range(300):
+        rng = np.random.default_rng([11, seed])
+        case = ("random", "large", "cancel")[seed % 3]
+        n = 32 if case == "large" and seed % 2 else int(rng.integers(1, 9))
+        spec = _ordered_polyhedron(rng, n, case)
+        a_ub, b_ub = spec.rows()
+        if case == "large":
+            assert np.abs(spec.generator_rows()[0]).max() < 2.0
+            # HiGHS fails on rows of 9e14 ("Not Set"); each row divided by
+            # 2^50, which is exact, gives it the same set
+            a_ub, b_ub = np.ldexp(a_ub, -50), np.ldexp(b_ub, -50)
+        c = rng.standard_normal(n)
+        for sense in ("max", "min"):
+            # the W-side cost: lam(c) at sense max, -lam(-c) at sense min
+            w = np.sort(c)[::-1] if sense == "max" else np.sort(c)
+            ref = solve_lp(w, a_ub, b_ub, maximize=sense == "max")
+            rep = reduce_solve_linear(get_instance(f"rn:{n}"), c, spec, sense=sense)
+            status = ("infeasible" if rep.infeasible
+                      else "unbounded" if math.isinf(rep.optimal_value) else "optimal")
+            assert status == ref.status, (seed, sense)
+            statuses[case, status] = statuses.get((case, status), 0) + 1
+            if status != "optimal":
+                continue
+            assert abs(rep.optimal_value - ref.value) <= tol * (1.0 + abs(ref.value)), seed
+            q = rep.optimizer_w
+            assert np.all(np.diff(q) <= 0.0), seed
+            slack = tol * (1.0 + np.abs(a_ub) @ np.abs(q) + np.abs(b_ub))
+            assert np.all(a_ub @ q - b_ub <= slack), seed
+    assert {status for _, status in statuses} == {"optimal", "infeasible", "unbounded"}
+    assert all(statuses.get((case, "optimal"), 0) >= 20
+               for case in ("random", "large", "cancel")), statuses
 
 
 def test_lp_flagship_polytope():

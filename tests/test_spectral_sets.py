@@ -6,7 +6,7 @@ import pytest
 from ftvn import MonotonicityError, get_instance
 from ftvn.spectral_sets import (FiniteSet, GridOracle, OrbitOf,
                                 OrderedPolyhedron, PRODUCT, SUM,
-                                SpectralFunctionSpec, ZERO_FN,
+                                SpectralFunctionSpec, ZERO_FN, generator_point,
                                 image_candidates, membership_w, neg_logdet_fn,
                                 probe_monotone, table_fn, tabulated_combiner)
 
@@ -35,11 +35,45 @@ def test_empty_finite_set_of_given_width(rn2):
 def test_polyhedron_within_highs_limits():
     # the largest sizes HiGHS takes as they are are accepted; one step
     # further is refused before any LP sees it
-    OrderedPolyhedron(halfspaces=(((9.99e14, -9.99e14), 9.99e19), ((0.0, 1.0), -9.99e19)))
+    OrderedPolyhedron.from_halfspaces((((9.99e14, -9.99e14), 9.99e19), ((0.0, 1.0), -9.99e19)))
     for normal, offset in [((1e15, 0.0), 1.0), ((0.0, -1e15), 1.0),
                            ((1.0, 0.0), 1e20), ((1.0, 0.0), -1e20)]:
         with pytest.raises(ValueError, match="halfspace 1 is past the LP solver's limits"):
-            OrderedPolyhedron(halfspaces=(((1.0, 0.0), 1.0), (normal, offset)))
+            OrderedPolyhedron.from_halfspaces((((1.0, 0.0), 1.0), (normal, offset)))
+
+
+def test_polyhedron_arrays():
+    # one (m, n) normal array and one offset vector, read-only
+    spec = OrderedPolyhedron(np.array([[1.0, 0.0], [0.0, -1.0]]), [2.0, 0.0])
+    assert spec.dim == 2 and spec.normals.shape == (2, 2) and spec.offsets.shape == (2,)
+    assert not spec.normals.flags.writeable and not spec.offsets.flags.writeable
+    with pytest.raises(ValueError, match="at least one halfspace"):
+        OrderedPolyhedron(np.zeros((0, 2)), np.zeros(0))
+    with pytest.raises(ValueError, match="one offset per normal"):
+        OrderedPolyhedron(np.eye(2), [1.0])
+    with pytest.raises(ValueError, match="halfspace 1 is past the LP solver's limits"):
+        OrderedPolyhedron(np.array([[1.0, 0.0], [np.nan, 0.0]]), [1.0, 1.0])
+
+
+def test_generator_coordinates():
+    # q = T d with T upper triangular of ones: the rows a T are prefix sums,
+    # scaled by powers of two past BIG_ROW, and q comes back exactly ordered
+    rng = np.random.default_rng(5)
+    normals = rng.standard_normal((4, 5))
+    normals[1] *= 3e3
+    normals[2] = 9e14
+    spec = OrderedPolyhedron(normals, rng.standard_normal(4))
+    a_d, b_d = spec.generator_rows()
+    t = np.triu(np.ones((5, 5)))
+    scale = b_d / spec.offsets
+    assert np.all(np.frexp(scale)[0] == 0.5)  # powers of two
+    np.testing.assert_allclose(a_d / scale[:, None], normals @ t, rtol=1e-15)
+    assert np.array_equal(scale == 1.0, [True, False, False, True])
+    assert np.all(np.abs(a_d[1:3]).max(axis=1) < 2.0)
+    d = np.array([0.5, -1e-17, 0.0, 2.0, -3.0])
+    q = generator_point(d)
+    assert np.all(np.diff(q) <= 0.0)
+    np.testing.assert_array_equal(q, t @ np.array([0.5, 0.0, 0.0, 2.0, -3.0]))
 
 
 def test_image_candidates_filters_to_image(rn2):
@@ -66,7 +100,7 @@ def test_membership_w(rn2):
     pi = FiniteSet(points=[[1.0, 0.0]], permutation_invariant=True)
     assert membership_w(pi, rn2, np.array([0.0, 1.0]))
 
-    poly = OrderedPolyhedron(halfspaces=(((1.0, 0.0), 2.0),))
+    poly = OrderedPolyhedron.from_halfspaces((((1.0, 0.0), 2.0),))
     assert membership_w(poly, rn2, np.array([1.0, 0.5]))
     assert not membership_w(poly, rn2, np.array([3.0, 0.0]))
     assert not membership_w(poly, rn2, np.array([0.0, 1.0]))  # violates the cone
