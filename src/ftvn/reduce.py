@@ -29,10 +29,10 @@ from .core import (DEFAULT_TOL, CommutationCert, FtvnError, FtvnInstance,
                    WitnessError, as_vec, check_element_space, commute_check,
                    frame_row, lambda_tilde)
 from .eja import JordanAlgebra
-from .solvers import (fd_gradient, project_polyhedron, projected_descent,
+from .solvers import (COST_LIMIT, fd_gradient, project_polyhedron, projected_descent,
                       simplex_weight_grid, solve_lp, unit_rows)
 from .solvers import dykstra_project  # noqa: F401  unused; perfbench/spans.py wraps it here
-from .spectral_sets import (COST_LIMIT, Combiner, FiniteSet, GridOracle, OrbitOf,
+from .spectral_sets import (Combiner, FiniteSet, GridOracle, OrbitOf,
                             OrderedPolyhedron, SpectralFunctionSpec,
                             SpectralSetSpec, SUM, ZERO_FN, generator_point,
                             image_candidates, membership_w, probe_monotone)
@@ -312,10 +312,9 @@ def _lp(ws: _WSide, label: str) -> SolveReport:
 
     Each LP is solved over the cone's generator coordinates d, q = T d (see
     ``OrderedPolyhedron.generator_rows``): the ordering rows are the bounds
-    d_1..d_{n-1} >= 0, and the cost w.q is cumsum(w).d.  A cost whose prefix
-    sums reach COST_LIMIT, which HiGHS reads as infinite, is scaled by the
-    power of two that brings its largest entry into [1, 2), and its value
-    back, which is exact.
+    d_1..d_{n-1} >= 0, and the cost w.q is cumsum(w).d.  ``solve_lp`` fits
+    rows and cost to HiGHS; a cost with an entry of COST_LIMIT or more in
+    size is refused first.
     """
     a_d, b_d = ws.spec.generator_rows()
     n = ws.spec.dim
@@ -329,17 +328,13 @@ def _lp(ws: _WSide, label: str) -> SolveReport:
     trace = {"method": label, "iterations": 0}
     best = None
     for p, cost in zip(ws.pieces, costs):
-        cost_d = np.cumsum(cost)
-        top = float(np.abs(cost_d).max())
-        shift = 1 - math.frexp(top)[1] if top >= COST_LIMIT else 0
-        lp = solve_lp(np.ldexp(cost_d, shift), a_d, b_d, maximize=ws.sign > 0,
-                      bounds=(lower, None))
+        lp = solve_lp(np.cumsum(cost), a_d, b_d, maximize=ws.sign > 0, bounds=(lower, None))
         trace["iterations"] += lp.iterations
         if lp.status == "infeasible":
             return ws.report(trace, -ws.sign * math.inf, infeasible=True)
         if lp.status == "unbounded":
             return ws.report(trace, ws.sign * math.inf)
-        cand = math.ldexp(lp.value, -shift) + p.alpha + const
+        cand = lp.value + p.alpha + const
         if best is None or ws.sign * cand > ws.sign * best[0]:
             best = (cand, generator_point(lp.x))
     ws.probe(best[1])

@@ -24,7 +24,6 @@ from typing import Callable, Iterable, NamedTuple, Optional
 import numpy as np
 
 from .core import FtvnError
-from .spectral_sets import OFFSET_LIMIT
 
 DYKSTRA_MAX_SWEEPS = 10_000
 DYKSTRA_TOL = 1e-10
@@ -250,6 +249,21 @@ class LpResult:
     iterations: int
 
 
+# HiGHS's limits: it reads an offset or a cost of OFFSET_LIMIT or COST_LIMIT
+# or more in size as infinite, and refuses a model with a matrix entry of
+# NORMAL_ENTRY_LIMIT or more.  ``OrderedPolyhedron`` refuses a halfspace past
+# the first two, ``reduce._lp`` an LP cost past the third, and ``solve_lp`` a
+# row whose scaling carries its offset to OFFSET_LIMIT.
+OFFSET_LIMIT = 1e20
+NORMAL_ENTRY_LIMIT = 1e15
+COST_LIMIT = 1e20
+
+# The window of ``solve_lp``'s scaling rule.  HiGHS's tolerances are
+# absolute and it drops matrix entries of 1e-9 or less, so an LP with
+# entries far from 1 is solved wrongly or not at all.
+WINDOW_LOW = 2.0 ** -10
+WINDOW_HIGH = 2.0 ** 10
+
 _LP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 # presolve off: on some unbounded LPs over a nonempty ordered polyhedron
 # HiGHS's presolve reports "infeasible" (one such case is in the tests).
@@ -346,24 +360,13 @@ def _highs(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, bounds=(None, None
                         solver.modelStatusToString(model_status))
 
 
-# HiGHS drops matrix entries of 1e-9 or less in size, so a row whose largest
-# entry is below this is scaled by a power of two before the LP (see
-# :func:`scale_tiny_rows`).  Rows at or above it reach HiGHS as given
-TINY_ROW = 2.0 ** -10
-
-
-def scale_tiny_rows(a_ub: np.ndarray, b_ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a_ub @ q <= b_ub with each nonzero row whose largest entry is below
-    TINY_ROW in size multiplied, with its offset, by the power of two that
-    brings that entry into [1, 2).  Scaling by a power of two is exact, so
-    the set is the same; other rows and zero rows are returned unchanged."""
-    top = np.abs(a_ub).max(axis=1, initial=0.0)
-    tiny = (top > 0.0) & (top < TINY_ROW)
-    if not tiny.any():
-        return a_ub, b_ub
+def window_shift(a: np.ndarray) -> np.ndarray:
+    """The exponent of the power of two :func:`solve_lp` multiplies each row
+    of a by (a vector is one row); 0 for a row it leaves as it is."""
+    top = np.abs(a).max(axis=-1, initial=0.0)
+    outside = (top > 0.0) & ((top < WINDOW_LOW) | (top >= WINDOW_HIGH))
     # top = f 2^e with f in [0.5, 1), so top 2^(1 - e) lies in [1, 2)
-    shift = np.where(tiny, 1 - np.frexp(top)[1], 0)
-    return np.ldexp(a_ub, shift[:, None]), np.ldexp(b_ub, shift)
+    return np.where(outside, 1 - np.frexp(top)[1], 0)
 
 
 def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
@@ -389,23 +392,30 @@ def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
     interior-point method, and if that is not optimal either the status is
     "unknown"; no error is raised.
 
-    Rows with tiny normals are scaled first (:func:`scale_tiny_rows`), so
-    that HiGHS keeps their entries.  ValueError when the scaling carries an
-    offset to OFFSET_LIMIT or past: HiGHS would read it as infinite and drop
-    the row, and the LP could come out unbounded over a bounded set.
+    This is the one place an LP is fitted to HiGHS.  Each nonzero row, with
+    its offset, and the cost, whose largest entry lies outside [WINDOW_LOW,
+    WINDOW_HIGH) in size, is multiplied by the power of two that brings
+    that entry into [1, 2) (:func:`window_shift`).  A power of two is exact
+    short of underflow: a row keeps its set, the cost its optimizers, and
+    the value is scaled back exactly.  ValueError when a row's scaling
+    carries its offset to OFFSET_LIMIT or past: HiGHS would read it as
+    infinite and drop the row, and the LP could come out unbounded over a
+    bounded set.
     """
     c = np.asarray(c, dtype=float)
     sign = -1.0 if maximize else 1.0
     a_in = np.atleast_2d(np.asarray(a_ub, dtype=float))
     b_in = np.asarray(b_ub, dtype=float)
-    a_ub, b_ub = scale_tiny_rows(a_in, b_in)
-    if b_ub is not b_in:
-        past = np.flatnonzero((np.abs(b_ub) >= OFFSET_LIMIT) & (b_ub != b_in))
-        if past.size:
-            i = past[0]
-            raise ValueError(f"LP row {i} is past the LP solver's limits: scaled so that its "
-                             f"largest normal entry ({np.abs(a_in[i]).max():g}) lies in "
-                             f"[1, 2), its offset {b_in[i]:g} reaches {OFFSET_LIMIT:g} in size")
+    rows = window_shift(a_in)
+    a_ub, b_ub = np.ldexp(a_in, rows[:, None]), np.ldexp(b_in, rows)
+    past = np.flatnonzero((np.abs(b_ub) >= OFFSET_LIMIT) & (rows != 0))
+    if past.size:
+        i = past[0]
+        raise ValueError(f"LP row {i} is past the LP solver's limits: scaled so that its "
+                         f"largest normal entry ({np.abs(a_in[i]).max():g}) lies in "
+                         f"[1, 2), its offset {b_in[i]:g} reaches {OFFSET_LIMIT:g} in size")
+    cost_shift = int(window_shift(c))
+    c = np.ldexp(c, cost_shift)
     res = _highs(sign * c, a_ub, b_ub, bounds=bounds, method="highs-ds")
     status = _LP_STATUS.get(res.status)
     nit = res.nit
@@ -431,7 +441,7 @@ def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
         return LpResult(status, None, math.nan, nit)
     if status == "unbounded":
         return LpResult(status, None, -sign * math.inf, nit)
-    return LpResult(status, res.x, sign * float(res.fun), nit)
+    return LpResult(status, res.x, math.ldexp(sign * float(res.fun), -cost_shift), nit)
 
 
 def _recession_box(bounds) -> tuple:

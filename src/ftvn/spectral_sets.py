@@ -11,6 +11,7 @@ import numpy as np
 
 from .core import DEDUP_TOL, FtvnInstance, MonotonicityError
 from .eja import dedup_points, sort_desc
+from .solvers import NORMAL_ENTRY_LIMIT, OFFSET_LIMIT
 
 
 @dataclass(frozen=True)
@@ -28,22 +29,6 @@ class FiniteSet:
         pts = dedup_points(np.atleast_2d(pts))
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-
-
-# The LP solver's (HiGHS's) limits: it reads an offset or a cost of this size
-# or more as infinite and refuses a model with a normal entry of this size or
-# more.  The engine refuses an LP cost (lam(c), plus phi's linear part) past
-# COST_LIMIT before the LP, and ``solve_lp`` a row whose tiny-row scaling
-# carries its offset to OFFSET_LIMIT.
-OFFSET_LIMIT = 1e20
-NORMAL_ENTRY_LIMIT = 1e15
-COST_LIMIT = 1e20
-
-# HiGHS's tolerances are absolute, so the LP in the cone's coordinates scales
-# each row of prefix sums whose largest entry is this or more in size into
-# [1, 2) (see ``OrderedPolyhedron.generator_rows``); ``solve_lp`` scales tiny
-# rows the same way
-BIG_ROW = 2.0 ** 10
 
 
 @dataclass(frozen=True)
@@ -108,19 +93,10 @@ class OrderedPolyhedron:
         cone, with the ordering rows turned into bounds on d.
 
         a_d = normals @ T holds the prefix sums of each normal, which can
-        reach NORMAL_ENTRY_LIMIT though no entry of the normal does.  Each
-        row whose largest entry is BIG_ROW or more in size is multiplied,
-        with its offset, by the power of two that brings that entry into
-        [1, 2), which is exact and leaves the set as it is.
+        reach NORMAL_ENTRY_LIMIT though no entry of the normal does;
+        ``solve_lp`` fits such rows to HiGHS.
         """
-        a = np.cumsum(self.normals, axis=1)
-        top = np.abs(a).max(axis=1)
-        big = top >= BIG_ROW
-        if not big.any():
-            return a, self.offsets
-        # top = f 2^e with f in [0.5, 1), so top 2^(1 - e) lies in [1, 2)
-        shift = np.where(big, 1 - np.frexp(top)[1], 0)
-        return np.ldexp(a, shift[:, None]), np.ldexp(self.offsets, shift)
+        return np.cumsum(self.normals, axis=1), self.offsets
 
 
 def generator_point(d: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ftvn.solvers
 from ftvn import get_instance
 from ftvn.eja import JordanAlgebra
 from ftvn.linalg import eigh_desc
@@ -35,6 +36,30 @@ def sym3():
 @pytest.fixture(scope="session")
 def spin4():
     return get_instance("spin:4")
+
+
+@pytest.fixture
+def highs_calls(monkeypatch):
+    """Every (cost, rows) pair HiGHS is given during the test, as
+    ``ftvn.solvers._highs`` receives it."""
+    real = ftvn.solvers._highs
+    calls = []
+
+    def recording(c, a_ub, *args, **kwargs):
+        calls.append((np.array(c), np.array(a_ub)))
+        return real(c, a_ub, *args, **kwargs)
+
+    monkeypatch.setattr(ftvn.solvers, "_highs", recording)
+    return calls
+
+
+def assert_fitted_to_highs(calls):
+    """Every nonzero row and nonzero cost HiGHS saw has its largest entry in
+    [2^-10, 2^10) in size."""
+    assert calls
+    for c, a_ub in calls:
+        tops = np.abs(np.vstack([c, a_ub])).max(axis=1)
+        assert np.all((tops == 0.0) | ((2.0 ** -10 <= tops) & (tops < 2.0 ** 10))), tops
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -8,7 +8,10 @@ name against the code here.
 
 import dataclasses
 import importlib
+import json
 import math
+import os
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +22,7 @@ import ftvn.serialize
 from ftvn import axiom_suite, get_instance
 from ftvn.solvers import ordered_polyhedron_projectors
 
-from conftest import load_perfbench
+from conftest import PERFBENCH, assert_fitted_to_highs, load_perfbench
 
 
 def _resolve(module_name, attr):
@@ -122,3 +125,66 @@ def test_benchmark_oracles_pass_two_rounds(workload):
         if reason is not None:
             failures[f"{op.index} {op.label}/{op.oracle}"] = reason
     assert failures == {}
+
+
+@pytest.mark.parametrize("workload", ["sym-solve", "wside-solve"])
+def test_highs_sees_each_workload_lp_in_the_window(workload, highs_calls):
+    # the first schedule round: every row and cost reaches HiGHS with its
+    # largest entry in [2^-10, 2^10)
+    spans = load_perfbench("spans")
+    workloads = load_perfbench("workloads")
+    make_op, period, _ = workloads.WORKLOADS[workload]
+    api = _api()
+    for i in range(period):
+        workloads.execute(make_op(1, i), api, spans.NullTracer())
+    assert_fitted_to_highs(highs_calls)
+
+
+@pytest.fixture
+def perfbench_run(monkeypatch):
+    """perfbench/run.py as it is, with perfbench/ on sys.path for its own
+    imports; the BLAS thread variables it sets on import and the modules it
+    imports from perfbench/ are put back as they were."""
+    saved = {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    modules = set(sys.modules)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        yield load_perfbench("run")
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+        for name in set(sys.modules) - modules:
+            if str(getattr(sys.modules[name], "__file__", "")).startswith(str(PERFBENCH)):
+                del sys.modules[name]
+
+
+@pytest.mark.parametrize("workload", ["sym-solve", "wside-solve"])
+def test_traced_round_ends_in_strict_json(workload, perfbench_run):
+    # the harness's traced pass over the first schedule round, measured by
+    # its own layer_metrics: a metric whose wrapped name is gone is null,
+    # and a non-finite value is not strict JSON; either would leave the
+    # run's last line no result
+    run = perfbench_run
+    make_op, period, _ = run.WORKLOADS[workload]
+    ops = [make_op(1, i) for i in range(period)]
+    api = run.Api()
+    attempts = [run._attempt(op, api, run.NullTracer()) for op in ops]
+    assert [err for _, err, _ in attempts] == [None] * period
+    texts = [text for text, _, _ in attempts]
+    tracer = run.Tracer()
+    tracer.install()
+    try:
+        _, cal, errors = run.run_pass(ops, api, tracer, [run._pack(t) for t in texts])
+    finally:
+        tracer.uninstall()
+    assert errors == [None] * period
+    rows = run.layer_metrics(tracer.summary(), tracer.missing, ops, texts, run.factor(cal))
+    assert {name: reason for name, (_, _, reason) in rows.items() if reason is not None} == {}
+    for name, (value, _, _) in rows.items():
+        assert isinstance(value, (int, float)) and not isinstance(value, bool), (name, value)
+        assert math.isfinite(value), (name, value)
+    json.dumps({name: {"value": value, "unit": unit} for name, (value, unit, _) in rows.items()},
+               allow_nan=False)

@@ -566,6 +566,24 @@ def test_cli_solve_cost_past_lp_limit_exit1(tmp_path, capsys, c, sense):
         "below 1e+20 in size"]
 
 
+def test_cli_solve_cost_near_1e19_exit0(tmp_path, capsys):
+    # a cost below COST_LIMIT but far outside HiGHS's tolerances is fitted
+    # into [1, 2) by a power of two, and its value scaled back
+    problem = {
+        "instance": "rn:3",
+        "objective": {"kind": "linear", "c": [9e19, -9e19, 9e19]},
+        "set": {"kind": "polyhedron", "halfspaces": [{"normal": [1, 0, 0], "offset": 2},
+                                                     {"normal": [0, 0, -1], "offset": 1}]},
+        "sense": "min"}
+    path = tmp_path / "cost.json"
+    path.write_text(json.dumps(problem))
+    code, doc = _run(capsys, ["solve", str(path)])
+    assert code == 0
+    rep = doc["report"]
+    assert rep["attained"] is True and rep["solver_trace"]["method"] == "lp_simplex"
+    assert rep["optimal_value"]["dec"] == pytest.approx(-3.6e20, rel=1e-12)
+
+
 def test_cli_solve_eigenvalues_past_norm_overflow_exit1(tmp_path, capsys):
     # ||c|| overflows in x.dot(x); lam(c) is still (1e200, -1e200), not the
     # unrotated diagonal (0, 0), so the supremum 2e200 is refused as an LP

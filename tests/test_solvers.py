@@ -12,11 +12,11 @@ from ftvn import FtvnError, get_instance
 from ftvn.reduce import reduce_solve_linear
 from ftvn.solvers import (dykstra_project, ordered_polyhedron_projectors,
                           pav_decreasing, project_halfspace, project_polyhedron,
-                          projected_descent, scale_tiny_rows, simplex_weight_grid, solve_lp,
-                          TINY_ROW)
+                          projected_descent, simplex_weight_grid, solve_lp, window_shift,
+                          WINDOW_HIGH, WINDOW_LOW)
 from ftvn.spectral_sets import OrderedPolyhedron
 
-from conftest import enumerate_polytope_vertices
+from conftest import assert_fitted_to_highs, enumerate_polytope_vertices
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -216,21 +216,20 @@ def test_lp_keeps_tiny_rows():
     np.testing.assert_allclose(res.x, [-1.0, 2.0], atol=1e-9)
 
 
-def test_scale_tiny_rows_is_exact():
-    a = np.array([[1e-9, -3e-12], [0.0, 0.0], [TINY_ROW, 1e-20], [0.75 * TINY_ROW, 0.0],
-                  [-1e-300, 5e-310], [3.0, -1.0]])
-    b = np.array([1.0, 2.0, 3.0, -4.0, 5.0, 6.0])
-    a2, b2 = scale_tiny_rows(a, b)
-    for i in (0, 3, 4):
+def test_window_shift_brings_rows_into_one_two():
+    a = np.array([[1e-9, -3e-12], [0.0, 0.0], [WINDOW_LOW, 1e-20], [0.75 * WINDOW_LOW, 0.0],
+                  [-1e-300, 5e-310], [3.0, -1.0], [WINDOW_HIGH, 1.0], [-9e14, 3.0],
+                  [0.0, np.nextafter(WINDOW_HIGH, 0.0)]])
+    shift = window_shift(a)
+    scaled = np.ldexp(a, shift[:, None])
+    for i in (0, 3, 4, 6, 7):
         # one power of two per row, taken exactly, with its largest entry in [1, 2)
-        factor = b2[i] / b[i]
-        assert np.frexp(factor)[0] == 0.5
-        assert np.array_equal(a2[i] / factor, a[i]) and 1.0 <= np.abs(a2[i]).max() < 2.0
-    # zero rows and rows at or above the threshold reach HiGHS as given
-    for i in (1, 2, 5):
-        assert np.array_equal(a2[i], a[i]) and b2[i] == b[i]
-    rows = a[[1, 2, 5]], b[[1, 2, 5]]
-    assert all(x is y for x, y in zip(scale_tiny_rows(*rows), rows))
+        assert shift[i] != 0 and np.array_equal(np.ldexp(scaled[i], -shift[i]), a[i])
+        assert 1.0 <= np.abs(scaled[i]).max() < 2.0
+    # zero rows and rows inside [WINDOW_LOW, WINDOW_HIGH) are left as they are
+    assert list(shift[[1, 2, 5, 8]]) == [0, 0, 0, 0]
+    # a cost is one row
+    assert window_shift(np.array([3e-5, -1e-7])) == 16 and window_shift(np.zeros(3)) == 0
 
 
 def test_tiny_row_past_offset_limit_is_refused():
@@ -254,8 +253,12 @@ def test_lp_model_highs_refuses_raises():
     # failure, not the "infeasible" linprog reports: q = 0 is feasible here
     a_ub, b_ub = np.array([[1e308, 1e308], [-1.0, 1.0]]), np.array([1e308, 0.0])
     assert np.all(a_ub @ np.zeros(2) <= b_ub)
-    with pytest.raises(FtvnError, match="LP solve failed: Model error"):
-        solve_lp(np.array([1.0, 0.0]), a_ub, b_ub, maximize=True)
+    res = ftvn.solvers._highs(np.array([-1.0, 0.0]), a_ub, b_ub)
+    assert (res.status, res.message) == (4, "Model error")
+    # solve_lp fits the row into [1, 2) first, and HiGHS decides the LP:
+    # q = (1 + t, -t) stays in the set for every t >= 0
+    res = solve_lp(np.array([1.0, 0.0]), a_ub, b_ub, maximize=True)
+    assert res.status == "unbounded" and res.value == np.inf
 
 
 @pytest.mark.parametrize("option", [{"presolve": "sometimes"}, {"no_such_option": 1}])
@@ -437,11 +440,12 @@ def _ordered_polyhedron(rng, n, case):
     return OrderedPolyhedron(normals, offsets)
 
 
-def test_cone_lp_matches_row_form():
+def test_cone_lp_matches_row_form(highs_calls):
     # the engine's LP route (on rn:n, whose lam is a sort) solves over the
     # cone's generator coordinates; HiGHS on the rows of the same set is the
     # reference.  Same status; values within tol (1 + |v|); q in the set by
-    # its rows and exactly nonincreasing
+    # its rows and exactly nonincreasing.  Every row and cost HiGHS sees,
+    # the prefix sums of 9e14 entries too, was fitted into the window
     tol = 1e-8
     statuses = {}
     for seed in range(300):
@@ -451,7 +455,6 @@ def test_cone_lp_matches_row_form():
         spec = _ordered_polyhedron(rng, n, case)
         a_ub, b_ub = spec.rows()
         if case == "large":
-            assert np.abs(spec.generator_rows()[0]).max() < 2.0
             # HiGHS fails on rows of 9e14 ("Not Set"); each row divided by
             # 2^50, which is exact, gives it the same set
             a_ub, b_ub = np.ldexp(a_ub, -50), np.ldexp(b_ub, -50)
@@ -475,6 +478,53 @@ def test_cone_lp_matches_row_form():
     assert {status for _, status in statuses} == {"optimal", "infeasible", "unbounded"}
     assert all(statuses.get((case, "optimal"), 0) >= 20
                for case in ("random", "large", "cancel")), statuses
+    assert_fitted_to_highs(highs_calls)
+
+
+def test_lp_cost_near_1e19_is_solved():
+    # below COST_LIMIT, so the engine takes it, but HiGHS's absolute
+    # tolerances cannot solve it as given ("Solve error" unscaled)
+    spec = OrderedPolyhedron.from_halfspaces((((1.0, 0.0, 0.0), 2.0), ((0.0, 0.0, -1.0), 1.0)))
+    rep = reduce_solve_linear(get_instance("rn:3"), np.array([9e19, -9e19, 9e19]), spec,
+                              sense="min")
+    assert rep.attained and rep.optimal_value == pytest.approx(-3.6e20, rel=1e-12)
+    np.testing.assert_array_equal(rep.optimizer_w, [2.0, -1.0, -1.0])
+
+
+def test_cost_scaled_by_a_power_of_two_scales_the_result():
+    # 2^k c for each k below has its LP cost outside [2^-10, 2^10), so
+    # solve_lp fits all four to one cost: the same optimizer bit for bit, the
+    # values exactly 2^k times one value, and that value the unscaled cost's
+    # within tol (1 + |v|)
+    tol = 1e-8
+    ks = (-40, -20, 20, 40)
+    optimal = 0
+    for seed in range(60):
+        rng = np.random.default_rng([29, seed])
+        n = int(rng.integers(2, 9))
+        spec = _ordered_polyhedron(rng, n, "random")
+        c = rng.standard_normal(n)
+        inst = get_instance(f"rn:{n}")
+        for sense in ("max", "min"):
+            base = reduce_solve_linear(inst, c, spec, sense=sense)
+            reps = [reduce_solve_linear(inst, np.ldexp(c, k), spec, sense=sense) for k in ks]
+            values = {math.ldexp(rep.optimal_value, -k) for k, rep in zip(ks, reps)}
+            assert len(values) == 1, (seed, sense, values)
+            v = values.pop()
+            assert all(rep.infeasible == base.infeasible for rep in reps), seed
+            if not math.isfinite(base.optimal_value):
+                assert v == base.optimal_value, (seed, sense)
+                continue
+            optimal += 1
+            assert abs(v - base.optimal_value) <= tol * (1.0 + abs(base.optimal_value)), seed
+            assert all(np.array_equal(rep.optimizer_w, reps[0].optimizer_w) for rep in reps)
+    assert optimal >= 20
+    # the unscaled example: HiGHS's dual tolerance of 1e-7 called (0, 0, 0)
+    # optimal, with value 0
+    spec = OrderedPolyhedron.from_halfspaces((((1.0, 0.0, 0.0), 2.0), ((0.0, 0.0, -1.0), 1.0)))
+    rep = reduce_solve_linear(get_instance("rn:3"), np.array([1e-12, 0.0, -1e-12]), spec)
+    assert rep.optimal_value == pytest.approx(3e-12, rel=1e-12)
+    assert (rep.optimizer_w[0], rep.optimizer_w[2]) == (2.0, -1.0)
 
 
 def test_lp_flagship_polytope():
