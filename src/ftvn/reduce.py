@@ -34,8 +34,9 @@ from .solvers import (COST_LIMIT, fd_gradient, project_polyhedron, projected_des
 from .solvers import dykstra_project  # noqa: F401  unused; perfbench/spans.py wraps it here
 from .spectral_sets import (Combiner, FiniteSet, GridOracle, OrbitOf,
                             OrderedPolyhedron, SpectralFunctionSpec,
-                            SpectralSetSpec, SUM, ZERO_FN, generator_point,
-                            image_candidates, membership_w, probe_monotone)
+                            SpectralSetSpec, SUM, ZERO_FN, check_set_width,
+                            generator_point, image_candidates, membership_w,
+                            probe_monotone)
 
 
 @dataclass(frozen=True)
@@ -197,8 +198,10 @@ class _WSide:
             try:
                 optimizer_v, cert = self.lift(q)
             except WitnessError:
+                # a search witness may fall short: the value stands, unattained
                 if self.inst.witness_is_exact:
                     raise
+                attained = False
         if optimizer_v is not None:
             t_v = self.objective.value_v(self.inst, optimizer_v)
             s_v = self.phi(self.inst.lam(optimizer_v) if cert is None else cert.lam_x)
@@ -273,9 +276,9 @@ def reduce_solve(inst: FtvnInstance, objective: Objective, set_spec: SpectralSet
     piece's c, for a max-affine objective) is off the instance's element
     space: the value would be that of c's projection, and the certificate
     would find no shared frame.  DimensionMismatch when c has the wrong
-    length.  ValueError too when an LP's cost has an
-    entry of COST_LIMIT or more in size, which the LP solver reads as
-    infinite.
+    length, or the set the wrong width (:func:`check_set_width`).
+    ValueError too when an LP's cost has an entry of COST_LIMIT or more in
+    size, which the LP solver reads as infinite.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
@@ -283,11 +286,11 @@ def reduce_solve(inst: FtvnInstance, objective: Objective, set_spec: SpectralSet
                   else [objective.c])
     for c in directions:
         check_element_space(inst, inst.check_element(c))
+    check_set_width(inst, set_spec)
     ws = _WSide(inst, objective, set_spec, phi, combiner, sense, tol, seed)
-    for label, applies, solve in _ROUTES:
-        if applies(ws):
-            return solve(ws, label)
-    raise TypeError(f"unsupported spectral set spec {type(set_spec).__name__}")
+    # every set kind has a route: the last one takes any polyhedron
+    label, _, solve = next(route for route in _ROUTES if route[1](ws))
+    return solve(ws, label)
 
 
 def _scan(ws: _WSide, label: str) -> SolveReport:
@@ -383,10 +386,12 @@ def _nearest(ws: _WSide, label: str) -> SolveReport:
 
 def _descend(ws: _WSide, label: str) -> SolveReport:
     """Projected multistart descent from the projection of 0, a heuristic, so
-    never attained.  Minimizing t + phi with t linear or a distance and phi
-    convex is a convex problem over the convex set lam(E): every local
-    minimum is global, so the first start that converges to a finite value
-    settles it."""
+    never attained.  Each iteration projects once, to a target point, and
+    backtracks along the segment to it: projected Newton where phi's Hessian
+    applies, else the Newton step in the scalar metric 1 + ||g||.
+    Minimizing t + phi with t linear or a distance and phi convex is a
+    convex problem over the convex set lam(E): every local minimum is
+    global, so the first start that converges to a finite value settles it."""
     a_ub, b_ub = ws.spec.rows()
     n = ws.spec.dim
     q0, _, empty = _project(ws, np.zeros(n), a_ub, b_ub)
@@ -538,6 +543,7 @@ def vi_commutation_check(inst: FtvnInstance, G: Callable[[np.ndarray], np.ndarra
     residual the two answers must agree.
     """
     av = inst.check_element(a)
+    check_set_width(inst, set_spec)
     la = inst.lam(av)
     member = membership_w(set_spec, inst, la, tol)
     if not member:
@@ -640,6 +646,8 @@ def hausdorff_spectral(inst: FtvnInstance, spec_e: FiniteSet, spec_f: FiniteSet,
                        tol: float = 1e-9) -> float:
     """Hausdorff distance between two finite spectral sets, computed entirely
     on the W side; equals the V-side distance for FTvN systems."""
+    check_set_width(inst, spec_e)
+    check_set_width(inst, spec_f)
     pe = image_candidates(spec_e, inst, tol)
     pf = image_candidates(spec_f, inst, tol)
     if pe.shape[0] == 0 or pf.shape[0] == 0:

@@ -31,7 +31,7 @@ DYKSTRA_TOL = 1e-10
 # relative to 1 + ||q||
 DESCENT_MAX_ITER = 200
 DESCENT_FD_STEP = 1e-6
-# projected Newton: Armijo's share of the model decrease a step must achieve,
+# the segment step: Armijo's share of the model decrease a step must achieve,
 # and the model decrease, relative to 1 + |f|, below which f cannot tell a
 # step from rounding
 ARMIJO_SHARE = 1e-4
@@ -379,11 +379,11 @@ def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
     cleared before each model: the optimum it returns is a basic solution
     (a vertex whenever the feasible set has one) and the same input always
     gives the same point.  When HiGHS ends with an outcome other than
-    optimal, infeasible or unbounded, two LPs that are bounded by
-    construction decide unboundedness: a zero-objective feasibility LP and
-    the recession LP over directions d with a_ub @ d <= 0 in the unit box,
-    with d_i >= 0 where q_i has a lower bound and d_i <= 0 where it has an
-    upper one.  If the set is nonempty and some such d improves the
+    optimal, infeasible or unbounded, a zero-objective feasibility LP runs.
+    If it ends infeasible, so is the LP.  Otherwise the recession LP over
+    directions d with a_ub @ d <= 0 in the unit box, with d_i >= 0 where q_i
+    has a lower bound and d_i <= 0 where it has an upper one, decides
+    unboundedness: if the set is nonempty and some such d improves the
     objective, the LP is unbounded; otherwise :class:`FtvnError` carries
     HiGHS's first message.
 
@@ -426,17 +426,20 @@ def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
         if status != "optimal":
             return LpResult("unknown", None, math.nan, nit)
     if status is None:
-        # HiGHS (scipy 1.17.1) ends some unbounded LPs with model status
-        # "Unknown"; two such cases are in the tests
+        # HiGHS (scipy 1.17.1) ends some unbounded LPs, and some LPs over an
+        # empty set, with model status "Unknown"; cases of both are in the tests
         feas = _highs(np.zeros_like(c), a_ub, b_ub, bounds=bounds, method="highs-ds")
-        ray = _highs(sign * c, a_ub, np.zeros_like(b_ub), bounds=_recession_box(bounds),
-                     method="highs-ds")
-        nit += feas.nit + ray.nit
-        # the margin stays above HiGHS's 1e-7 feasibility tolerance on a_ub @ d
-        if not (feas.status == 0 and ray.status == 0
-                and -ray.fun > 1e-6 * (1.0 + float(np.abs(c).sum()))):
-            raise FtvnError(f"LP solve failed: {res.message}")
-        status = "unbounded"
+        nit += feas.nit
+        status = "infeasible"
+        if feas.status != 2:
+            ray = _highs(sign * c, a_ub, np.zeros_like(b_ub), bounds=_recession_box(bounds),
+                         method="highs-ds")
+            nit += ray.nit
+            # the margin stays above HiGHS's 1e-7 feasibility tolerance on a_ub @ d
+            if not (feas.status == 0 and ray.status == 0
+                    and -ray.fun > 1e-6 * (1.0 + float(np.abs(c).sum()))):
+                raise FtvnError(f"LP solve failed: {res.message}")
+            status = "unbounded"
     if status == "infeasible":
         return LpResult(status, None, math.nan, nit)
     if status == "unbounded":
@@ -479,10 +482,10 @@ class DescentResult(tuple):
         return out
 
 
-def _newton_step(f, q, v, g, p) -> tuple[np.ndarray, float, bool]:
-    """From q toward p, its projected Newton point: (point, value, converged).
+def _segment_step(f, q, v, g, p) -> tuple[np.ndarray, float, bool]:
+    """From q toward the target point p: (point, value, converged).
 
-    p minimizes the quadratic model of f at q over the set, so the model
+    p minimizes a quadratic model of f at q over the set, so the model
     decreases by at least -g.(p - q) >= 0 along the segment; Armijo's test
     backtracks on it.
     """
@@ -511,29 +514,30 @@ def projected_descent(f: Callable[[np.ndarray], float],
                       grad: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                       hess_diag: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                       ) -> DescentResult:
-    """Multistart projected descent with backtracking.
+    """Multistart projected descent with one step rule: each iteration
+    projects once, to a target point p, then backtracks from p toward q by
+    Armijo's test (:func:`_segment_step`).
 
-    The gradient is ``grad`` when given, else central finite differences.
-    With ``hess_diag`` (the Hessian of f is that diagonal H) an iteration
-    where H is positive is a projected Newton step (Bertsekas 1982):
-    ``project(z, h)`` is the projection of z = q - g / h in the metric H, and
-    the step backtracks from it by Armijo's test.  A start converges there
-    once the step's model decrease is at the rounding level of f.  Where the
-    metric projection returns None, or H is not positive, the iteration takes
-    a gradient step instead.
+    The gradient g is ``grad`` when given, else central finite differences.
+    With ``hess_diag`` (the Hessian of f is that diagonal H) and H positive,
+    p is ``project(q - g / h, h)``, the projection in the metric H: a
+    projected Newton step (Bertsekas 1982).  Otherwise, or where that
+    projection returns None, p is ``project(q - g / (1 + ||g||))``, the
+    Newton step in the scalar metric 1 + ||g||.  A start converges once the
+    model decrease -g.(p - q) is at the rounding level of f, or backtracking
+    finds no descent.
 
     Deterministic: starts are consumed in order and ties resolve to the
     earliest start.  A start ends as soon as its value, its gradient or its
     Hessian is non-finite, so nothing non-finite is ever projected, and as
     soon as ``project(q)`` returns None (it found no point).
     With ``first_finite`` (a convex f, whose local minima are all global)
-    the run stops after the first start that converges, i.e. ends at a
-    finite value because the gradient vanished or backtracking found no
-    descent, and takes no further item from ``starts``.  A start cut off by a
-    non-finite value or derivative, a None projection or ``DESCENT_MAX_ITER``
-    is not a minimum, so the run goes on to the next start.  Returns (best
-    point, best value, total iterations) as a :class:`DescentResult`; the
-    point is None if no start ended finite.
+    the run stops after the first start that converges and takes no further
+    item from ``starts``.  A start cut off by a non-finite value or
+    derivative, a None projection or ``DESCENT_MAX_ITER`` is not a minimum,
+    so the run goes on to the next start.  Returns (best point, best value,
+    total iterations) as a :class:`DescentResult`; the point is None if no
+    start ended finite.
     """
     best_q = None
     best_v = math.inf
@@ -553,36 +557,18 @@ def projected_descent(f: Callable[[np.ndarray], float],
                 g = np.asarray(grad(q), dtype=float)
             if not np.all(np.isfinite(g)):
                 break
+            p = None
             if hess_diag is not None:
                 h = np.asarray(hess_diag(q), dtype=float)
                 if not np.all(np.isfinite(h)):
                     break
                 p = project(q - g / h, h) if np.all(h > 0.0) else None
-                if p is not None:
-                    q, v, converged = _newton_step(f, q, v, g, p)
-                    if converged:
-                        break
-                    continue
-            gn = float(np.linalg.norm(g))
-            if gn < 1e-12:
-                converged = True
-                break
-            improved = False
-            beta = 1.0 / (1.0 + gn)
-            for _ in range(30):
-                cand = project(q - beta * g)
-                if cand is None:
+            if p is None:
+                p = project(q - g / (1.0 + float(np.linalg.norm(g))))
+                if p is None:
                     break
-                cv = f(cand)
-                if cv < v - 1e-14 * (1.0 + abs(v)):
-                    q, v = cand, cv
-                    improved = True
-                    break
-                beta *= 0.5
-            if cand is None:
-                break
-            if not improved:
-                converged = True
+            q, v, converged = _segment_step(f, q, v, g, p)
+            if converged:
                 break
         if v < best_v - 1e-15:
             best_v = v

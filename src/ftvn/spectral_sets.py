@@ -9,7 +9,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import DEDUP_TOL, FtvnInstance, MonotonicityError
+from .core import DEDUP_TOL, DimensionMismatch, FtvnInstance, MonotonicityError
 from .eja import dedup_points, sort_desc
 from .solvers import NORMAL_ENTRY_LIMIT, OFFSET_LIMIT
 
@@ -143,13 +143,32 @@ class GridOracle:
 SpectralSetSpec = Union[FiniteSet, OrderedPolyhedron, OrbitOf, GridOracle]
 
 
+def check_set_width(inst: FtvnInstance, spec: SpectralSetSpec) -> None:
+    """:class:`DimensionMismatch` unless Q's points have dim_w coordinates
+    (an orbit's element: V's); TypeError for a spec that is no set kind."""
+    if isinstance(spec, OrbitOf):
+        inst.check_element(spec.u)
+        return
+    if isinstance(spec, FiniteSet):
+        width = spec.points.shape[1]
+    elif isinstance(spec, OrderedPolyhedron):
+        width = spec.dim
+    elif isinstance(spec, GridOracle):
+        width = spec.box.shape[0]
+    else:
+        raise TypeError(f"unsupported spectral set spec {type(spec).__name__}")
+    if width != inst.dim_w:
+        raise DimensionMismatch(f"{inst.name}: {type(spec).__name__} has width {width}, "
+                                f"expected {inst.dim_w}")
+
+
 def image_candidates(spec: SpectralSetSpec, inst: FtvnInstance,
                      tol: float = 1e-9) -> np.ndarray:
     """The image lam(E) for specs with enumerable images (finite / orbit / grid).
 
     For a finite Q this is the set of members that already live in the image
     cone of the instance, which is Q intersected with its own decreasing
-    rearrangements; possibly empty.
+    rearrangements; possibly empty.  The caller checks the width first.
     """
     if isinstance(spec, OrbitOf):
         return np.atleast_2d(inst.lam(spec.u))
@@ -157,20 +176,13 @@ def image_candidates(spec: SpectralSetSpec, inst: FtvnInstance,
         pts = spec.points
         if spec.permutation_invariant:
             pts = dedup_points([sort_desc(p) for p in pts], DEDUP_TOL)
-        return _in_image(inst, pts, tol)
+        return pts[inst.image_contains(pts, tol)]
     if isinstance(spec, GridOracle):
-        pts = _in_image(inst, spec.grid_points(), tol)
+        pts = spec.grid_points()
+        pts = pts[inst.image_contains(pts, tol)]
         keep = [p for p in pts if spec.membership(p)]
         return np.array(keep) if keep else np.zeros((0, pts.shape[1]))
     raise TypeError(f"no enumerable image for {type(spec).__name__}")
-
-
-def _in_image(inst: FtvnInstance, pts: np.ndarray, tol: float) -> np.ndarray:
-    """The rows of pts in the image of lam, from one stacked image test; none
-    when their width is not the instance's."""
-    if pts.shape[1] != inst.dim_w:
-        return np.zeros((0, pts.shape[1]))
-    return pts[inst.image_contains(pts, tol)]
 
 
 def membership_w(spec: SpectralSetSpec, inst: FtvnInstance, q: np.ndarray,

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ftvn.reduce
 import ftvn.solvers
 from ftvn import get_instance
 from ftvn.eja import JordanAlgebra
@@ -50,6 +51,21 @@ def highs_calls(monkeypatch):
         return real(c, a_ub, *args, **kwargs)
 
     monkeypatch.setattr(ftvn.solvers, "_highs", recording)
+    return calls
+
+
+@pytest.fixture
+def projection_calls(monkeypatch):
+    """The point of every ``project_polyhedron`` call ``ftvn.reduce`` makes
+    during the test: a work count for the projected descent."""
+    real = ftvn.reduce.project_polyhedron
+    calls = []
+
+    def recording(w, *args, **kwargs):
+        calls.append(np.array(w))
+        return real(w, *args, **kwargs)
+
+    monkeypatch.setattr(ftvn.reduce, "project_polyhedron", recording)
     return calls
 
 

@@ -18,9 +18,10 @@ from scipy.optimize import OptimizeResult
 
 import ftvn.cli
 import ftvn.solvers
-from ftvn import get_instance
+from ftvn import FtvnError, get_instance
 from ftvn.cli import main
 from ftvn.eja import sym_coords
+from ftvn.reduce import reduce_solve_linear
 from ftvn.serialize import (canonical_dumps, element_from_json, element_to_json,
                             fnum, problem_from_json, set_spec_for)
 from ftvn.spectral_sets import FiniteSet, GridOracle, OrderedPolyhedron
@@ -582,6 +583,61 @@ def test_cli_solve_cost_near_1e19_exit0(tmp_path, capsys):
     rep = doc["report"]
     assert rep["attained"] is True and rep["solver_trace"]["method"] == "lp_simplex"
     assert rep["optimal_value"]["dec"] == pytest.approx(-3.6e20, rel=1e-12)
+
+
+def _near_opposite_cuts(s):
+    """(n, halfspaces, c) on rn:n from default_rng([13, s]): k pairs of
+    halfspaces x.q <= b and (-x + noise).q <= b' with noise of size 1e-12 to
+    1e-4, then q1 <= 3 and qn >= -3.  The cuts leave a thin slab or nothing."""
+    rng = np.random.default_rng([13, s])
+    n, k = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+    halfspaces = []
+    for _ in range(k):
+        x = rng.standard_normal(n)
+        halfspaces.append((x, rng.uniform(-1, 2)))
+        halfspaces.append((-x + rng.uniform(1e-12, 1e-4) * rng.standard_normal(n),
+                           rng.uniform(-1, 2)))
+    top, bottom = np.zeros(n), np.zeros(n)
+    top[0], bottom[-1] = 1.0, -1.0
+    halfspaces += [(top, 3.0), (bottom, 3.0)]
+    return n, tuple(halfspaces), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("s", [5, 407])
+def test_cli_solve_unknown_lp_over_empty_set_exit3(tmp_path, capsys, highs_calls, s):
+    # HiGHS's dual simplex ends the LP over these empty sets "Unknown"; the
+    # zero-cost feasibility LP that follows ends "Infeasible", and so does
+    # linprog's HiGHS on the rows
+    from scipy.optimize import linprog
+
+    n, halfspaces, c = _near_opposite_cuts(s)
+    spec = OrderedPolyhedron.from_halfspaces(halfspaces)
+    rep = reduce_solve_linear(get_instance(f"rn:{n}"), c, spec, sense="max")
+    assert rep.infeasible and rep.optimal_value == -math.inf
+    assert len(highs_calls) == 2 and not np.any(highs_calls[1][0])
+    a_ub, b_ub = spec.rows()
+    assert linprog(np.zeros(n), A_ub=a_ub, b_ub=b_ub, bounds=(None, None),
+                   method="highs").status == 2
+
+    problem = {"instance": f"rn:{n}", "objective": {"kind": "linear", "c": c.tolist()},
+               "set": {"kind": "polyhedron",
+                       "halfspaces": [{"normal": a.tolist(), "offset": b} for a, b in halfspaces]},
+               "sense": "max"}
+    path = tmp_path / "slab.json"
+    path.write_text(json.dumps(problem))
+    code, doc = _run(capsys, ["solve", str(path)])
+    assert code == 3 and doc["report"]["infeasible"] is True
+
+
+@pytest.mark.xfail(strict=True, raises=FtvnError,
+                   reason="ROADMAP item 16: HiGHS ends the LP and its feasibility LP "
+                          "'Unknown' over this empty set; a Farkas certificate would decide it")
+def test_unknown_lp_over_empty_set_unknown_feasibility():
+    # the bounded phase-1 LP measures a least violation of 0.496 here
+    n, halfspaces, c = _near_opposite_cuts(83)
+    rep = reduce_solve_linear(get_instance(f"rn:{n}"), c,
+                              OrderedPolyhedron.from_halfspaces(halfspaces), sense="max")
+    assert rep.infeasible
 
 
 def test_cli_solve_eigenvalues_past_norm_overflow_exit1(tmp_path, capsys):

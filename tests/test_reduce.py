@@ -14,7 +14,7 @@ from ftvn.reduce import (DistanceObjective, LinearObjective, MaxAffineObjective,
                          _ROUTES, _WSide, envelope_lower_affine, envelope_lower_exact,
                          envelope_upper, hausdorff_spectral, interval_image,
                          orbit_distance, orbit_linear, orbit_min, reduce_solve,
-                         reduce_solve_distance, reduce_solve_linear)
+                         reduce_solve_distance, reduce_solve_linear, vi_commutation_check)
 from ftvn.solvers import (dykstra_project, fd_gradient, ordered_polyhedron_projectors,
                           project_polyhedron, projected_descent, solve_lp)
 from ftvn.spectral_sets import (FiniteSet, GridOracle, OrbitOf,
@@ -473,28 +473,32 @@ def test_derivative_hooks_match_finite_differences(sym3):
             assert np.all(np.isfinite(out[q > 0.0])), (hook, q)
 
 
+def _baseline_problem(s):
+    # ROADMAP's Baseline generator: (rn:n for n in 2..5, the box 0.1 <= q <= 3
+    # and three cuts through a sorted point, c)
+    rng = np.random.default_rng(s)
+    n = int(rng.integers(2, 6))
+    box = _box(n, 0.1, 3.0)
+    halfspaces = list(zip(box.normals, box.offsets))
+    for _ in range(3):
+        a = rng.standard_normal(n)
+        p = np.sort(rng.uniform(0.5, 2.0, n))[::-1]
+        halfspaces.append((a, float(a @ p) + 0.3))
+    return (get_instance(f"rn:{n}"), OrderedPolyhedron.from_halfspaces(tuple(halfspaces)),
+            rng.standard_normal(n))
+
+
 def test_convex_descent_reaches_frank_wolfe_tolerance():
-    # ROADMAP's Baseline generator at sense min: neg_logdet plus a linear
-    # objective on rn:2-rn:5, over the box 0.1 <= q <= 3 and three cuts through
-    # a sorted point.  F is convex, so the Frank-Wolfe gap g.q - min_s g.s
-    # over the set, with g the gradient of F at q, bounds F(q) - F*; HiGHS
-    # gives the min over the halfspaces and the ordering rows built here
+    # the Baseline problems at sense min: neg_logdet plus a linear objective.
+    # F is convex, so the Frank-Wolfe gap g.q - min_s g.s over the set, with
+    # g the gradient of F at q, bounds F(q) - F*; HiGHS gives the min over
+    # the set's rows
     from scipy.optimize import linprog
 
     empty = []
     for s in range(40):
-        rng = np.random.default_rng(s)
-        n = int(rng.integers(2, 6))
-        box = _box(n, 0.1, 3.0)
-        halfspaces = list(zip(box.normals, box.offsets))
-        for _ in range(3):
-            a = rng.standard_normal(n)
-            p = np.sort(rng.uniform(0.5, 2.0, n))[::-1]
-            halfspaces.append((a, float(a @ p) + 0.3))
-        c = rng.standard_normal(n)
-        inst = get_instance(f"rn:{n}")
-        rep = reduce_solve_linear(inst, c, OrderedPolyhedron.from_halfspaces(tuple(halfspaces)),
-                                  phi=neg_logdet_fn(), sense="min", seed=s)
+        inst, spec, c = _baseline_problem(s)
+        rep = reduce_solve_linear(inst, c, spec, phi=neg_logdet_fn(), sense="min", seed=s)
         if rep.infeasible:
             empty.append(s)
             continue
@@ -504,13 +508,79 @@ def test_convex_descent_reaches_frank_wolfe_tolerance():
         value = float(w @ q - np.sum(np.log(q)))
         assert rep.optimal_value == pytest.approx(value, rel=1e-12), s
         g = w - 1.0 / q
-        ordering = np.eye(n, k=1)[:-1] - np.eye(n)[:-1]  # q_{i+1} - q_i <= 0
-        lp = linprog(g, A_ub=np.vstack([[a for a, _ in halfspaces], ordering]),
-                     b_ub=np.concatenate([[b for _, b in halfspaces], np.zeros(n - 1)]),
-                     bounds=(None, None), method="highs")
+        a_ub, b_ub = spec.rows()
+        lp = linprog(g, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
         assert lp.status == 0, s
         assert float(g @ q) - lp.fun <= 1e-8 * (1.0 + abs(value)), s
     assert empty == [14, 16, 35]
+
+
+def test_gradient_descent_reaches_frank_wolfe_tolerance():
+    # the Baseline problems with a distance objective: F = ||q - lam(c)|| -
+    # sum log q is convex, and t has no Hessian, so every step is a gradient
+    # step, the Newton step in the scalar metric 1 + ||g||.  The Frank-Wolfe
+    # gap bounds F(q) - F* as above
+    from scipy.optimize import linprog
+
+    empty = []
+    for s in range(40):
+        inst, spec, c = _baseline_problem(s)
+        rep = reduce_solve_distance(inst, c, spec, phi=neg_logdet_fn(), sense="min", seed=s)
+        if rep.infeasible:
+            empty.append(s)
+            continue
+        assert rep.solver_trace["step"] == "gradient" and rep.solver_trace["converged"], s
+        q = rep.optimizer_w
+        r = q - np.sort(c)[::-1]  # q - lam(c)
+        value = float(np.linalg.norm(r) - np.sum(np.log(q)))
+        assert rep.optimal_value == pytest.approx(value, rel=1e-12), s
+        g = r / np.linalg.norm(r) - 1.0 / q
+        a_ub, b_ub = spec.rows()
+        lp = linprog(g, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+        assert lp.status == 0, s
+        assert float(g @ q) - lp.fun <= 1e-6 * (1.0 + abs(value)), s
+    assert empty == [14, 16, 35]
+
+
+def test_gradient_and_fd_iterations_project_once(projection_calls):
+    # one projection of 0 to anchor the starts, one per start, and one per
+    # iteration: the target point, from which the step backtracks along the
+    # segment without projecting again
+    square = SpectralFunctionSpec(phi=lambda q: 1.0 + float(q @ q))
+    for s in range(10):
+        inst, spec, c = _baseline_problem(s)
+        solves = {"gradient": lambda: reduce_solve_distance(inst, c, spec, phi=neg_logdet_fn(),
+                                                            sense="min", seed=s),
+                  "fd": lambda: reduce_solve_linear(inst, c, spec, phi=square,
+                                                    combiner=PRODUCT, sense="max", seed=s)}
+        for step, solve in solves.items():
+            projection_calls.clear()
+            trace = solve().solver_trace
+            assert trace["step"] == step, s
+            assert len(projection_calls) == 1 + trace["starts"] + trace["iterations"], (s, step)
+
+
+def test_gradient_step_backtracks_along_the_segment():
+    # f = 100 ||q - 1||^2 curves far more than the scalar metric 1 + ||g||
+    # near its minimum, so the target point overshoots it and Armijo's test
+    # halves the step along the segment; an iteration still projects once
+    projected, values = [], []
+
+    def project(z, h=None):
+        projected.append(z)
+        return z
+
+    def f(q):
+        values.append(100.0 * float(np.sum((q - 1.0) ** 2)))
+        return values[-1]
+
+    result = projected_descent(f, project, [np.array([1.5, 0.0])],
+                               grad=lambda q: 200.0 * (q - 1.0))
+    q, v, iters = result
+    assert result.converged and v < 1e-12
+    np.testing.assert_allclose(q, [1.0, 1.0], atol=1e-7)
+    assert len(projected) == 1 + iters
+    assert len(values) > 1 + iters  # some step took more than one trial
 
 
 def test_descent_never_projects_non_finite_points(sym2, monkeypatch):
@@ -908,6 +978,27 @@ def test_given_spectral_y_without_a_frame():
     assert plain.verdict
 
 
+def test_lift_without_witness_is_not_attained(rn3, monkeypatch):
+    # z-counterexample's witness is the best point of a finite set: over this
+    # box it reaches neither optimizer, so the LP value stands unattained
+    z = get_instance("z-counterexample")
+    box = OrderedPolyhedron.from_halfspaces((((1.0, 0.0, 0.0), 3.0), ((0.0, 0.0, -1.0), 1.0)))
+    c = z.project_element(np.array([1.0, 0.5, -2.0]))
+    for sense in ("max", "min"):
+        rep = reduce_solve_linear(z, c, box, sense=sense)
+        assert rep.solver_trace["method"] == "lp_simplex"
+        assert not rep.attained and rep.optimizer_v is None and rep.commutation is None
+    assert reduce_solve_linear(z, c, box, sense="max").optimal_value == pytest.approx(3.6)
+
+    # an exact witness that fails is a fault, never an unattained value
+    def failing(*args):
+        raise ftvn.reduce.WitnessError("simulated witness failure")
+
+    monkeypatch.setattr(type(rn3), "witness_on", failing)
+    with pytest.raises(ftvn.reduce.WitnessError, match="simulated witness failure"):
+        reduce_solve_linear(rn3, np.array([1.0, 2.0, 3.0]), _bounded_box(3))
+
+
 @pytest.mark.parametrize("name", ["rn:4", "sym:3", "svd:4x3"])
 def test_one_piece_max_affine_is_the_linear_solve(name):
     # a linear sup is the max-affine sup of the one piece (c, 0): the same
@@ -981,6 +1072,33 @@ def test_direction_of_the_wrong_length_raises(rn3):
     pieces = ((np.array([1.0, 0.0, 0.0]), 0.0), (short, 1.0))
     with pytest.raises(DimensionMismatch, match="rn:3: element has length 2"):
         reduce_solve(rn3, MaxAffineObjective(pieces), box)
+
+
+def test_set_of_the_wrong_width_raises(rn3):
+    # every set kind of width 2 on rn:3, where dim_w = dim_v = 3: a finite or
+    # grid set would find no point of the image and report the set empty, a
+    # polyhedron or an orbit would fail inside numpy
+    sets = [FiniteSet(points=[[1.0, 0.0]]),
+            GridOracle(membership=lambda q: True, box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
+                       resolution=3),
+            OrderedPolyhedron.from_halfspaces((((1.0, 0.0), 1.0),)),
+            OrbitOf(np.array([1.0, 2.0]))]
+    messages = ["rn:3: FiniteSet has width 2, expected 3",
+                "rn:3: GridOracle has width 2, expected 3",
+                "rn:3: OrderedPolyhedron has width 2, expected 3",
+                "rn:3: element has length 2, expected 3"]
+    c = np.array([1.0, 2.0, 3.0])
+    for spec, message in zip(sets, messages):
+        with pytest.raises(DimensionMismatch, match=message):
+            reduce_solve_linear(rn3, c, spec)
+        with pytest.raises(DimensionMismatch, match=message):
+            vi_commutation_check(rn3, lambda x: x, spec, np.zeros(3))
+    three = FiniteSet(points=[[1.0, 0.0, 0.0]])
+    for pair in ((sets[0], three), (three, sets[0])):
+        with pytest.raises(DimensionMismatch, match=messages[0]):
+            hausdorff_spectral(rn3, *pair)
+    with pytest.raises(TypeError, match="unsupported spectral set spec dict"):
+        reduce_solve_linear(rn3, c, {})
 
 
 # ---------------------------------------------------------------------------

@@ -106,9 +106,9 @@ PINNED = {
     "descent_newton": ("projected_descent",
                        "4ad48c0a6c168a5b996f3813eaf13d113a8fbef7555318cca13e64ff3568fa19"),
     "descent_gradient": ("projected_descent",
-                         "ebdf81ff9d66a2043705c3420f9eb12eef0758ec162a6ba1ac06f2c03111a244"),
+                         "d3355478fe3d45a4e3adb78354c8b9318897027c27b78327ab94140afdc390ed"),
     "descent_fd": ("projected_descent",
-                   "9991c1209b46cc102ebd7ad6a2531e213562cb66b1a0523e7f522318984efb77"),
+                   "a26a9248ced91390a06a89c90399fda2198fbe07f6c6e7cedcfb48b48d348c5c"),
     "exhaustive": ("exhaustive",
                    "376d3f97862b6edea918de20c34c45ae49c3cbd715eca3bb74549f134f6f6ce8"),
     "exhaustive_max_affine_max": ("exhaustive",
