@@ -26,7 +26,6 @@ from .reduce import (DistanceObjective, IntervalImage, LinearObjective,
                      vi_commutation_check)
 from .spectral_sets import (Combiner, FiniteSet, GridOracle, OrbitOf,
                             OrderedPolyhedron, PRODUCT, SpectralFunctionSpec,
-                            SUM, ZERO_FN, neg_logdet_fn, table_fn,
-                            tabulated_combiner)
+                            SUM, ZERO_FN, neg_logdet_fn, table_fn)
 
 __version__ = "0.1.0"

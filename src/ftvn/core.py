@@ -43,7 +43,8 @@ class WitnessError(FtvnError):
 
 
 class MonotonicityError(FtvnError):
-    """A combiner failed its strict-monotonicity probe."""
+    """A product at sense max needs t's orbit minimum where phi < 0, and that
+    minimum is a heuristic search (a max-affine objective off rn)."""
 
 
 def as_vec(x) -> np.ndarray:

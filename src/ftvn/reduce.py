@@ -1,15 +1,16 @@
 """The reduction engine.
 
-Optimizing L(f, Phi) over a spectral set E = lam^-1(Q) in V is equivalent to
-optimizing L(f-image, phi) over lam(E) in W, provided L is strictly increasing
-in its first argument.  This module builds the W-side problem, solves it by
-the first route of ``_ROUTES`` that applies (scan, HiGHS LP, exact projection
-or projected multistart descent), lifts the W-side optimizer back to V through
-the instance's A3 witness, and certifies the lift by a commutation check:
+Optimizing L(f, Phi) over E = lam^-1(Q) in V is optimizing over lam(E) in W:
+on the orbit of q = lam(x), f runs between two attained endpoints, the upper
+one best iff (sense is max) == (L is a sum, or phi(q) >= 0).  This module
+builds the W-side problem, solves it by the first route of ``_ROUTES`` that
+applies (scan, HiGHS LP, exact projection or projected multistart descent),
+lifts the W-side optimizer back to V through the instance's A3 witness toward
+that endpoint, and certifies the lift by a commutation check:
 
-* linear objective:   sup attains commuting with c, inf with -c;
-* distance objective: the directions swap (inf with c, sup with -c);
-* max-affine sup:     the optimizer commutes with an active piece.
+* linear objective:   the upper endpoint commutes with c, the lower with -c;
+* distance objective: the directions swap (lower with c, upper with -c);
+* max-affine:         the upper endpoint commutes with an active piece.
 
 Suprema that a heuristic or grid solver cannot certify as attained are marked
 ``attained=False`` rather than silently collapsed to maxima.
@@ -26,17 +27,17 @@ from typing import Any, Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .core import (DEFAULT_TOL, CommutationCert, FtvnError, FtvnInstance,
-                   WitnessError, as_vec, check_element_space, commute_check,
-                   frame_row, lambda_tilde)
+                   MonotonicityError, WitnessError, as_vec, check_element_space,
+                   commute_check, frame_row, lambda_tilde)
 from .eja import JordanAlgebra
 from .solvers import (COST_LIMIT, fd_gradient, project_polyhedron, projected_descent,
                       simplex_weight_grid, solve_lp, unit_rows)
 from .solvers import dykstra_project  # noqa: F401  unused; perfbench/spans.py wraps it here
+from .spectral_sets import probe_monotone  # noqa: F401  unused; perfbench/spans.py wraps it here
 from .spectral_sets import (Combiner, FiniteSet, GridOracle, OrbitOf,
                             OrderedPolyhedron, SpectralFunctionSpec,
                             SpectralSetSpec, SUM, ZERO_FN, check_set_width,
-                            generator_point, image_candidates, membership_w,
-                            probe_monotone)
+                            generator_point, image_candidates, membership_w)
 
 
 @dataclass(frozen=True)
@@ -107,15 +108,16 @@ class _Piece(NamedTuple):
 
 
 class _WSide:
-    """One solve on the W side: the problem, the scalar t(q), its lift rule,
-    the commutation direction and the report.  ``sign`` is 1 at sense max and
-    -1 at sense min.
+    """One solve on the W side: the problem, the scalar t(q) at the sense's
+    own orbit endpoint, its lift rule, the commutation direction and the
+    report.  ``sign`` is 1 at sense max and -1 at sense min.
 
     A linear sup over E is the sup of <lam(c), q> over lam(E), and a
     max-affine sup is the largest of such linear sups, one per piece; so
     both are lists of pieces, and a linear or distance objective is one
     piece with alpha = 0.  A max-affine inf has no pieces: its t and its
-    lift are the orbit minimum.
+    lift are the orbit minimum, exact only on rn.  ``at`` is the rule: the
+    upper endpoint (sense max's own) iff (sign > 0) == (a sum, or phi(q) >= 0).
     """
 
     def __init__(self, inst: FtvnInstance, objective: Objective, spec: SpectralSetSpec,
@@ -126,12 +128,13 @@ class _WSide:
         self.sign = 1.0 if sense == "max" else -1.0
         self.tol, self.seed = tol, seed
         self.pieces: list[_Piece] = []
-        self.t_grad = None
-        self.commutes_with = None
+        self.t_grad = self.commutes_with = self.other = None
+        self.exact = True
         if isinstance(objective, MaxAffineObjective) and sense == "min":
             h = partial(objective.value_v, inst)
             self._orbit_min = lambda q: orbit_min(inst, h, q, seed=seed)
             self.t = lambda q: self._orbit_min(q)[0]
+            self.exact = _orbit_enumerable(inst)
             return
         # (d, alpha, w = lam(d) rather than -lam(d)) per piece.  A linear sup
         # and a distance inf commute with c; the other two with -c, whose
@@ -182,21 +185,29 @@ class _WSide:
         x = inst.witness_on(p.d, q, p.frame)
         return x, commute_check(inst, x, p.d, self.tol, spectral_y=(p.lam_d, p.frame))
 
-    def probe(self, q: np.ndarray) -> None:
-        # the combiner's monotonicity contract, checked on the t-range near q
-        t0, s0 = self.t(q), self.phi(q)
-        span = 1.0 + abs(t0)
-        probe_monotone(self.combiner, t0 - 0.5 * span, t0 + 0.5 * span,
-                       [s0] if math.isfinite(s0) else [0.0])
+    def at(self, s: float) -> "_WSide":
+        """The endpoint the rule takes where phi = s: this solve's own or,
+        built once, the opposite sense's, unless that is a heuristic."""
+        if self.combiner.kind == "sum" or s >= 0.0:
+            return self
+        if self.other is None:
+            self.other = _WSide(self.inst, self.objective, self.spec, self.phi, self.combiner,
+                                "min" if self.sign > 0 else "max", self.tol, self.seed)
+        if not self.other.exact:
+            raise MonotonicityError(f"a product decreases in t where phi < 0, and the orbit "
+                                    f"minimum on {self.inst.name} is only a heuristic")
+        return self.other
 
     def report(self, trace: dict, value: float, q: Optional[np.ndarray] = None,
                attained: bool = False, infeasible: bool = False) -> SolveReport:
-        # value at q, lifted and certified; without q there is no optimizer
-        optimizer_v = cert = None
+        # value at q, lifted toward its endpoint and certified; without q, no optimizer
+        optimizer_v = cert = end = None
         gap = math.nan
+        attained = attained and self.exact
         if q is not None:
+            end = self.at(self.phi(q))
             try:
-                optimizer_v, cert = self.lift(q)
+                optimizer_v, cert = end.lift(q)
             except WitnessError:
                 # a search witness may fall short: the value stands, unattained
                 if self.inst.witness_is_exact:
@@ -210,7 +221,7 @@ class _WSide:
         return SolveReport(sense=self.sense, optimal_value=float(value),
                            optimizer_w=None if q is None else np.asarray(q, dtype=float),
                            optimizer_v=optimizer_v, commutation=cert,
-                           commutes_with=self.commutes_with if cert is not None else None,
+                           commutes_with=end.commutes_with if cert is not None else None,
                            attained=attained, infeasible=infeasible,
                            reduction_gap=gap, solver_trace=trace)
 
@@ -218,6 +229,11 @@ class _WSide:
 # orbit_min's heuristic search: Nelder-Mead starts, and iterations per start
 ORBIT_MIN_STARTS = 8
 ORBIT_MIN_BUDGET = 400
+
+
+def _orbit_enumerable(inst: FtvnInstance) -> bool:
+    backend = inst.backend
+    return isinstance(backend, JordanAlgebra) and backend.kind == "rn" and inst.dim_v <= 8
 
 
 def orbit_min(inst: FtvnInstance, h: Callable[[np.ndarray], float], q,
@@ -229,8 +245,7 @@ def orbit_min(inst: FtvnInstance, h: Callable[[np.ndarray], float], q,
     is flagged heuristic.  Returns (value, argmin, exact_flag).
     """
     q = np.asarray(q, dtype=float)
-    backend = inst.backend
-    if isinstance(backend, JordanAlgebra) and backend.kind == "rn" and inst.dim_v <= 8:
+    if _orbit_enumerable(inst):
         best_v = math.inf
         best_x = None
         for perm in set(itertools.permutations(q.tolist())):
@@ -277,11 +292,14 @@ def reduce_solve(inst: FtvnInstance, objective: Objective, set_spec: SpectralSet
     space: the value would be that of c's projection, and the certificate
     would find no shared frame.  DimensionMismatch when c has the wrong
     length, or the set the wrong width (:func:`check_set_width`).
-    ValueError too when an LP's cost has an entry of COST_LIMIT or more in
-    size, which the LP solver reads as infinite.
+    ValueError too for a combiner kind other than "sum" and "product", and
+    when an LP's cost has an entry of COST_LIMIT or more in size, which the
+    LP solver reads as infinite.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
+    if combiner.kind not in ("sum", "product"):
+        raise ValueError(f"combiner kind must be 'sum' or 'product', not {combiner.kind!r}")
     directions = ([c for c, _ in objective.pieces] if isinstance(objective, MaxAffineObjective)
                   else [objective.c])
     for c in directions:
@@ -299,12 +317,10 @@ def _scan(ws: _WSide, label: str) -> SolveReport:
     trace = {"method": label, "candidates": int(cands.shape[0])}
     if cands.shape[0] == 0:
         return ws.report(trace, -ws.sign * math.inf, infeasible=True)
-    t_vals = [ws.t(qq) for qq in cands]
     s_vals = [ws.phi(qq) for qq in cands]
+    t_vals = [ws.at(s).t(qq) for qq, s in zip(cands, s_vals)]
     f_vals = [ws.combiner.fn(t, s) if math.isfinite(t) and math.isfinite(s)
               else -ws.sign * math.inf for t, s in zip(t_vals, s_vals)]
-    probe_monotone(ws.combiner, min(t_vals), max(t_vals),
-                   sorted(set(round(s, 12) for s in s_vals if math.isfinite(s)))[:5])
     i = int(np.argmax(ws.sign * np.array(f_vals)))
     return ws.report(trace, f_vals[i], cands[i], not isinstance(ws.spec, GridOracle))
 
@@ -340,7 +356,6 @@ def _lp(ws: _WSide, label: str) -> SolveReport:
         cand = lp.value + p.alpha + const
         if best is None or ws.sign * cand > ws.sign * best[0]:
             best = (cand, generator_point(lp.x))
-    ws.probe(best[1])
     return ws.report(trace, best[0], best[1], attained=True)
 
 
@@ -380,7 +395,6 @@ def _nearest(ws: _WSide, label: str) -> SolveReport:
     q0, certified, empty = _project(ws, ws.pieces[0].w, *ws.spec.rows())
     if empty:
         return ws.report(empty, -ws.sign * math.inf, infeasible=True)
-    ws.probe(q0)
     return ws.report({"method": label}, ws.t(q0), q0, certified)
 
 
@@ -405,7 +419,8 @@ def _descend(ws: _WSide, label: str) -> SolveReport:
 
     def F_down(q):
         # phi = +inf at sense max is a supremum of +inf, the best value there
-        v = ws.combiner.fn(ws.t(q), ws.phi(q))
+        s = ws.phi(q)
+        v = ws.combiner.fn(ws.at(s).t(q), s)
         return math.inf if math.isnan(v) else -ws.sign * v
 
     grad = hess = None
@@ -437,7 +452,6 @@ def _descend(ws: _WSide, label: str) -> SolveReport:
     if not math.isfinite(value):
         # unbounded, or no start ended finite: no optimizer, as for an unbounded LP
         return ws.report(trace, value)
-    ws.probe(q_star)
     return ws.report(trace, value, q_star)
 
 

@@ -210,7 +210,9 @@ def membership_w(spec: SpectralSetSpec, inst: FtvnInstance, q: np.ndarray,
 
 @dataclass(frozen=True)
 class Combiner:
-    """A scalar combination L(t, s), strictly increasing in t on the probed range."""
+    """A scalar combination L(t, s); ``kind`` names its order in t: "sum" is
+    increasing, "product" (t * s) increasing where s >= 0 and decreasing
+    where s < 0.  ``reduce_solve`` refuses any other kind."""
 
     kind: str
     fn: Callable[[float, float], float]
@@ -218,23 +220,6 @@ class Combiner:
 
 SUM = Combiner("sum", lambda t, s: t + s)
 PRODUCT = Combiner("product", lambda t, s: t * s)
-
-
-def tabulated_combiner(t_grid, s_grid, values) -> Combiner:
-    """Monotone tabulated form with bilinear interpolation between grid nodes."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    s_grid = np.asarray(s_grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-
-    def fn(t: float, s: float) -> float:
-        i = int(np.clip(np.searchsorted(t_grid, t) - 1, 0, t_grid.size - 2))
-        j = int(np.clip(np.searchsorted(s_grid, s) - 1, 0, s_grid.size - 2))
-        ft = (t - t_grid[i]) / (t_grid[i + 1] - t_grid[i])
-        fs = (s - s_grid[j]) / (s_grid[j + 1] - s_grid[j])
-        return float((1 - ft) * (1 - fs) * values[i, j] + ft * (1 - fs) * values[i + 1, j]
-                     + (1 - ft) * fs * values[i, j + 1] + ft * fs * values[i + 1, j + 1])
-
-    return Combiner("custom", fn)
 
 
 MONOTONE_PROBES = 17

@@ -98,6 +98,24 @@ def brute_orbit_rn(q):
     return np.array(sorted(set(itertools.permutations(np.asarray(q, float).tolist()))))
 
 
+def brute_v_rn(f, points, phi=lambda q: 0.0, combine=lambda t, s: t + s, sense="max"):
+    """The exact V-side optimum over E = {x : sort(x) in Q} on rn:n (n <= 3)
+    for a finite Q: the best combine(f(x), phi(sort x)) over every
+    permutation x of every member whose decreasing sort is a member.
+    Returns (value, x)."""
+    members = {tuple(p) for p in np.asarray(points, float).tolist()}
+    best = None
+    for p in members:
+        for x in brute_orbit_rn(p):
+            q = tuple(sorted(x.tolist(), reverse=True))
+            if q not in members:
+                continue
+            v = combine(f(x), phi(np.array(q)))
+            if best is None or (v > best[0] if sense == "max" else v < best[0]):
+                best = (v, x)
+    return best
+
+
 def enumerate_polytope_vertices(a_ub, b_ub, tol=1e-9):
     """Vertex enumeration for {q : A q <= b}: solve every n x n subsystem and
     keep feasible solutions.  Exponential, test-scale only."""

@@ -17,11 +17,11 @@ from ftvn.reduce import (DistanceObjective, LinearObjective, MaxAffineObjective,
                          reduce_solve_distance, reduce_solve_linear, vi_commutation_check)
 from ftvn.solvers import (dykstra_project, fd_gradient, ordered_polyhedron_projectors,
                           project_polyhedron, projected_descent, solve_lp)
-from ftvn.spectral_sets import (FiniteSet, GridOracle, OrbitOf,
+from ftvn.spectral_sets import (Combiner, FiniteSet, GridOracle, OrbitOf,
                                 OrderedPolyhedron, PRODUCT, SUM, ZERO_FN,
                                 SpectralFunctionSpec, neg_logdet_fn, table_fn)
 
-from conftest import brute_orbit_rn
+from conftest import brute_orbit_rn, brute_v_rn
 
 
 def test_orbit_linear_examples(rn3, sym2):
@@ -636,17 +636,85 @@ def test_neg_logdet_spectral_function(sym2):
     assert rep.optimal_value == pytest.approx(min(vals.values()))
 
 
-def test_product_combiner_and_monotonicity_abort(rn2):
+# a max-affine objective on sym:2 whose orbit minimum over (2, 1) and (3, -1)
+# the Nelder-Mead search finds only near the orbit
+SYM2_PIECES = ((sym_coords(np.array([[-1.0, 2.0], [2.0, 0.0]])), 0.0),
+               (sym_coords(np.array([[-1.0, -1.0], [-1.0, 0.0]])), 0.0))
+
+
+def test_product_combiner_and_monotonicity_abort(rn2, sym2):
     spec = FiniteSet(points=[[2.0, 1.0], [3.0, 0.0]])
     phi_pos = SpectralFunctionSpec(phi=lambda q: 1.0 + q[0] ** 2)
     rep = reduce_solve_linear(rn2, np.array([1.0, 1.0]), spec, phi=phi_pos,
                               combiner=PRODUCT, sense="max")
     assert rep.optimal_value == pytest.approx(max(3.0 * 5.0, 3.0 * 10.0))
 
+    # where phi < 0 the product decreases in t: the lower endpoint, exact
     phi_neg = SpectralFunctionSpec(phi=lambda q: -1.0)
+    rep = reduce_solve_linear(rn2, np.array([1.0, 1.0]), spec, phi=phi_neg,
+                              combiner=PRODUCT, sense="max")
+    assert rep.optimal_value == pytest.approx(-3.0)
+    assert rep.attained and rep.commutes_with == "-c"
+
+    # off rn, the lower endpoint of a max-affine objective is a heuristic search
     with pytest.raises(MonotonicityError):
-        reduce_solve_linear(rn2, np.array([1.0, 1.0]), spec, phi=phi_neg,
-                            combiner=PRODUCT, sense="max")
+        reduce_solve(sym2, MaxAffineObjective(SYM2_PIECES),
+                     FiniteSet(points=[[2.0, 1.0], [3.0, -1.0]]), phi_neg, PRODUCT, "max")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_product_matches_v_side_brute_force(n):
+    # phi takes both signs on Q, so the product decreases in t on part of it:
+    # at every q the rule's endpoint is the orbit's best, and the lift reaches it
+    inst = get_instance(f"rn:{n}")
+    rng = np.random.default_rng(40 + n)
+    opposite = 0
+    for _ in range(8):
+        points = np.vstack([np.sort(rng.uniform(-2.0, 2.0, (5, n)))[:, ::-1],
+                            rng.uniform(-2.0, 2.0, (1, n))])
+        a = rng.standard_normal(n)
+        k = -float(np.mean(points @ a))
+        phi = SpectralFunctionSpec(phi=lambda q, a=a, k=k: float(a @ q) + k)
+        c, c2, alpha = rng.standard_normal(n), rng.standard_normal(n), float(rng.standard_normal())
+        # objective, f on V, and the direction named at the (upper, lower) endpoint
+        cases = ((LinearObjective(c), lambda x: float(c @ x), ("c", "-c")),
+                 (DistanceObjective(c), lambda x: float(np.linalg.norm(c - x)), ("-c", "c")),
+                 (MaxAffineObjective(((c, 0.0), (c2, alpha))),
+                  lambda x: max(float(c @ x), float(c2 @ x) + alpha), ("active piece", None)))
+        for sense in ("max", "min"):
+            for objective, f, names in cases:
+                rep = reduce_solve(inst, objective, FiniteSet(points=points), phi, PRODUCT, sense)
+                v, _ = brute_v_rn(f, points, phi, lambda t, s: t * s, sense)
+                assert abs(rep.optimal_value - v) <= 1e-12 * (1.0 + abs(v))
+                assert rep.attained and rep.reduction_gap <= 1e-8
+                upper = (sense == "max") == (phi(rep.optimizer_w) >= 0.0)
+                assert rep.commutes_with == names[0 if upper else 1]
+                opposite += upper != (sense == "max")
+    assert opposite > 0
+
+
+def test_heuristic_orbit_min_is_not_attained(rn2, sym2):
+    # off rn the orbit minimum is a Nelder-Mead search, whose argmin lies
+    # near the orbit, not on it: its value stands, unattained
+    spec = FiniteSet(points=[[2.0, 1.0], [3.0, -1.0]])
+    rep = reduce_solve(sym2, MaxAffineObjective(SYM2_PIECES), spec, sense="min")
+    assert rep.solver_trace["method"] == "exhaustive"
+    assert not rep.attained
+    # on rn it is exact by permutations: x = (3, -1), where h = max(-5, -2)
+    pieces = ((np.array([-1.0, 2.0]), 0.0), (np.array([-1.0, -1.0]), 0.0))
+    rep = reduce_solve(rn2, MaxAffineObjective(pieces), spec, sense="min")
+    assert rep.attained and rep.reduction_gap == 0.0
+    brute = brute_v_rn(lambda x: max(-x[0] + 2.0 * x[1], -x[0] - x[1]), spec.points, sense="min")
+    assert rep.optimal_value == brute[0] == -2.0
+    np.testing.assert_array_equal(rep.optimizer_v, [3.0, -1.0])
+
+
+def test_unordered_combiner_refused_first(rn2):
+    # only the kind is read: a sum under another name is refused, before the
+    # set's width is checked
+    with pytest.raises(ValueError, match="combiner kind"):
+        reduce_solve(rn2, LinearObjective(np.ones(2)), FiniteSet(points=[[1.0, 0.0, 0.0]]),
+                     combiner=Combiner("custom", lambda t, s: t + s))
 
 
 def test_permutation_invariant_shortcut(rn3):
@@ -1159,18 +1227,17 @@ def test_phase1_undecided_by_highs_still_reports(rn2, monkeypatch):
 
 
 # objective, phi, combiner, sense -> the route reduce_solve reports over a
-# finite, an orbit, a grid and a polyhedron set on rn:2.  "!M" and "!K" mark a
-# route whose solve raises MonotonicityError (a product is not increasing in t
-# where phi <= 0) or KeyError (the table phi lists only the finite points).
+# finite, an orbit, a grid and a polyhedron set on rn:2.  "!K" marks a route
+# whose solve raises KeyError (the table phi lists only the finite points).
 ROUTE_PINS = """
 linear     zero       sum     max  exhaustive   orbit_closed_form   grid_scan   lp_simplex
 linear     zero       sum     min  exhaustive   orbit_closed_form   grid_scan   lp_simplex
-linear     zero       product max  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent!M
-linear     zero       product min  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent!M
+linear     zero       product max  exhaustive   orbit_closed_form   grid_scan   projected_descent
+linear     zero       product min  exhaustive   orbit_closed_form   grid_scan   projected_descent
 linear     neg_logdet sum     max  exhaustive   orbit_closed_form   grid_scan   projected_descent
 linear     neg_logdet sum     min  exhaustive   orbit_closed_form   grid_scan   projected_descent
-linear     neg_logdet product max  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent
-linear     neg_logdet product min  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent!M
+linear     neg_logdet product max  exhaustive   orbit_closed_form   grid_scan   projected_descent
+linear     neg_logdet product min  exhaustive   orbit_closed_form   grid_scan   projected_descent
 linear     affine     sum     max  exhaustive   orbit_closed_form   grid_scan   lp_simplex
 linear     affine     sum     min  exhaustive   orbit_closed_form   grid_scan   lp_simplex
 linear     affine     product max  exhaustive   orbit_closed_form   grid_scan   projected_descent
@@ -1181,12 +1248,12 @@ linear     table      product max  exhaustive   orbit_closed_form   grid_scan!K 
 linear     table      product min  exhaustive   orbit_closed_form   grid_scan!K projected_descent!K
 distance   zero       sum     max  exhaustive   orbit_closed_form   grid_scan   projected_descent
 distance   zero       sum     min  exhaustive   orbit_closed_form   grid_scan   dykstra_projection
-distance   zero       product max  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent!M
-distance   zero       product min  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent!M
+distance   zero       product max  exhaustive   orbit_closed_form   grid_scan   projected_descent
+distance   zero       product min  exhaustive   orbit_closed_form   grid_scan   projected_descent
 distance   neg_logdet sum     max  exhaustive   orbit_closed_form   grid_scan   projected_descent
 distance   neg_logdet sum     min  exhaustive   orbit_closed_form   grid_scan   projected_descent
-distance   neg_logdet product max  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent
-distance   neg_logdet product min  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent!M
+distance   neg_logdet product max  exhaustive   orbit_closed_form   grid_scan   projected_descent
+distance   neg_logdet product min  exhaustive   orbit_closed_form   grid_scan   projected_descent
 distance   affine     sum     max  exhaustive   orbit_closed_form   grid_scan   projected_descent
 distance   affine     sum     min  exhaustive   orbit_closed_form   grid_scan   projected_descent
 distance   affine     product max  exhaustive   orbit_closed_form   grid_scan   projected_descent
@@ -1197,12 +1264,12 @@ distance   table      product max  exhaustive   orbit_closed_form   grid_scan!K 
 distance   table      product min  exhaustive   orbit_closed_form   grid_scan!K projected_descent!K
 max_affine zero       sum     max  exhaustive   orbit_closed_form   grid_scan   lp_per_piece
 max_affine zero       sum     min  exhaustive   orbit_closed_form   grid_scan   projected_descent
-max_affine zero       product max  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent!M
-max_affine zero       product min  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent!M
+max_affine zero       product max  exhaustive   orbit_closed_form   grid_scan   projected_descent
+max_affine zero       product min  exhaustive   orbit_closed_form   grid_scan   projected_descent
 max_affine neg_logdet sum     max  exhaustive   orbit_closed_form   grid_scan   projected_descent
 max_affine neg_logdet sum     min  exhaustive   orbit_closed_form   grid_scan   projected_descent
-max_affine neg_logdet product max  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent
-max_affine neg_logdet product min  exhaustive!M orbit_closed_form!M grid_scan!M projected_descent!M
+max_affine neg_logdet product max  exhaustive   orbit_closed_form   grid_scan   projected_descent
+max_affine neg_logdet product min  exhaustive   orbit_closed_form   grid_scan   projected_descent
 max_affine affine     sum     max  exhaustive   orbit_closed_form   grid_scan   lp_per_piece
 max_affine affine     sum     min  exhaustive   orbit_closed_form   grid_scan   projected_descent
 max_affine affine     product max  exhaustive   orbit_closed_form   grid_scan   projected_descent
@@ -1212,7 +1279,6 @@ max_affine table      sum     min  exhaustive   orbit_closed_form   grid_scan!K 
 max_affine table      product max  exhaustive   orbit_closed_form   grid_scan!K projected_descent!K
 max_affine table      product min  exhaustive   orbit_closed_form   grid_scan!K projected_descent!K
 """
-ROUTE_ERRORS = {"M": MonotonicityError, "K": KeyError}
 ROUTE_PTS = np.array([[2.0, 1.0], [1.5, 0.5], [3.0, 0.25]])
 ROUTE_OBJECTIVES = {"linear": LinearObjective(np.array([1.0, -0.5])),
                     "distance": DistanceObjective(np.array([2.0, -1.0])),
@@ -1245,7 +1311,7 @@ def test_route_table_pins_every_combination(rn2):
     for label, ((objective, phi, comb), spec, sense, outcome) in first.items():
         solve = lambda: reduce_solve(rn2, objective, spec, phi, comb, sense)
         if "!" in outcome:
-            with pytest.raises(ROUTE_ERRORS[outcome[-1]]):
+            with pytest.raises(KeyError):
                 solve()
         else:
             assert solve().solver_trace["method"] == label

@@ -8,7 +8,7 @@ from ftvn.spectral_sets import (FiniteSet, GridOracle, OrbitOf,
                                 OrderedPolyhedron, PRODUCT, SUM,
                                 SpectralFunctionSpec, ZERO_FN, generator_point,
                                 image_candidates, membership_w, neg_logdet_fn,
-                                probe_monotone, table_fn, tabulated_combiner)
+                                probe_monotone, table_fn)
 
 
 def test_finite_set_dedups():
@@ -122,11 +122,6 @@ def test_grid_oracle_guards():
 def test_combiners():
     assert SUM.fn(2.0, 3.0) == 5.0
     assert PRODUCT.fn(2.0, 3.0) == 6.0
-    tab = tabulated_combiner([0.0, 1.0, 2.0], [0.0, 1.0],
-                             [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
-    assert tab.fn(0.5, 0.0) == pytest.approx(1.0)    # midway between 0 and 2
-    assert tab.fn(1.0, 0.5) == pytest.approx(2.5)
-    probe_monotone(tab, 0.0, 2.0, [0.0, 1.0])        # increasing table: fine
 
 
 def test_probe_monotone_aborts():
